@@ -38,6 +38,7 @@ from .dtree import (
     singleton,
     split_all_leaves,
     split_leaf,
+    split_leaves,
     to_dot,
     tree_depth,
 )

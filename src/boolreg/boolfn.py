@@ -35,8 +35,8 @@ MEAN_SQUARE_TOL = 1e-9
 
 @lru_cache(maxsize=None)
 def subset_sizes(n: int) -> np.ndarray:
-    """Read-only array of popcounts for all masks 0 .. 2^n - 1."""
-    sizes = np.zeros(1 << n, dtype=np.int64)
+    """Read-only uint8 array of popcounts for all masks 0 .. 2^n - 1."""
+    sizes = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         sizes[1 << i: 1 << (i + 1)] = sizes[: 1 << i] + 1
     sizes.setflags(write=False)

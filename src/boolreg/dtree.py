@@ -116,19 +116,27 @@ def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     return Internal(j, plus, minus)
 
 
-def split_leaf(t: DecisionTree, leaf_id: int, j: int) -> DecisionTree:
-    """Replace one leaf by a query to variable j; other leaves are untouched."""
-    if not 0 <= j < t.n:
-        raise IndexError(f"variable index {j} out of range for n={t.n}")
-    found = False
+def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
+    """Replace each leaf ``splits`` names by a query to its variable, in one
+    walk; other leaves are untouched.
+
+    New ids follow ``leaves`` order: the first split leaf's children get
+    next_leaf_id (plus branch) and next_leaf_id + 1, the next split leaf's
+    the two ids after those, and so on.
+    """
+    for j in splits.values():
+        if not 0 <= j < t.n:
+            raise IndexError(f"variable index {j} out of range for n={t.n}")
+    next_id = t.next_leaf_id
 
     def walk(node: Node) -> Node:
-        nonlocal found
+        nonlocal next_id
         if isinstance(node, Leaf):
-            if node.id != leaf_id:
+            if node.id not in splits:
                 return node
-            found = True
-            return _split_node(node, j, t.next_leaf_id)
+            split = _split_node(node, splits[node.id], next_id)
+            next_id += 2
+            return split
         plus = walk(node.child_plus)
         minus = walk(node.child_minus)
         if plus is node.child_plus and minus is node.child_minus:
@@ -136,26 +144,20 @@ def split_leaf(t: DecisionTree, leaf_id: int, j: int) -> DecisionTree:
         return Internal(node.var, plus, minus)
 
     root = walk(t.root)
-    if not found:
-        raise KeyError(f"no leaf with id {leaf_id}")
-    return DecisionTree(t.n, root, t.next_leaf_id + 2)
+    if next_id - t.next_leaf_id < 2 * len(splits):
+        present = {leaf.id for leaf, _ in leaves(t)}
+        raise KeyError(f"no leaf with id {min(set(splits) - present)}")
+    return DecisionTree(t.n, root, next_id)
+
+
+def split_leaf(t: DecisionTree, leaf_id: int, j: int) -> DecisionTree:
+    """Replace one leaf by a query to variable j; other leaves are untouched."""
+    return split_leaves(t, {leaf_id: j})
 
 
 def split_all_leaves(t: DecisionTree, j: int) -> DecisionTree:
     """Split every leaf on variable j (used by the homogeneous decomposition)."""
-    if not 0 <= j < t.n:
-        raise IndexError(f"variable index {j} out of range for n={t.n}")
-    next_id = t.next_leaf_id
-
-    def walk(node: Node) -> Node:
-        nonlocal next_id
-        if isinstance(node, Leaf):
-            split = _split_node(node, j, next_id)
-            next_id += 2
-            return split
-        return Internal(node.var, walk(node.child_plus), walk(node.child_minus))
-
-    return DecisionTree(t.n, walk(t.root), next_id)
+    return split_leaves(t, {leaf.id: j for leaf, _ in leaves(t)})
 
 
 def energy(t: DecisionTree, delta: float) -> float:

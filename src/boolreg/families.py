@@ -11,9 +11,9 @@ def majority(n: int) -> BooleanFunction:
     """Sign of the coordinate sum; n must be odd so there are no ties."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"majority needs an odd variable count, got {n}")
-    pop = subset_sizes(n)
-    coord_sum = n - 2 * pop  # sum of x_i under the bit=1 <=> x=-1 encoding
-    return BooleanFunction(n, np.where(coord_sum > 0, 1.0, -1.0), PM_ONE)
+    # the coordinate sum is n - 2*popcount under the bit=1 <=> x=-1 encoding;
+    # compared without subtracting, since the popcounts are unsigned
+    return BooleanFunction(n, np.where(2 * subset_sizes(n) < n, 1.0, -1.0), PM_ONE)
 
 
 def parity(n: int, subset: list[int] | None = None) -> BooleanFunction:

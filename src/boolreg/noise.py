@@ -56,11 +56,18 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
 
 
+def _powers(rho: float, k: int) -> np.ndarray:
+    """rho^0 .. rho^k.  Indexed by subset sizes it gives the same bits as
+    rho ** sizes over all 2^n masks: both are the elementwise float64 ** int64
+    power, here on n + 1 entries instead of 2^n."""
+    return np.float64(rho) ** np.arange(k + 1, dtype=np.int64)
+
+
 def stability(g: FourierExpansion, rho: float) -> float:
     """sum over masks S of rho^|S| * coeff(S)^2; lies in [0, E[f^2]]."""
     _check_rho(rho)
-    sizes = subset_sizes(g.n)
-    return float(np.sum(np.float64(rho) ** sizes * g.coeffs * g.coeffs))
+    weights = _powers(rho, g.n)[subset_sizes(g.n)]
+    return float(np.sum(weights * g.coeffs * g.coeffs))
 
 
 def stability_mc(f: BooleanFunction, rho: float, samples: int, seed: int) -> float:
@@ -98,15 +105,19 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
 
 
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
-    """Vector of (1-delta)-noisy influences computed from a spectrum."""
-    sizes = subset_sizes(g.n)
-    rho = np.float64(1.0 - delta)
+    """Vector of (1-delta)-noisy influences computed from a spectrum.
+
+    Influence i sums the weighted coefficients of the masks containing i:
+    the [:, 1, :] half of the reshape by 2^i, copied contiguous so that the
+    pairwise sum runs over the same elements in the same (mask) order as a
+    boolean-mask gather would.
+    """
     # (1-delta)^(|S|-1) with the empty mask zeroed out; 0^0 = 1 handles
     # delta = 1, where only degree-1 weight survives.
-    weights = np.where(sizes >= 1, rho ** np.maximum(sizes - 1, 0), 0.0)
-    weighted = weights * g.coeffs * g.coeffs
-    masks = np.arange(1 << g.n)
-    return np.array([float(weighted[(masks >> i) & 1 == 1].sum()) for i in range(g.n)])
+    table = np.concatenate(([0.0], _powers(1.0 - delta, g.n - 1)))
+    weighted = table[subset_sizes(g.n)] * g.coeffs * g.coeffs
+    return np.array([float(weighted.reshape(-1, 2, 1 << i)[:, 1, :].reshape(-1).sum())
+                     for i in range(g.n)])
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:

@@ -7,6 +7,19 @@ eps*delta*gamma while more than a gamma fraction of leaf mass is bad, and
 the energy is capped by E[f^2] <= 1, so at most 1/(eps*delta*gamma) passes
 can run.  ``decompose_homogeneous`` additionally forces every level of the
 tree to query one fixed variable, at the price of a tower-type size bound.
+
+Only the root is transformed.  A child's spectrum comes from its parent's
+by one half-butterfly, the restriction identity
+ghat_{x_i=+1}(S) = ghat(S) + ghat(S+{i}) and ghat_{x_i=-1}(S) = ghat(S) -
+ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
+Functions, section 3.3).  Each leaf is analysed once, when it is created;
+a good leaf keeps its statistics from pass to pass and drops its spectrum.
+Spectra of bad leaves are held in compact form over their free variables,
+so together they never hold more than 2^n values.  For the analysis a
+compact spectrum is scattered back into the ambient 2^n layout, zero at
+every mask that contains a fixed variable: the kernels' pairwise sums
+depend on those exact zeros, and those sums decide argmax ties, so the
+tree is the one that a fresh transform of every leaf table would give.
 """
 
 from __future__ import annotations
@@ -14,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boolfn import BooleanFunction, norm2, wht
+import numpy as np
+
+from .boolfn import BooleanFunction, FourierExpansion, norm2, wht
 from .dtree import (
     DecisionTree,
     EnergyLedger,
@@ -22,13 +37,14 @@ from .dtree import (
     leaves,
     singleton,
     split_all_leaves,
-    split_leaf,
+    split_leaves,
     tree_depth,
 )
-from .noise import INFLUENCE_SLACK, all_noisy_influences, expansion_influences, stability
+from .noise import INFLUENCE_SLACK, expansion_influences, stability
 
-# Guard band for the internal phi <= 1 sanity check; the energy is a sum of
-# at most 2^n nonnegative doubles, so anything past this is a logic bug.
+# Guard band for the internal energy checks (phi <= 1, and each pass's gain
+# against the gain the restriction identity predicts); the energy is a sum
+# of at most 2^n nonnegative doubles, so anything past this is a logic bug.
 _PHI_GUARD = 1e-9
 
 
@@ -56,6 +72,21 @@ class RegularityParams:
         return 1.0 / (self.eps * self.delta * self.gamma)
 
 
+@dataclass(frozen=True)
+class LeafStats:
+    """One leaf's analysis: its mean, Stab_{1-delta}, and its argmax noisy
+    influence variable (ties go to the lowest index) with that influence."""
+
+    mean: float
+    stab: float
+    var: int
+    max_influence: float
+
+    def bad(self, eps: float) -> bool:
+        """Fails the small-influence test; INFLUENCE_SLACK counts as small."""
+        return self.max_influence > eps + INFLUENCE_SLACK
+
+
 @dataclass
 class DecompositionResult:
     tree: DecisionTree
@@ -64,25 +95,51 @@ class DecompositionResult:
     bad_mass: float
     homogeneous_vars: list[int] = field(default_factory=list)
     exhausted: bool = False  # homogeneous variant ran out of var_cap
+    leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
 
 
-def _analyze(t: DecisionTree, eps: float, delta: float) -> tuple[float, list[tuple[Leaf, int]], float]:
-    """One spectrum per leaf feeds both the energy and the bad-leaf scan.
+def _analyze(ghat: FourierExpansion, delta: float) -> LeafStats:
+    influences = expansion_influences(ghat, delta)
+    worst = int(influences.argmax())
+    return LeafStats(float(ghat.coeffs[0]), stability(ghat, 1.0 - delta), worst,
+                     float(influences[worst]))
 
-    Returns (energy, [(bad leaf, its argmax-influence variable)], bad mass).
+
+def _ambient(n: int, free: tuple[int, ...], compact: np.ndarray, out: np.ndarray) -> FourierExpansion:
+    """A compact spectrum over ``free`` (ascending) in the 2^n mask layout,
+    written into ``out``, which must be zero outside the masks over ``free``."""
+    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
+    index = tuple(slice(None) if v in free else 0 for v in reversed(range(n)))
+    out.reshape((2,) * n)[index] = compact.reshape((2,) * len(free))
+    return FourierExpansion(n, out)
+
+
+def _split_rows(rows: np.ndarray, free: tuple[int, ...], j: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Half-butterfly of every compact spectrum (row) on variable j.
+
+    Row r becomes rows 2r (x_j = +1) and 2r + 1 (x_j = -1), over ``free``
+    without j, which is the order of the children in the tree.
     """
+    h = rows.reshape(len(rows), -1, 2, 1 << free.index(j))
+    out = np.empty((len(rows), 2, h.shape[1], h.shape[3]))
+    np.add(h[:, :, 0, :], h[:, :, 1, :], out=out[:, 0])
+    np.subtract(h[:, :, 0, :], h[:, :, 1, :], out=out[:, 1])
+    return tuple(v for v in free if v != j), out.reshape(2 * len(rows), -1)
+
+
+def _tally(level: list[tuple[Leaf, int]], stats: dict[int, LeafStats],
+           eps: float) -> tuple[float, list[tuple[Leaf, int]], float, int]:
+    """Energy, the bad (leaf, depth) pairs, bad mass and tree depth."""
     phi = 0.0
     bad: list[tuple[Leaf, int]] = []
     bad_mass = 0.0
-    for leaf, depth in leaves(t):
-        ghat = wht(leaf.fn)
-        phi += 2.0 ** -depth * stability(ghat, 1.0 - delta)
-        influences = expansion_influences(ghat, delta)
-        worst = int(influences.argmax())
-        if influences[worst] > eps + INFLUENCE_SLACK:
-            bad.append((leaf, worst))
+    for leaf, depth in level:
+        s = stats[leaf.id]
+        phi += 2.0 ** -depth * s.stab
+        if s.bad(eps):
+            bad.append((leaf, depth))
             bad_mass += 2.0 ** -depth
-    return phi, bad, bad_mass
+    return phi, bad, bad_mass, max(depth for _, depth in level)
 
 
 def _check_phi(phi: float, bound: float) -> None:
@@ -96,31 +153,51 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
 
     The returned tree computes f exactly, has depth at most
     min(1/(eps*delta*gamma), n), and its ledger records the energy after
-    every pass; each recorded gain exceeds eps*delta*gamma.
+    every pass; each recorded gain exceeds eps*delta*gamma and equals
+    delta * sum over the split leaves of 2^-depth * Inf_var, which is
+    checked at run time.
     """
     f.require_unit_mean_square()
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
-    phi, bad, bad_mass = _analyze(t, p.eps, p.delta)
+    root = wht(f)
+    stats = {0: _analyze(root, p.delta)}
+    # compact spectra of the bad leaves (one-row arrays, free variables) by leaf id
+    spectra = {0: (root.coeffs.reshape(1, -1), tuple(range(f.n)))} if stats[0].bad(p.eps) else {}
+    del root
+    phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
     ledger = EnergyLedger(phi)
     ledger.record(0, phi, 0)
     iterations = 0
     while bad_mass > p.gamma:
-        if tree_depth(t) + 1 > min(p.budget, float(t.n)):
+        if depth + 1 > min(p.budget, float(t.n)):
             raise RuntimeError(
                 "internal error: split would push depth past "
                 f"min(budget={p.budget}, n={t.n}); the energy argument forbids this"
             )
-        for leaf, worst_var in bad:
-            t = split_leaf(t, leaf.id, worst_var)
+        first_id = t.next_leaf_id
+        t = split_leaves(t, {leaf.id: stats[leaf.id].var for leaf, _ in bad})
+        predicted = 0.0
+        for k, (leaf, leaf_depth) in enumerate(bad):
+            parent = stats.pop(leaf.id)
+            free, children = _split_rows(*spectra.pop(leaf.id), parent.var)
+            for child_id, child in zip((first_id + 2 * k, first_id + 2 * k + 1), children):
+                stats[child_id] = _analyze(_ambient(f.n, free, child, np.zeros(1 << f.n)), p.delta)
+                if stats[child_id].bad(p.eps):  # a copy, so that a good sibling is freed
+                    spectra[child_id] = (child.reshape(1, -1).copy(), free)
+            predicted += 2.0 ** -leaf_depth * parent.max_influence
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-        phi, bad, bad_mass = _analyze(t, p.eps, p.delta)
+        previous = phi
+        phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
         _check_phi(phi, norm_bound)
-        ledger.record(iterations, phi, tree_depth(t))
-    return DecompositionResult(t, iterations, ledger, bad_mass)
+        if abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
+            raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
+                               f"the restriction identity predicts {p.delta * predicted}")
+        ledger.record(iterations, phi, depth)
+    return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
 
 
 def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int) -> DecompositionResult:
@@ -132,6 +209,9 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     query set past ``var_cap`` the partial tree is returned with
     ``exhausted`` set instead of an error: the guaranteed worst case is a
     tower-type size that no table-based run could reach anyway.
+
+    The leaves of a level share their free variables, so their compact
+    spectra are the rows of one array, in ``leaves`` order.
     """
     f.require_unit_mean_square()
     if not 0 <= var_cap <= f.n:
@@ -139,14 +219,18 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
     query_vars: list[int] = []
-    phi, bad, bad_mass = _analyze(t, p.eps, p.delta)
+    root = wht(f)
+    stats = {0: _analyze(root, p.delta)}
+    free, rows = tuple(range(f.n)), root.coeffs.reshape(1, -1)
+    del root
+    phi, bad, bad_mass, _ = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
     ledger = EnergyLedger(phi)
     ledger.record(0, phi, 0)
     iterations = 0
     exhausted = False
     while bad_mass > p.gamma:
-        new_vars = sorted({worst_var for _, worst_var in bad} - set(query_vars))
+        new_vars = sorted({stats[leaf.id].var for leaf, _ in bad} - set(query_vars))
         if not new_vars:
             raise RuntimeError("internal error: bad leaf with no splittable variable")
         if len(query_vars) + len(new_vars) > var_cap:
@@ -155,13 +239,18 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         for var in new_vars:
             t = split_all_leaves(t, var)
             query_vars.append(var)
+            free, rows = _split_rows(rows, free, var)
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-        phi, bad, bad_mass = _analyze(t, p.eps, p.delta)
+        level = leaves(t)
+        buffer = np.zeros(1 << f.n)
+        stats = {leaf.id: _analyze(_ambient(f.n, free, row, buffer), p.delta)
+                 for (leaf, _), row in zip(level, rows)}
+        phi, bad, bad_mass, _ = _tally(level, stats, p.eps)
         _check_phi(phi, norm_bound)
         ledger.record(iterations, phi, len(query_vars))
-    return DecompositionResult(t, iterations, ledger, bad_mass, query_vars, exhausted)
+    return DecompositionResult(t, iterations, ledger, bad_mass, query_vars, exhausted, stats)
 
 
 def tower(k: int) -> int | float:
@@ -181,13 +270,13 @@ def decomposition_report(result: DecompositionResult, p: RegularityParams,
     """JSON-ready summary: params, energy trace, and per-leaf statistics."""
     leaf_rows = []
     for leaf, depth in leaves(result.tree):
-        influences = all_noisy_influences(leaf.fn, p.delta)
+        stats = result.leaf_stats[leaf.id]
         leaf_rows.append({
             "id": leaf.id,
             "depth": depth,
             "mass": 2.0 ** -depth,
-            "mean": float(leaf.fn.values.mean()),
-            "max_influence": float(influences.max()),
+            "mean": stats.mean,
+            "max_influence": stats.max_influence,
         })
     return {
         "params": {"eps": p.eps, "delta": p.delta, "gamma": p.gamma, "budget": p.budget},

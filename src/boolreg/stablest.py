@@ -25,7 +25,7 @@ from scipy.special import ndtri
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, wht
 from .dtree import leaves
 from .errors import PreconditionError
-from .noise import INFLUENCE_SLACK, expansion_influences, stability
+from .noise import stability
 from .quasirandom import is_quasirandom
 from .regularity import RegularityParams, decompose
 
@@ -208,17 +208,15 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
     drift_ok = True
     for leaf, depth in leaves(result.tree):
         mass = 2.0 ** -depth
-        leaf_hat = wht(leaf.fn)
-        leaf_mean = float(leaf_hat.coeffs[0])
-        drift = abs(leaf_mean - mu)
+        stats = result.leaf_stats[leaf.id]
+        drift = abs(stats.mean - mu)
         if drift > 2.0 ** depth * q_eps + 1e-12:
             drift_ok = False
-        influences = expansion_influences(leaf_hat, p.delta)
-        if float(influences.max()) > p.eps + INFLUENCE_SLACK:
+        if stats.bad(p.eps):
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
-        leaf_stab = stability(leaf_hat, rho)
-        leaf_lam = quadrant_prob(rho, leaf_mean, tol)
+        leaf_stab = stability(wht(leaf.fn), rho)
+        leaf_lam = quadrant_prob(rho, stats.mean, tol)
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift
         leaf_slack_term += mass * (leaf_stab - leaf_lam)

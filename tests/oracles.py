@@ -3,6 +3,10 @@
 Everything here avoids the library's fast paths on purpose: transforms by
 the defining sum, stability through the explicit Markov kernel, quadrant
 probabilities by 2-D quadrature, restriction means by direct enumeration.
+The one exception is the reference decomposition drivers at the end: they
+keep the earlier per-pass design (a fresh transform of every leaf table,
+mask-gather influences, one tree walk per split) on the library's tree
+primitives, so that the spectral drivers can be compared with it exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 from scipy.special import ndtri
+
+from boolreg import leaves, singleton, split_all_leaves, split_leaf, wht
+from boolreg.noise import INFLUENCE_SLACK
 
 
 def popcount(x: int) -> int:
@@ -99,3 +106,79 @@ def random_real_unit(rng: np.random.Generator, n: int, target_ms: float | None =
     if target_ms is None:
         target_ms = rng.uniform(0.2, 0.99)
     return values * math.sqrt(target_ms / ms)
+
+
+# --- the earlier leaf kernel and drivers ---------------------------------------
+
+def _int_sizes(size: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(size)).astype(np.int64)
+
+
+def power_stability(coeffs: np.ndarray, rho: float) -> float:
+    """sum_S rho^|S| coeff(S)^2 with a 2^n-entry power array."""
+    return float(np.sum(np.float64(rho) ** _int_sizes(coeffs.size) * coeffs * coeffs))
+
+
+def mask_gather_influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """Noisy influences by one boolean-mask gather per coordinate."""
+    n = coeffs.size.bit_length() - 1
+    sizes = _int_sizes(coeffs.size)
+    rho = np.float64(1.0 - delta)
+    weights = np.where(sizes >= 1, rho ** np.maximum(sizes - 1, 0), 0.0)
+    weighted = weights * coeffs * coeffs
+    masks = np.arange(coeffs.size)
+    return np.array([float(weighted[(masks >> i) & 1 == 1].sum()) for i in range(n)])
+
+
+def _reference_analyze(t, eps: float, delta: float):
+    phi = 0.0
+    bad = []
+    bad_mass = 0.0
+    for leaf, depth in leaves(t):
+        coeffs = wht(leaf.fn).coeffs
+        phi += 2.0 ** -depth * power_stability(coeffs, 1.0 - delta)
+        influences = mask_gather_influences(coeffs, delta)
+        worst = int(influences.argmax())
+        if influences[worst] > eps + INFLUENCE_SLACK:
+            bad.append((leaf, worst))
+            bad_mass += 2.0 ** -depth
+    return phi, bad, bad_mass
+
+
+def reference_decompose(f, p) -> dict:
+    """The plain driver as it was: every leaf re-transformed every pass."""
+    t = singleton(f)
+    phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)
+    history = [(0, phi)]
+    iterations = 0
+    while bad_mass > p.gamma:
+        for leaf, worst_var in bad:
+            t = split_leaf(t, leaf.id, worst_var)
+        iterations += 1
+        phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)
+        history.append((iterations, phi))
+    return {"tree": t, "iterations": iterations, "history": history,
+            "bad_mass": bad_mass, "query_vars": [], "exhausted": False}
+
+
+def reference_decompose_homogeneous(f, p, var_cap: int) -> dict:
+    """The homogeneous driver as it was."""
+    t = singleton(f)
+    query_vars: list[int] = []
+    phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)
+    history = [(0, phi)]
+    iterations = 0
+    exhausted = False
+    while bad_mass > p.gamma:
+        new_vars = sorted({worst_var for _, worst_var in bad} - set(query_vars))
+        if len(query_vars) + len(new_vars) > var_cap:
+            exhausted = True
+            break
+        for var in new_vars:
+            t = split_all_leaves(t, var)
+            query_vars.append(var)
+        iterations += 1
+        phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)
+        history.append((iterations, phi))
+    return {"tree": t, "iterations": iterations, "history": history,
+            "bad_mass": bad_mass, "query_vars": query_vars, "exhausted": exhausted}

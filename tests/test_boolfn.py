@@ -199,6 +199,10 @@ def test_subset_sizes():
     sizes = subset_sizes(4)
     assert [sizes[0], sizes[0b1010], sizes[0b1111]] == [0, 2, 4]
     assert not sizes.flags.writeable
+    for n in (1, 4, 9, 16):
+        sizes = subset_sizes(n)
+        assert sizes.dtype == np.uint8
+        np.testing.assert_array_equal(sizes, np.bitwise_count(np.arange(1 << n)))
 
 
 def test_validation():

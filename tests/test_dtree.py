@@ -18,6 +18,7 @@ from boolreg import (
     singleton,
     split_all_leaves,
     split_leaf,
+    split_leaves,
     stability,
     to_dot,
     tree_depth,
@@ -167,6 +168,41 @@ def test_no_repeat_split_rejected():
 def test_split_unknown_leaf():
     with pytest.raises(KeyError):
         split_leaf(singleton(majority(3)), 99, 0)
+
+
+def three_leaf_tree():
+    t = split_leaf(singleton(majority(5)), 0, 0)
+    return split_leaf(t, leaves(t)[0][0].id, 1)  # leaves 3, 4 under x1=+1, then 2
+
+
+def test_split_leaves_ids_follow_leaf_order():
+    t = three_leaf_tree()
+    assert [leaf.id for leaf, _ in leaves(t)] == [3, 4, 2]
+    many = split_leaves(t, {2: 3, 3: 4})  # dict order does not matter
+    one_by_one = split_leaf(split_leaf(t, 3, 4), 2, 3)
+    assert [(leaf.id, leaf.fixed) for leaf, _ in leaves(many)] == \
+        [(leaf.id, leaf.fixed) for leaf, _ in leaves(one_by_one)]
+    assert [leaf.id for leaf, _ in leaves(many)] == [5, 6, 4, 7, 8]
+    assert many.next_leaf_id == 9
+    np.testing.assert_array_equal(evaluate_table(many), majority(5).values)
+
+
+def test_split_leaves_shares_untouched_branches():
+    t = three_leaf_tree()
+    split = split_leaves(t, {3: 2})
+    assert split.root.child_minus is t.root.child_minus
+    assert split.root.child_plus.child_minus is t.root.child_plus.child_minus
+    assert split_leaves(t, {}).root is t.root
+
+
+def test_split_leaves_errors():
+    t = three_leaf_tree()
+    with pytest.raises(KeyError):
+        split_leaves(t, {3: 2, 99: 2})
+    with pytest.raises(IndexError):
+        split_leaves(t, {3: 5})
+    with pytest.raises(ValueError):
+        split_leaves(t, {2: 0})
 
 
 def test_leaf_fixed_matches_restriction():

@@ -30,6 +30,7 @@ from boolreg import (
     tree_depth,
     tribes,
 )
+from boolreg.noise import all_noisy_influences
 
 
 def blend3() -> BooleanFunction:
@@ -246,3 +247,15 @@ def test_report_shape():
     assert all(v >= 1 for v in rep["query_vars"])  # 1-based rendering
     assert {"id", "depth", "mass", "mean", "max_influence"} <= set(rep["leaves"][0])
     assert sum(row["mass"] for row in rep["leaves"]) == pytest.approx(1.0)
+
+
+def test_report_reads_leaf_stats_bit_for_bit():
+    # the carried kernel results equal a fresh analysis of every leaf table
+    p = RegularityParams(0.05, 0.3, 0.05)
+    for f, result in [(tribes(3, 3), decompose(tribes(3, 3), p)),
+                      (majority(7), decompose_homogeneous(majority(7), p, 7))]:
+        rows = decomposition_report(result, p, homogeneous=False)["leaves"]
+        assert [row["id"] for row in rows] == [leaf.id for leaf, _ in leaves(result.tree)]
+        for row, (leaf, _) in zip(rows, leaves(result.tree)):
+            assert row["mean"] == float(leaf.fn.values.mean())
+            assert row["max_influence"] == float(all_noisy_influences(leaf.fn, p.delta).max())

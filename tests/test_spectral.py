@@ -1,0 +1,203 @@
+"""The spectral leaf path: half-butterfly restriction, the leaf kernel, and
+the drivers against the earlier per-pass design, exactly."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from boolreg import (
+    PM_ONE,
+    REAL,
+    ZERO_ONE,
+    BooleanFunction,
+    FourierExpansion,
+    Internal,
+    RegularityParams,
+    decompose,
+    decompose_homogeneous,
+    leaves,
+    majority,
+    noisy_influence,
+    random_pm_one,
+    restrict,
+    stability,
+    subset_sizes,
+    tribes,
+    wht,
+)
+from boolreg import regularity
+from boolreg.noise import _powers, expansion_influences
+from boolreg.regularity import _ambient, _split_rows
+from oracles import (
+    mask_gather_influences,
+    power_stability,
+    reference_decompose,
+    reference_decompose_homogeneous,
+)
+
+# Tables whose spectra are computed exactly in doubles (small dyadic
+# values), so every derived spectrum equals a fresh transform bit for bit.
+EXACT_KINDS = {
+    PM_ONE: (-1.0, 1.0),
+    ZERO_ONE: (0.0, 1.0),
+    REAL: tuple(k / 4 for k in range(-4, 5)),
+}
+
+
+@st.composite
+def tables(draw, max_n=7, exact=True):
+    """(function, whether its spectra are exact)."""
+    n = draw(st.integers(1, max_n))
+    kinds = list(EXACT_KINDS) + ([] if exact else [None])
+    kind = draw(st.sampled_from(kinds))
+    if kind is None:  # arbitrary reals
+        elements = st.floats(-1.0, 1.0, allow_nan=False)
+        return BooleanFunction(n, draw(arrays(np.float64, 1 << n, elements=elements)), REAL), False
+    values = draw(arrays(np.float64, 1 << n, elements=st.sampled_from(EXACT_KINDS[kind])))
+    return BooleanFunction(n, values, kind), True
+
+
+params = st.builds(
+    RegularityParams,
+    eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+    delta=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+    gamma=st.sampled_from([0.05, 0.1, 0.25]),
+)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(exact=False), st.data())
+def test_half_butterfly_is_the_restricted_spectrum(case, data):
+    f, exact = case
+    path = data.draw(st.lists(st.integers(0, f.n - 1), unique=True, max_size=3))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(path), max_size=len(path)))
+    free, rows = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    g = f
+    for var, v in zip(path, signs):
+        free, children = _split_rows(rows, free, var)
+        assert children.shape == (2, 1 << len(free))
+        rows = children[0 if v == 1 else 1].reshape(1, -1)
+        g = restrict(g, var, v)
+    assert free == tuple(i for i in range(f.n) if i not in path)
+    derived = _ambient(f.n, free, rows[0], np.zeros(1 << f.n)).coeffs
+    fresh = wht(g).coeffs
+    if exact:
+        assert same_bits(derived, fresh)
+    else:
+        np.testing.assert_allclose(derived, fresh, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(
+           lambda n: arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0, allow_nan=False))),
+       st.floats(0.0, 1.0))
+def test_kernel_matches_power_and_mask_gather(coeffs, delta):
+    g = FourierExpansion(coeffs.size.bit_length() - 1, coeffs)
+    assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
+    assert stability(g, delta) == power_stability(coeffs, delta)
+    assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
+
+
+@pytest.mark.parametrize("n", [14, 16, 18])
+def test_kernel_matches_mask_gather_on_large_tables(n):
+    # summing the strided view without the contiguous copy first agrees
+    # with the gather up to n = 14 here, but not at n = 16
+    coeffs = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n) / 2.0 ** (n / 2)
+    g = FourierExpansion(n, coeffs)
+    for delta in (0.05, 0.3, 1.0):
+        assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
+        assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
+
+
+@pytest.mark.parametrize("n", [3, 11, 16, 22])
+def test_power_table_matches_full_power(n):
+    sizes = subset_sizes(n)
+    wide = sizes.astype(np.int64)
+    for rho in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0 - 0.3, 0.95, 1.0):
+        assert same_bits(_powers(rho, n)[sizes], np.float64(rho) ** wide)
+
+
+def tree_rows(tree):
+    return [(leaf.id, depth, sorted(leaf.fixed.items())) for leaf, depth in leaves(tree)]
+
+
+def check_against_reference(result, want, delta):
+    assert tree_rows(result.tree) == tree_rows(want["tree"])
+    assert result.ledger.history == want["history"]
+    assert result.bad_mass == want["bad_mass"]
+    assert result.iterations == want["iterations"]
+    assert result.homogeneous_vars == want["query_vars"]
+    assert result.exhausted == want["exhausted"]
+    assert set(result.leaf_stats) == {leaf.id for leaf, _ in leaves(result.tree)}
+    for leaf, _ in leaves(result.tree):
+        coeffs = wht(leaf.fn).coeffs
+        stats = result.leaf_stats[leaf.id]
+        assert stats.mean == float(coeffs[0])
+        assert stats.max_influence == float(mask_gather_influences(coeffs, delta).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(max_n=6), params)
+def test_decompose_matches_reference_driver(case, p):
+    f, _ = case
+    check_against_reference(decompose(f, p), reference_decompose(f, p), p.delta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(max_n=6), params, st.data())
+def test_decompose_homogeneous_matches_reference_driver(case, p, data):
+    f, _ = case
+    var_cap = data.draw(st.integers(0, f.n))
+    check_against_reference(decompose_homogeneous(f, p, var_cap),
+                            reference_decompose_homogeneous(f, p, var_cap), p.delta)
+
+
+def split_points(f, tree):
+    """(depth, variable, subfunction) of every internal node."""
+    out = []
+
+    def walk(node, g, depth):
+        if isinstance(node, Internal):
+            out.append((depth, node.var, g))
+            walk(node.child_plus, restrict(g, node.var, 1), depth + 1)
+            walk(node.child_minus, restrict(g, node.var, -1), depth + 1)
+
+    walk(tree.root, f, 0)
+    return out
+
+
+@pytest.mark.parametrize("f", [tribes(4, 4), majority(9)] +
+                         [random_pm_one(8, seed) for seed in (3, 17, 2024)],
+                         ids=["tribes_4_4", "majority_9", "random_8_3", "random_8_17",
+                              "random_8_2024"])
+def test_energy_identity_pass_by_pass(f):
+    # A good leaf is never split again, so pass k splits exactly the bad
+    # leaves at depth k - 1: the internal nodes at that depth.
+    p = RegularityParams(0.02, 0.3, 0.05)
+    result = decompose(f, p)
+    assert result.iterations >= 1
+    splits = split_points(f, result.tree)
+    assert max(depth for depth, _, _ in splits) == result.iterations - 1
+    for k in range(1, result.iterations + 1):
+        predicted = p.delta * sum(2.0 ** -depth * noisy_influence(g, var, p.delta)
+                                  for depth, var, g in splits if depth == k - 1)
+        gain = result.ledger.history[k][1] - result.ledger.history[k - 1][1]
+        assert gain == pytest.approx(predicted, rel=0.0, abs=1e-12)
+
+
+def test_energy_identity_guard_catches_drift(monkeypatch):
+    split = regularity._split_rows
+
+    def drifting(rows, free, j):
+        rest, children = split(rows, free, j)
+        return rest, children * 1.001
+
+    monkeypatch.setattr(regularity, "_split_rows", drifting)
+    with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
+        decompose(majority(5), RegularityParams(0.05, 0.3, 0.05))
