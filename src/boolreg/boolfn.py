@@ -33,6 +33,13 @@ MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
 
 
+def check_arity(n: int) -> None:
+    """Refuse a variable count outside [1, MAX_VARS], before anything of
+    2^n entries is allocated."""
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
+
+
 @lru_cache(maxsize=None)
 def subset_sizes(n: int) -> np.ndarray:
     """Read-only uint8 array of popcounts for all masks 0 .. 2^n - 1."""
@@ -73,8 +80,7 @@ class BooleanFunction:
     range_tag: str = REAL
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {self.n}")
+        check_arity(self.n)
         if self.range_tag not in RANGE_TAGS:
             raise ValueError(f"unknown range tag {self.range_tag!r}")
         arr = _freeze(self.values)
@@ -107,8 +113,7 @@ class FourierExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {self.n}")
+        check_arity(self.n)
         arr = _freeze(self.coeffs)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValueError(f"coefficient table must have length 2^{self.n}")
@@ -206,8 +211,7 @@ def read_table(fp: IO[str]) -> BooleanFunction:
         n = int(header[2:])
     except ValueError as exc:
         raise ValueError(f"malformed variable count in header {header!r}") from exc
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in [1, {MAX_VARS}], got {n}")
+    check_arity(n)
     values = []
     for lineno in range(1 << n):
         line = fp.readline()

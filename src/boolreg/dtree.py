@@ -4,6 +4,10 @@ Trees are persistent: a split returns a new tree sharing every untouched
 branch.  A leaf at depth d carries mass 2^-d, the probability of reaching
 it by uniformly random decisions from the root.  Leaf ids are stable under
 splits of other leaves.
+
+A leaf holds its subfunction's table over its free variables only, 2^(n-d)
+values, so all leaf tables of a tree together hold exactly 2^n values.  A
+child's table is an exact strided slice of its parent's.
 """
 
 from __future__ import annotations
@@ -13,15 +17,37 @@ from typing import Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, restrict, wht
+from .boolfn import BooleanFunction, wht
 from .noise import has_small_noisy_influences, all_noisy_influences, stability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Leaf:
+    """A subfunction of the root: the root with the variables in ``fixed``
+    (root-to-leaf path, variable -> assigned value, treat as immutable) set.
+
+    ``table`` is read-only and holds the subfunction over the free variables:
+    bit k of its index is the k-th free variable in ascending order.
+    """
+
     id: int
-    fn: BooleanFunction
-    fixed: dict[int, int]  # root-to-leaf path: variable -> assigned value, treat as immutable
+    table: np.ndarray
+    fixed: dict[int, int]
+    n: int  # ambient arity
+    range_tag: str
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        return tuple(v for v in range(self.n) if v not in self.fixed)
+
+    @property
+    def fn(self) -> BooleanFunction:
+        """The subfunction on the ambient cube (constant along the fixed
+        variables), built afresh from ``table`` on every access."""
+        shape = tuple(1 if v in self.fixed else 2 for v in reversed(range(self.n)))
+        values = np.empty(1 << self.n)
+        values.reshape((2,) * self.n)[...] = self.table.reshape(shape)
+        return BooleanFunction(self.n, values, self.range_tag)
 
 
 @dataclass(frozen=True)
@@ -62,7 +88,7 @@ class EnergyLedger:
 
 def singleton(f: BooleanFunction) -> DecisionTree:
     """One leaf holding f itself; the starting point of every decomposition."""
-    return DecisionTree(f.n, Leaf(0, f, {}), 1)
+    return DecisionTree(f.n, Leaf(0, f.values, {}, f.n, f.range_tag), 1)
 
 
 def leaves(t: DecisionTree) -> list[tuple[Leaf, int]]:
@@ -84,6 +110,15 @@ def tree_depth(t: DecisionTree) -> int:
     return max(depth for _, depth in leaves(t))
 
 
+def _cube(out: np.ndarray, n: int, at: dict[int, int]) -> np.ndarray:
+    """The view of a 2^n array whose index bit v equals ``at[v]`` for every
+    variable in ``at``, shaped (2,) * (number of other variables); its
+    index bit k is the k-th other variable in ascending order."""
+    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
+    index = tuple(at[v] if v in at else slice(None) for v in reversed(range(n)))
+    return out.reshape((2,) * n)[index + (...,)]
+
+
 def evaluate(t: DecisionTree, b: int) -> float:
     """Walk the tree by the bits of input index b, then evaluate the leaf."""
     if not 0 <= b < (1 << t.n):
@@ -91,29 +126,30 @@ def evaluate(t: DecisionTree, b: int) -> float:
     node = t.root
     while isinstance(node, Internal):
         node = node.child_minus if (b >> node.var) & 1 else node.child_plus
-    return float(node.fn.values[b])
+    index = sum(((b >> v) & 1) << k for k, v in enumerate(node.free))
+    return float(node.table[index])
 
 
 def evaluate_table(t: DecisionTree) -> np.ndarray:
-    """Vector of evaluate(t, b) over all 2^n inputs."""
-
-    def walk(node: Node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return node.fn.values
-        plus = walk(node.child_plus)
-        minus = walk(node.child_minus)
-        bit = (np.arange(1 << t.n) >> node.var) & 1
-        return np.where(bit == 0, plus, minus)
-
-    return walk(t.root)
+    """Vector of evaluate(t, b) over all 2^n inputs: each leaf's table
+    written into the sub-cube of the inputs that reach it."""
+    out = np.empty(1 << t.n)
+    for leaf, depth in leaves(t):
+        bits = {v: int(x == -1) for v, x in leaf.fixed.items()}  # x_v = -1 is input bit 1
+        _cube(out, t.n, bits)[...] = leaf.table.reshape((2,) * (t.n - depth))
+    return out
 
 
 def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     if j in leaf.fixed:
         raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
-    plus = Leaf(first_id, restrict(leaf.fn, j, 1), {**leaf.fixed, j: 1})
-    minus = Leaf(first_id + 1, restrict(leaf.fn, j, -1), {**leaf.fixed, j: -1})
-    return Internal(j, plus, minus)
+    halves = leaf.table.reshape(-1, 2, 1 << leaf.free.index(j))
+    children = []
+    for child_id, x in ((first_id, 1), (first_id + 1, -1)):
+        table = halves[:, int(x == -1), :].flatten()  # a copy: never pins the parent
+        table.setflags(write=False)
+        children.append(Leaf(child_id, table, {**leaf.fixed, j: x}, leaf.n, leaf.range_tag))
+    return Internal(j, *children)
 
 
 def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:

@@ -63,11 +63,38 @@ def _powers(rho: float, k: int) -> np.ndarray:
     return np.float64(rho) ** np.arange(k + 1, dtype=np.int64)
 
 
+def _influence_powers(delta: float, k: int) -> np.ndarray:
+    """(1-delta)^(j-1) for j = 0 .. k, with the j = 0 entry zeroed out; 0^0 = 1
+    handles delta = 1, where only degree-1 weight survives."""
+    return np.concatenate(([0.0], _powers(1.0 - delta, k - 1)))
+
+
+def _weighted_squares(coeffs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(weights * coeffs) * coeffs, formed in ``out`` in that order, which
+    every caller keeps so that the sums over it agree bit for bit."""
+    np.multiply(weights, coeffs, out=out)
+    return np.multiply(out, coeffs, out=out)
+
+
+def _influence_sums(weighted: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Per coordinate i, the sum of ``weighted`` (2^n mask layout) over the
+    masks containing i: the [:, 1, :] half of the reshape by 2^i, copied
+    contiguous into ``half`` (2^(n-1) entries) so that the pairwise sum runs
+    over the same elements in the same (mask) order as a boolean-mask
+    gather would."""
+    n = weighted.size.bit_length() - 1
+    out = np.empty(n)
+    for i in range(n):
+        np.copyto(half.reshape(-1, 1 << i), weighted.reshape(-1, 2, 1 << i)[:, 1, :])
+        out[i] = half.sum()
+    return out
+
+
 def stability(g: FourierExpansion, rho: float) -> float:
     """sum over masks S of rho^|S| * coeff(S)^2; lies in [0, E[f^2]]."""
     _check_rho(rho)
     weights = _powers(rho, g.n)[subset_sizes(g.n)]
-    return float(np.sum(weights * g.coeffs * g.coeffs))
+    return float(_weighted_squares(g.coeffs, weights, weights).sum())
 
 
 def stability_mc(f: BooleanFunction, rho: float, samples: int, seed: int) -> float:
@@ -105,19 +132,10 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
 
 
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
-    """Vector of (1-delta)-noisy influences computed from a spectrum.
-
-    Influence i sums the weighted coefficients of the masks containing i:
-    the [:, 1, :] half of the reshape by 2^i, copied contiguous so that the
-    pairwise sum runs over the same elements in the same (mask) order as a
-    boolean-mask gather would.
-    """
-    # (1-delta)^(|S|-1) with the empty mask zeroed out; 0^0 = 1 handles
-    # delta = 1, where only degree-1 weight survives.
-    table = np.concatenate(([0.0], _powers(1.0 - delta, g.n - 1)))
-    weighted = table[subset_sizes(g.n)] * g.coeffs * g.coeffs
-    return np.array([float(weighted.reshape(-1, 2, 1 << i)[:, 1, :].reshape(-1).sum())
-                     for i in range(g.n)])
+    """Vector of (1-delta)-noisy influences computed from a spectrum."""
+    weights = _influence_powers(delta, g.n)[subset_sizes(g.n)]
+    return _influence_sums(_weighted_squares(g.coeffs, weights, weights),
+                           np.empty(g.coeffs.size // 2))
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:

@@ -15,11 +15,15 @@ ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  Each leaf is analysed once, when it is created;
 a good leaf keeps its statistics from pass to pass and drops its spectrum.
 Spectra of bad leaves are held in compact form over their free variables,
-so together they never hold more than 2^n values.  For the analysis a
-compact spectrum is scattered back into the ambient 2^n layout, zero at
-every mask that contains a fixed variable: the kernels' pairwise sums
-depend on those exact zeros, and those sums decide argmax ties, so the
-tree is the one that a fresh transform of every leaf table would give.
+so together they never hold more than 2^n values.  The analysis sums over
+the ambient 2^n layout, as if the compact spectrum were scattered back into
+it, zero at every mask that contains a fixed variable: the kernels'
+pairwise sums depend on those exact zeros, and those sums decide argmax
+ties, so the tree is the one that a fresh transform of every leaf table
+would give.  The products are formed on the leaf's own masks only, in a
+product buffer that is zero elsewhere; that buffer, a half-size buffer and
+the weights are allocated once per driver call, so no leaf costs a 2^n
+temporary.
 """
 
 from __future__ import annotations
@@ -29,18 +33,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, norm2, wht
+from .boolfn import BooleanFunction, FourierExpansion, norm2, subset_sizes, wht
 from .dtree import (
     DecisionTree,
     EnergyLedger,
     Leaf,
+    _cube,
     leaves,
     singleton,
     split_all_leaves,
     split_leaves,
     tree_depth,
 )
-from .noise import INFLUENCE_SLACK, expansion_influences, stability
+from .noise import INFLUENCE_SLACK, _influence_powers, _influence_sums, _powers, _weighted_squares
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
 # against the gain the restriction identity predicts); the energy is a sum
@@ -98,20 +103,53 @@ class DecompositionResult:
     leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
 
 
-def _analyze(ghat: FourierExpansion, delta: float) -> LeafStats:
-    influences = expansion_influences(ghat, delta)
-    worst = int(influences.argmax())
-    return LeafStats(float(ghat.coeffs[0]), stability(ghat, 1.0 - delta), worst,
-                     float(influences[worst]))
+def _spectrum_cube(out: np.ndarray, n: int, free: tuple[int, ...]) -> np.ndarray:
+    """The view of ``out`` (2^n mask layout) at the masks over ``free``."""
+    return _cube(out, n, {v: 0 for v in range(n) if v not in free})
 
 
 def _ambient(n: int, free: tuple[int, ...], compact: np.ndarray, out: np.ndarray) -> FourierExpansion:
     """A compact spectrum over ``free`` (ascending) in the 2^n mask layout,
     written into ``out``, which must be zero outside the masks over ``free``."""
-    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
-    index = tuple(slice(None) if v in free else 0 for v in reversed(range(n)))
-    out.reshape((2,) * n)[index] = compact.reshape((2,) * len(free))
+    cube = _spectrum_cube(out, n, free)
+    cube[...] = compact.reshape(cube.shape)
     return FourierExpansion(n, out)
+
+
+def _analyzer(n: int, delta: float):
+    """The leaf analysis of one driver call: the kernel of ``noise.stability``
+    and ``noise.expansion_influences`` at rho = 1 - delta, with its weights
+    and buffers allocated once, so that no leaf costs a 2^n temporary.
+
+    ``analyze(free, rows)`` analyses each compact spectrum (row) over
+    ``free`` as if scattered into the ambient 2^n layout: the products are
+    formed on the masks over ``free`` only, in a product buffer that is zero
+    at every other mask (as the product of a zero coefficient would be) and
+    re-zeroed afterwards, and the sums run over the whole buffer.
+    """
+    sizes = subset_sizes(n)
+    stab_weights = _powers(1.0 - delta, n)[sizes]
+    influence_weights = _influence_powers(delta, n)[sizes]
+    prod = np.zeros(1 << n)
+    half = np.empty(1 << (n - 1))
+
+    def analyze(free: tuple[int, ...], rows: np.ndarray) -> list[LeafStats]:
+        cube = _spectrum_cube(prod, n, free)
+        stab_cube = _spectrum_cube(stab_weights, n, free)
+        influence_cube = _spectrum_cube(influence_weights, n, free)
+        out = []
+        for row in rows:
+            compact = row.reshape(cube.shape)
+            _weighted_squares(compact, stab_cube, cube)
+            stab = float(prod.sum())
+            _weighted_squares(compact, influence_cube, cube)
+            influences = _influence_sums(prod, half)
+            worst = int(influences.argmax())
+            out.append(LeafStats(float(row[0]), stab, worst, float(influences[worst])))
+        cube[...] = 0.0
+        return out
+
+    return analyze
 
 
 def _split_rows(rows: np.ndarray, free: tuple[int, ...], j: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -160,10 +198,11 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     f.require_unit_mean_square()
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
-    root = wht(f)
-    stats = {0: _analyze(root, p.delta)}
+    free, root = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    analyze = _analyzer(f.n, p.delta)
+    stats = {0: analyze(free, root)[0]}
     # compact spectra of the bad leaves (one-row arrays, free variables) by leaf id
-    spectra = {0: (root.coeffs.reshape(1, -1), tuple(range(f.n)))} if stats[0].bad(p.eps) else {}
+    spectra = {0: (root, free)} if stats[0].bad(p.eps) else {}
     del root
     phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
@@ -177,16 +216,20 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
                 f"min(budget={p.budget}, n={t.n}); the energy argument forbids this"
             )
         first_id = t.next_leaf_id
-        t = split_leaves(t, {leaf.id: stats[leaf.id].var for leaf, _ in bad})
+        splits = {leaf.id: stats[leaf.id].var for leaf, _ in bad}
         predicted = 0.0
         for k, (leaf, leaf_depth) in enumerate(bad):
             parent = stats.pop(leaf.id)
             free, children = _split_rows(*spectra.pop(leaf.id), parent.var)
-            for child_id, child in zip((first_id + 2 * k, first_id + 2 * k + 1), children):
-                stats[child_id] = _analyze(_ambient(f.n, free, child, np.zeros(1 << f.n)), p.delta)
-                if stats[child_id].bad(p.eps):  # a copy, so that a good sibling is freed
+            child_ids = (first_id + 2 * k, first_id + 2 * k + 1)
+            for child_id, child, child_stats in zip(child_ids, children, analyze(free, children)):
+                stats[child_id] = child_stats
+                if child_stats.bad(p.eps):  # a copy, so that a good sibling is freed
                     spectra[child_id] = (child.reshape(1, -1).copy(), free)
             predicted += 2.0 ** -leaf_depth * parent.max_influence
+        # after the spectra, so that a parent's spectrum is freed before its
+        # children's tables are allocated
+        t = split_leaves(t, splits)
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
@@ -219,10 +262,9 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
     query_vars: list[int] = []
-    root = wht(f)
-    stats = {0: _analyze(root, p.delta)}
-    free, rows = tuple(range(f.n)), root.coeffs.reshape(1, -1)
-    del root
+    free, rows = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    analyze = _analyzer(f.n, p.delta)
+    stats = {0: analyze(free, rows)[0]}
     phi, bad, bad_mass, _ = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
     ledger = EnergyLedger(phi)
@@ -244,9 +286,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
         level = leaves(t)
-        buffer = np.zeros(1 << f.n)
-        stats = {leaf.id: _analyze(_ambient(f.n, free, row, buffer), p.delta)
-                 for (leaf, _), row in zip(level, rows)}
+        stats = {leaf.id: leaf_stats for (leaf, _), leaf_stats in zip(level, analyze(free, rows))}
         phi, bad, bad_mass, _ = _tally(level, stats, p.eps)
         _check_phi(phi, norm_bound)
         ledger.record(iterations, phi, len(query_vars))

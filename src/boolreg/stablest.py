@@ -5,9 +5,9 @@ two rho-correlated standard Gaussians both land below the mu-quantile:
 
     Lambda_rho(mu) = Pr[z1 <= t and z2 <= t],   Phi(t) = mu.
 
-Computed as the single integral of Phi((t - rho z)/sqrt(1 - rho^2)) against
-the Gaussian density over z <= t, which adaptive quadrature resolves to
-well below the 1e-9 default tolerance.  Among [0,1]-valued functions with
+Computed in closed form, Lambda_rho(mu) = Phi(t) - 2 T(t, sqrt((1 - rho)/(1 +
+rho))), where T is Owen's T function (Owen 1956), to within a few units in
+the last place.  Among [0,1]-valued functions with
 no dominant coordinate, noise stability cannot exceed this quantity by
 much; ``mist_slack`` reports the gap for one function, and
 ``check_quasi_mist`` assembles the certified leaf-wise upper bound that the
@@ -19,17 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import ndtri
+import numpy as np
+from scipy.special import ndtri, owens_t
 
-from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, wht
-from .dtree import leaves
+from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, FourierExpansion, wht
+from .dtree import Leaf, leaves
 from .errors import PreconditionError
 from .noise import stability
 from .quasirandom import is_quasirandom
-from .regularity import RegularityParams, decompose
-
-DEFAULT_QUAD_TOL = 1e-9
+from .regularity import RegularityParams, _ambient, decompose
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -79,11 +77,10 @@ def _bisect_quantile(mu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def quadrant_prob(rho: float, mu: float, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Lambda_rho(mu) by adaptive quadrature, absolute error at most ``tol``.
+def quadrant_prob(rho: float, mu: float) -> float:
+    """Lambda_rho(mu) = Phi(t) - 2 T(t, sqrt((1 - rho)/(1 + rho))) with Phi(t) = mu.
 
-    rho = 1 is handled as the limit (both Gaussians coincide, answer mu);
-    rho = 0 factors into mu^2 but still runs through the quadrature path.
+    rho = 1 is handled as the limit (both Gaussians coincide, answer mu).
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -94,15 +91,7 @@ def quadrant_prob(rho: float, mu: float, tol: float = DEFAULT_QUAD_TOL) -> float
     if rho == 1.0:
         return float(mu)
     t = gaussian_quantile(mu)
-    denom = math.sqrt(1.0 - rho * rho)
-
-    def integrand(z: float) -> float:
-        return _std_cdf((t - rho * z) / denom) * _std_pdf(z)
-
-    value, estimate = quad(integrand, -math.inf, t, epsabs=tol * 1e-2, epsrel=0.0, limit=400)
-    if estimate > tol:
-        raise RuntimeError(f"quadrature error estimate {estimate} exceeds tolerance {tol}")
-    return float(value)
+    return float(_std_cdf(t) - 2.0 * owens_t(t, math.sqrt((1.0 - rho) / (1.0 + rho))))
 
 
 def to_zero_one(f: BooleanFunction) -> BooleanFunction:
@@ -155,7 +144,7 @@ class MistReport:
         return out
 
 
-def mist_slack(g: BooleanFunction, rho: float, tol: float = DEFAULT_QUAD_TOL) -> MistReport:
+def mist_slack(g: BooleanFunction, rho: float) -> MistReport:
     """Exact Fourier stability minus the quadrant probability of the mean."""
     if g.range_tag != ZERO_ONE:
         raise PreconditionError(f"mist_slack needs a zero_one-tagged function, got {g.range_tag}")
@@ -164,13 +153,23 @@ def mist_slack(g: BooleanFunction, rho: float, tol: float = DEFAULT_QUAD_TOL) ->
     ghat = wht(g)
     mu = float(ghat.coeffs[0])
     stab = stability(ghat, rho)
-    lam = quadrant_prob(rho, mu, tol)
+    lam = quadrant_prob(rho, mu)
     return MistReport(rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam)
 
 
+def _leaf_spectrum(leaf: Leaf) -> FourierExpansion:
+    """A leaf's spectrum in the 2^n mask layout, transformed from its compact
+    table: the same bits as the transform of the ambient table ``leaf.fn``,
+    whose butterfly stages on fixed variables only double entries or zero them."""
+    free = leaf.free
+    compact = leaf.table  # with no free variable, the spectrum is the one value
+    if free:
+        compact = wht(BooleanFunction(len(free), leaf.table, leaf.range_tag)).coeffs
+    return _ambient(leaf.n, free, compact, np.zeros(1 << leaf.n))
+
+
 def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
-                     q_eps: float, q_delta: float,
-                     tol: float = DEFAULT_QUAD_TOL) -> MistReport:
+                     q_eps: float, q_delta: float) -> MistReport:
     """Regularity-plus-quadrant pipeline for a [0,1]-valued function.
 
     Verifies the quasirandomness hypothesis at (q_eps, q_delta) first; on
@@ -188,7 +187,7 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
     ghat = wht(f)
     mu = float(ghat.coeffs[0])
     stab = stability(ghat, rho)
-    lam = quadrant_prob(rho, mu, tol)
+    lam = quadrant_prob(rho, mu)
     params_used = {"eps": p.eps, "delta": p.delta, "gamma": p.gamma,
                    "q_eps": q_eps, "q_delta": q_delta}
     verdict = is_quasirandom(ghat, q_eps, q_delta)
@@ -215,8 +214,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         if stats.bad(p.eps):
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
-        leaf_stab = stability(wht(leaf.fn), rho)
-        leaf_lam = quadrant_prob(rho, stats.mean, tol)
+        leaf_stab = stability(_leaf_spectrum(leaf), rho)
+        leaf_lam = quadrant_prob(rho, stats.mean)
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift
         leaf_slack_term += mass * (leaf_stab - leaf_lam)

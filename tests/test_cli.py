@@ -1,6 +1,8 @@
 """CLI: spec parsing, report content, exit codes, determinism, file IO."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -189,6 +191,24 @@ def test_subprocess_entry_point(tmp_path):
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["slack"] == pytest.approx(0.0182291666, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec, n", [("parity:30", 30), ("random:30,1", 30), ("tribes:6,5", 30),
+                                     ("constant:40,1", 40)])
+def test_oversized_spec_is_refused_before_allocating(spec, n):
+    # 2^30 doubles are 8 GiB: under a 2 GiB address-space cap, allocating
+    # first would end in a MemoryError traceback
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "boolreg", "analyze", "--fn", spec], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap_memory, timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+    assert f"variable count must be in [1, 24], got {n}" in result.stderr
 
 
 def test_parse_function_spec_shapes():

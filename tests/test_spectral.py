@@ -1,5 +1,6 @@
 """The spectral leaf path: half-butterfly restriction, the leaf kernel, and
-the drivers against the earlier per-pass design, exactly."""
+the drivers against the earlier per-pass design, exactly; and the compact
+leaf tables against chains of ``restrict``."""
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from boolreg import (
     RegularityParams,
     decompose,
     decompose_homogeneous,
+    evaluate_table,
     leaves,
     majority,
     noisy_influence,
     random_pm_one,
     restrict,
+    singleton,
+    split_leaves,
     stability,
     subset_sizes,
     tribes,
@@ -29,7 +33,8 @@ from boolreg import (
 )
 from boolreg import regularity
 from boolreg.noise import _powers, expansion_influences
-from boolreg.regularity import _ambient, _split_rows
+from boolreg.regularity import _ambient, _analyzer, _split_rows
+from boolreg.stablest import _leaf_spectrum
 from oracles import (
     mask_gather_influences,
     power_stability,
@@ -108,11 +113,25 @@ def test_kernel_matches_power_and_mask_gather(coeffs, delta):
 def test_kernel_matches_mask_gather_on_large_tables(n):
     # summing the strided view without the contiguous copy first agrees
     # with the gather up to n = 14 here, but not at n = 16
-    coeffs = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n) / 2.0 ** (n / 2)
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(-1.0, 1.0, 1 << n) / 2.0 ** (n / 2)
     g = FourierExpansion(n, coeffs)
+    # a second spectrum, over all variables but one, for the drivers'
+    # buffer-reusing path: run after the first, a stale buffer would show
+    free = tuple(v for v in range(n) if v != n // 2)
+    other = rng.uniform(-1.0, 1.0, 1 << (n - 1)) / 2.0 ** (n / 2)
+    spectra = [(tuple(range(n)), coeffs, coeffs),
+               (free, other, _ambient(n, free, other, np.zeros(1 << n)).coeffs)]
     for delta in (0.05, 0.3, 1.0):
         assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
         assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
+        analyze = _analyzer(n, delta)
+        for spectrum_free, compact, ambient in spectra:
+            [stats] = analyze(spectrum_free, compact.reshape(1, -1))
+            influences = mask_gather_influences(ambient, delta)
+            assert stats.stab == power_stability(ambient, 1.0 - delta)
+            assert stats.var == int(influences.argmax())
+            assert stats.max_influence == influences.max()
 
 
 @pytest.mark.parametrize("n", [3, 11, 16, 22])
@@ -121,6 +140,40 @@ def test_power_table_matches_full_power(n):
     wide = sizes.astype(np.int64)
     for rho in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0 - 0.3, 0.95, 1.0):
         assert same_bits(_powers(rho, n)[sizes], np.float64(rho) ** wide)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(exact=False), st.data())
+def test_compact_leaf_tables_are_restrictions(case, data):
+    f, _ = case
+    t = singleton(f)
+    for _ in range(data.draw(st.integers(0, 6))):
+        splittable = [leaf for leaf, _ in leaves(t) if leaf.free]
+        if not splittable:
+            break
+        leaf = data.draw(st.sampled_from(splittable))
+        t = split_leaves(t, {leaf.id: data.draw(st.sampled_from(leaf.free))})
+    final = leaves(t)
+    assert sum(leaf.table.size for leaf, _ in final) == 1 << f.n
+    assert same_bits(evaluate_table(t), f.values)
+    for leaf, depth in final:
+        assert leaf.table.size == 1 << (f.n - depth)
+        assert not leaf.table.flags.writeable
+        g = f
+        for var, v in leaf.fixed.items():  # in path order
+            g = restrict(g, var, v)
+        assert same_bits(leaf.fn.values, g.values)
+        assert leaf.fn.range_tag == g.range_tag
+        # check_quasi_mist's spectrum from the compact table
+        assert same_bits(_leaf_spectrum(leaf).coeffs, wht(g).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(max_n=6, exact=False), params, st.booleans())
+def test_final_leaf_tables_hold_2_to_the_n_values(case, p, homogeneous):
+    f, _ = case
+    result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
+    assert sum(leaf.table.size for leaf, _ in leaves(result.tree)) == 1 << f.n
 
 
 def tree_rows(tree):
