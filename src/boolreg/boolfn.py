@@ -16,6 +16,7 @@ Variable indices are 0-based throughout the library.  User-facing output
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable
@@ -31,6 +32,8 @@ RANGE_TAGS = (PM_ONE, ZERO_ONE, REAL)
 
 MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
+
+_READ_CHUNK = 1 << 16  # table lines parsed per batch
 
 
 def check_arity(n: int) -> None:
@@ -212,16 +215,24 @@ def read_table(fp: IO[str]) -> BooleanFunction:
     except ValueError as exc:
         raise ValueError(f"malformed variable count in header {header!r}") from exc
     check_arity(n)
-    values = []
-    for lineno in range(1 << n):
-        line = fp.readline()
-        if not line:
-            raise ValueError(f"truth table truncated: expected {1 << n} values, got {lineno}")
+    arr = np.empty(1 << n)
+    done = 0
+    while done < arr.size:
+        want = min(_READ_CHUNK, arr.size - done)
+        lines = list(itertools.islice(fp, want))
         try:
-            values.append(float(line.strip()))
-        except ValueError as exc:
-            raise ValueError(f"bad value on line {lineno + 2}: {line.strip()!r}") from exc
-    arr = np.array(values, dtype=np.float64)
+            arr[done:done + len(lines)] = np.fromiter(map(float, lines), np.float64, len(lines))
+        except ValueError:
+            for k, line in enumerate(lines):
+                try:
+                    float(line)
+                except ValueError as exc:
+                    raise ValueError(f"bad value on line {done + k + 2}: {line.strip()!r}") from exc
+            raise
+        if len(lines) < want:
+            raise ValueError(f"truth table truncated: expected {arr.size} values, "
+                             f"got {done + len(lines)}")
+        done += want
     if not np.all(np.isfinite(arr)):
         raise ValueError("truth table contains non-finite entries")
     return BooleanFunction(n, arr, infer_range_tag(arr))

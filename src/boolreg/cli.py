@@ -2,14 +2,16 @@
 
 Reports are JSON on stdout (single line unless --pretty).  Variable indices
 in function specs and in all output are 1-based (x1 is the first variable);
-the library itself is 0-based.  Exit codes: 0 ok, 1 usage or parse error,
-2 budget exceeded, 3 numeric precondition violated.
+the library itself is 0-based.  Exit codes: 0 ok (also when the reader
+closes stdout early, as ``| head`` does), 1 usage or parse error, 2 budget
+exceeded, 3 numeric precondition violated, 4 internal error or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -18,7 +20,7 @@ from . import families
 from .boolfn import PM_ONE, REAL, BooleanFunction, load_table, mean, norm2, wht
 from .dtree import to_dot
 from .errors import BudgetExceededError, PreconditionError
-from .noise import all_noisy_influences, stability
+from .noise import _check_delta, expansion_influences, stability
 from .regularity import RegularityParams, decompose, decompose_homogeneous, decomposition_report
 from .stablest import check_quasi_mist, mist_slack, to_zero_one
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -86,10 +89,12 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(json.dumps(report, sort_keys=True))
+    sys.stdout.flush()  # so that a closed stdout shows here, not at exit
 
 
 def cmd_analyze(args) -> int:
     f = parse_function_spec(args.fn)
+    _check_delta(args.delta)
     ghat = wht(f)
     magnitudes = np.abs(ghat.coeffs)
     order = np.lexsort((np.arange(magnitudes.size), -magnitudes))
@@ -105,7 +110,7 @@ def cmd_analyze(args) -> int:
         "norm2": norm2(f),
         "delta": args.delta,
         "top_coefficients": top,
-        "noisy_influences": [float(v) for v in all_noisy_influences(f, args.delta)],
+        "noisy_influences": [float(v) for v in expansion_influences(ghat, args.delta)],
         "stability": {f"{rho:.1f}": stability(ghat, rho) for rho in
                       (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)},
     }
@@ -207,6 +212,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except RuntimeError as exc:  # the drivers' internal-invariant guards
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, wht
-from .noise import has_small_noisy_influences, all_noisy_influences, stability
+from .boolfn import BooleanFunction, _butterfly
+from .noise import INFLUENCE_SLACK, _check_delta, _influences, _stability
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,22 +196,38 @@ def split_all_leaves(t: DecisionTree, j: int) -> DecisionTree:
     return split_leaves(t, {leaf.id: j for leaf, _ in leaves(t)})
 
 
+def _compact_spectrum(leaf: Leaf) -> np.ndarray:
+    """The leaf's spectrum over its free variables, transformed from its
+    compact table (one value when no variable is free)."""
+    return _butterfly(leaf.table) / leaf.table.size
+
+
+def _max_influence(leaf: Leaf, delta: float) -> float:
+    """The leaf's largest (1-delta)-noisy influence; 0 with no free variable."""
+    return float(_influences(_compact_spectrum(leaf), delta).max(initial=0.0))
+
+
 def energy(t: DecisionTree, delta: float) -> float:
     """Leaf-mass-weighted average of Stab_{1-delta} over the leaf subfunctions."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return float(sum(2.0 ** -depth * stability(wht(leaf.fn), 1.0 - delta)
+    return float(sum(2.0 ** -depth * _stability(_compact_spectrum(leaf), 1.0 - delta)
                      for leaf, depth in leaves(t)))
 
 
 def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
-    """Total mass of leaves whose subfunction fails the small-influence test."""
+    """Total mass of leaves whose subfunction fails the small-influence test
+    (a noisy influence above eps; INFLUENCE_SLACK counts as small)."""
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    _check_delta(delta)
     return float(sum(2.0 ** -depth for leaf, depth in leaves(t)
-                     if not has_small_noisy_influences(leaf.fn, eps, delta).ok))
+                     if _max_influence(leaf, delta) > eps + INFLUENCE_SLACK))
 
 
 def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
+    _check_delta(delta)
     lines = ["digraph dtree {"]
     counter = 0
 
@@ -220,8 +236,8 @@ def to_dot(t: DecisionTree, delta: float) -> str:
         name = f"n{counter}"
         counter += 1
         if isinstance(node, Leaf):
-            fn_mean = float(np.mean(node.fn.values))
-            max_inf = float(np.max(all_noisy_influences(node.fn, delta)))
+            fn_mean = float(np.mean(node.table))
+            max_inf = _max_influence(node, delta)
             lines.append(
                 f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
                 f'\\nmean={fn_mean:.6g}\\nmax_inf={max_inf:.6g}"];'

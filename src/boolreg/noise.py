@@ -76,25 +76,40 @@ def _weighted_squares(coeffs: np.ndarray, weights: np.ndarray, out: np.ndarray) 
     return np.multiply(out, coeffs, out=out)
 
 
-def _influence_sums(weighted: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Per coordinate i, the sum of ``weighted`` (2^n mask layout) over the
-    masks containing i: the [:, 1, :] half of the reshape by 2^i, copied
-    contiguous into ``half`` (2^(n-1) entries) so that the pairwise sum runs
-    over the same elements in the same (mask) order as a boolean-mask
-    gather would."""
-    n = weighted.size.bit_length() - 1
-    out = np.empty(n)
-    for i in range(n):
+def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords=None) -> np.ndarray:
+    """Per coordinate i (all of them, or those in ``coords``), the sum of
+    ``weighted`` (2^n mask layout) over the masks containing i: the
+    [:, 1, :] half of the reshape by 2^i, copied contiguous into ``half``
+    (2^(n-1) entries) so that the pairwise sum runs over the same elements
+    in the same (mask) order as a boolean-mask gather would."""
+    if coords is None:
+        coords = range(weighted.size.bit_length() - 1)
+    out = np.empty(len(coords))
+    for k, i in enumerate(coords):
         np.copyto(half.reshape(-1, 1 << i), weighted.reshape(-1, 2, 1 << i)[:, 1, :])
-        out[i] = half.sum()
+        out[k] = half.sum()
     return out
+
+
+def _stability(coeffs: np.ndarray, rho: float) -> float:
+    """``stability`` of a coefficient table over m >= 0 variables."""
+    m = coeffs.size.bit_length() - 1
+    weights = _powers(rho, m)[subset_sizes(m)]
+    return float(_weighted_squares(coeffs, weights, weights).sum())
+
+
+def _influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """``expansion_influences`` of a coefficient table over m >= 0 variables
+    (empty when m = 0)."""
+    m = coeffs.size.bit_length() - 1
+    weights = _influence_powers(delta, m)[subset_sizes(m)]
+    return _influence_sums(_weighted_squares(coeffs, weights, weights), np.empty(coeffs.size // 2))
 
 
 def stability(g: FourierExpansion, rho: float) -> float:
     """sum over masks S of rho^|S| * coeff(S)^2; lies in [0, E[f^2]]."""
     _check_rho(rho)
-    weights = _powers(rho, g.n)[subset_sizes(g.n)]
-    return float(_weighted_squares(g.coeffs, weights, weights).sum())
+    return _stability(g.coeffs, rho)
 
 
 def stability_mc(f: BooleanFunction, rho: float, samples: int, seed: int) -> float:
@@ -133,9 +148,7 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
 
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
     """Vector of (1-delta)-noisy influences computed from a spectrum."""
-    weights = _influence_powers(delta, g.n)[subset_sizes(g.n)]
-    return _influence_sums(_weighted_squares(g.coeffs, weights, weights),
-                           np.empty(g.coeffs.size // 2))
+    return _influences(g.coeffs, delta)
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:

@@ -15,13 +15,18 @@ ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  Each leaf is analysed once, when it is created;
 a good leaf keeps its statistics from pass to pass and drops its spectrum.
 Spectra of bad leaves are held in compact form over their free variables,
-so together they never hold more than 2^n values.  The analysis sums over
-the ambient 2^n layout, as if the compact spectrum were scattered back into
-it, zero at every mask that contains a fixed variable: the kernels'
-pairwise sums depend on those exact zeros, and those sums decide argmax
-ties, so the tree is the one that a fresh transform of every leaf table
-would give.  The products are formed on the leaf's own masks only, in a
-product buffer that is zero elsewhere; that buffer, a half-size buffer and
+so together they never hold more than 2^n values.  The analysis works on
+the compact spectra, a batch of rows at a time: a leaf with m free
+variables costs about 3 * 2^m operations (Stab as a row sum, the influences
+by an in-place fold), not the (n + 1) * 2^n of a sum over the ambient 2^n
+layout.  Its sums differ from the ambient ones only in the last bits, but
+those bits decide argmax ties and influences that sit on the threshold.  So
+two kinds of leaf re-sum their candidate variables (those within a
+relative 1e-9 of the top influence) over the ambient layout: a bad leaf
+with more than one candidate, and a leaf whose top influence lies within
+1e-9 of the threshold.  The split variables and the bad/good decisions,
+and so the trees, are then exactly the ones that a fresh transform of
+every leaf table would give.  One product buffer, a half-size buffer and
 the weights are allocated once per driver call, so no leaf costs a 2^n
 temporary.
 """
@@ -52,6 +57,12 @@ from .noise import INFLUENCE_SLACK, _influence_powers, _influence_sums, _powers,
 # of at most 2^n nonnegative doubles, so anything past this is a logic bug.
 _PHI_GUARD = 1e-9
 
+# Relative band within which two influences count as tied, and an influence
+# as at the threshold.  A compact sum and the ambient sum of the same m-bit
+# nonnegative terms differ by a relative error of about m * 2^-53, far
+# inside it.
+_TIE_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class RegularityParams:
@@ -80,7 +91,12 @@ class RegularityParams:
 @dataclass(frozen=True)
 class LeafStats:
     """One leaf's analysis: its mean, Stab_{1-delta}, and its argmax noisy
-    influence variable (ties go to the lowest index) with that influence."""
+    influence variable (ties go to the lowest index) with that influence.
+
+    On a bad leaf, and on one at the threshold, ``var`` and whether the leaf
+    is bad are exactly those of the ambient kernel; on a good leaf, which is
+    never split, ``var`` may differ from it on a near-tie.
+    """
 
     mean: float
     stab: float
@@ -116,37 +132,79 @@ def _ambient(n: int, free: tuple[int, ...], compact: np.ndarray, out: np.ndarray
     return FourierExpansion(n, out)
 
 
-def _analyzer(n: int, delta: float):
-    """The leaf analysis of one driver call: the kernel of ``noise.stability``
-    and ``noise.expansion_influences`` at rho = 1 - delta, with its weights
-    and buffers allocated once, so that no leaf costs a 2^n temporary.
+def _fold_sums(weighted: np.ndarray) -> np.ndarray:
+    """Per row of ``weighted`` (rows in the 2^m mask layout of m variables)
+    and per variable k, the sum over the masks containing k.
 
-    ``analyze(free, rows)`` analyses each compact spectrum (row) over
-    ``free`` as if scattered into the ambient 2^n layout: the products are
-    formed on the masks over ``free`` only, in a product buffer that is zero
-    at every other mask (as the product of a zero coefficient would be) and
-    re-zeroed afterwards, and the sums run over the whole buffer.
+    Folds in place, destroying ``weighted``: for k = m-1 .. 0 the upper half
+    of each row's first 2^(k+1) entries holds the masks containing k (the
+    higher variables already summed out), so it sums to the k-th value and
+    is then added into the lower half, which sums k out.  That is about
+    2 * 2^m reads per row, against (m + 1) * 2^m for ``noise._influence_sums``.
+    """
+    rows, size = weighted.shape
+    m = size.bit_length() - 1
+    out = np.empty((rows, m))
+    for k in reversed(range(m)):
+        lower, upper = weighted[:, :1 << k], weighted[:, 1 << k:2 << k]
+        upper.sum(axis=1, out=out[:, k])
+        np.add(lower, upper, out=lower)
+    return out
+
+
+def _analyzer(n: int, delta: float, eps: float):
+    """The leaf analysis of one driver call at rho = 1 - delta and influence
+    threshold eps, with its weights and buffers allocated once, so that no
+    leaf costs a 2^n temporary.
+
+    ``analyze(free, rows)`` analyses the compact spectra (rows) over
+    ``free`` in one batch, in a prefix of the product buffer: the weights
+    of a mask over m variables are the first 2^m ambient ones, because
+    ``subset_sizes(n)[:2^m]`` is ``subset_sizes(m)``, so every product has
+    the bits of the ambient kernel's.  Stab is each row's sum and the
+    influences come from ``_fold_sums``.  These sums differ from the
+    ambient kernel's (``noise._influence_sums`` over the spectrum scattered
+    into the 2^n layout) only in the last bits, but those bits decide argmax
+    ties, and influences at the threshold.  So every leaf that is bad, or
+    whose top influence lies within ``_TIE_BAND`` of eps + INFLUENCE_SLACK,
+    takes its variable and maximum influence from the ambient sums of its
+    candidates, the variables within ``_TIE_BAND`` of the top: the products
+    are scattered into the product buffer, zero at every mask with a fixed
+    variable, and summed as ``noise._influence_sums`` sums them.  A leaf
+    with a single candidate well above the threshold needs no tie-break.
+    Split variables and bad/good decisions are then exactly those of the
+    ambient kernel.  The buffer is zero between calls.
     """
     sizes = subset_sizes(n)
     stab_weights = _powers(1.0 - delta, n)[sizes]
     influence_weights = _influence_powers(delta, n)[sizes]
     prod = np.zeros(1 << n)
     half = np.empty(1 << (n - 1))
+    threshold = eps + INFLUENCE_SLACK
+
+    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int]) -> tuple[int, float]:
+        cube = _spectrum_cube(prod, n, free)
+        _weighted_squares(row.reshape(cube.shape), _spectrum_cube(influence_weights, n, free), cube)
+        sums = _influence_sums(prod, half, candidates)
+        cube[...] = 0.0
+        best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
+        return candidates[best], float(sums[best])
 
     def analyze(free: tuple[int, ...], rows: np.ndarray) -> list[LeafStats]:
-        cube = _spectrum_cube(prod, n, free)
-        stab_cube = _spectrum_cube(stab_weights, n, free)
-        influence_cube = _spectrum_cube(influence_weights, n, free)
+        size = rows.shape[1]
+        batch = prod[:rows.size].reshape(rows.shape)
+        stabs = _weighted_squares(rows, stab_weights[:size], batch).sum(axis=1)
+        influences = _fold_sums(_weighted_squares(rows, influence_weights[:size], batch))
+        batch[...] = 0.0
         out = []
-        for row in rows:
-            compact = row.reshape(cube.shape)
-            _weighted_squares(compact, stab_cube, cube)
-            stab = float(prod.sum())
-            _weighted_squares(compact, influence_cube, cube)
-            influences = _influence_sums(prod, half)
-            worst = int(influences.argmax())
-            out.append(LeafStats(float(row[0]), stab, worst, float(influences[worst])))
-        cube[...] = 0.0
+        for row, stab, row_influences in zip(rows, stabs, influences):
+            top = float(row_influences.max(initial=0.0))
+            var = free[int(row_influences.argmax())] if free else 0
+            if top >= threshold * (1.0 - _TIE_BAND):
+                candidates = np.flatnonzero(row_influences >= top * (1.0 - _TIE_BAND))
+                if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
+                    var, top = ambient_argmax(free, row, [free[k] for k in candidates])
+            out.append(LeafStats(float(row[0]), float(stab), var, top))
         return out
 
     return analyze
@@ -199,7 +257,7 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
     free, root = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
-    analyze = _analyzer(f.n, p.delta)
+    analyze = _analyzer(f.n, p.delta, p.eps)
     stats = {0: analyze(free, root)[0]}
     # compact spectra of the bad leaves (one-row arrays, free variables) by leaf id
     spectra = {0: (root, free)} if stats[0].bad(p.eps) else {}
@@ -263,7 +321,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     t = singleton(f)
     query_vars: list[int] = []
     free, rows = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
-    analyze = _analyzer(f.n, p.delta)
+    analyze = _analyzer(f.n, p.delta, p.eps)
     stats = {0: analyze(free, rows)[0]}
     phi, bad, bad_mass, _ = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri, owens_t
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, FourierExpansion, wht
-from .dtree import Leaf, leaves
+from .dtree import Leaf, _compact_spectrum, leaves
 from .errors import PreconditionError
 from .noise import stability
 from .quasirandom import is_quasirandom
@@ -161,11 +161,7 @@ def _leaf_spectrum(leaf: Leaf) -> FourierExpansion:
     """A leaf's spectrum in the 2^n mask layout, transformed from its compact
     table: the same bits as the transform of the ambient table ``leaf.fn``,
     whose butterfly stages on fixed variables only double entries or zero them."""
-    free = leaf.free
-    compact = leaf.table  # with no free variable, the spectrum is the one value
-    if free:
-        compact = wht(BooleanFunction(len(free), leaf.table, leaf.range_tag)).coeffs
-    return _ambient(leaf.n, free, compact, np.zeros(1 << leaf.n))
+    return _ambient(leaf.n, leaf.free, _compact_spectrum(leaf), np.zeros(1 << leaf.n))
 
 
 def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,

@@ -265,3 +265,28 @@ def test_table_read_errors():
         read_table(io.StringIO("n=2\n1\n-1\n"))
     with pytest.raises(ValueError):
         read_table(io.StringIO("n=1\n1\nfoo\n"))
+
+
+def table_text(n, lines):
+    return io.StringIO(f"n={n}\n" + "".join(f"{line}\n" for line in lines))
+
+
+@pytest.mark.parametrize("n, lines, message", [
+    (2, ["1", "-1"], "truth table truncated: expected 4 values, got 2"),
+    (1, ["1", "foo"], "bad value on line 3: 'foo'"),
+    (2, ["1", "", "1", "1"], "bad value on line 3: ''"),
+    (2, ["1", " x ", "1"], "bad value on line 3: 'x'"),  # a bad value before the end
+    (1, ["1", "inf"], "truth table contains non-finite entries"),
+    # past the first batch of lines read at once
+    (17, ["0.5"] * 70000 + ["nan?"], "bad value on line 70002: 'nan?'"),
+    (17, ["0.5"] * 70000, "truth table truncated: expected 131072 values, got 70000"),
+])
+def test_table_read_messages(n, lines, message):
+    with pytest.raises(ValueError) as info:
+        read_table(table_text(n, lines))
+    assert str(info.value) == message
+
+
+def test_table_read_ignores_what_follows_the_table():
+    f = read_table(table_text(1, [" 0.25 ", "1", "trailing text"]))
+    np.testing.assert_array_equal(f.values, [0.25, 1.0])

@@ -211,6 +211,68 @@ def test_oversized_spec_is_refused_before_allocating(spec, n):
     assert f"variable count must be in [1, 24], got {n}" in result.stderr
 
 
+def test_closed_stdout_ends_quietly():
+    # like `boolreg analyze ... | head -1`: the reader is gone before the
+    # report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boolreg", "analyze", "--fn", "maj:13", "--pretty"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+
+
+def test_internal_error_is_one_line():
+    # a driver's internal-invariant guard raises RuntimeError
+    script = ("import sys\n"
+              "import boolreg.cli as cli\n"
+              "def broken(f, p):\n"
+              "    raise RuntimeError('internal error: energy exceeds bound')\n"
+              "cli.decompose = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "decompose", "--fn", "maj:3", "--eps", ".1",
+         "--delta", ".3", "--gamma", ".1"], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr == "error: internal error: energy exceeds bound\n"
+
+
+def test_out_of_memory_is_one_line():
+    # 2^24-entry tables under a 512 MiB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "boolreg", "analyze", "--fn", "constant:24,1"],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_memory, timeout=60)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: out of memory: ")
+
+
+def test_analyze_transforms_once(capsys, monkeypatch):
+    import boolreg.cli
+    import boolreg.noise
+
+    calls = []
+    transform = boolreg.cli.wht
+    monkeypatch.setattr(boolreg.cli, "wht", lambda f: calls.append(f) or transform(f))
+    monkeypatch.setattr(boolreg.noise, "wht", None)  # all_noisy_influences would call it
+    report = run_json(["analyze", "--fn", "maj:3", "--delta", "0.3"], capsys)
+    assert len(calls) == 1
+    assert report["noisy_influences"] == pytest.approx([0.25 + 0.7 ** 2 * 0.25] * 3)
+
+
+def test_analyze_rejects_delta_before_transforming(capsys):
+    code, out, err = run_cli(["analyze", "--fn", "maj:3", "--delta", "1.5"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: delta must lie in [0, 1], got 1.5\n"
+
+
 def test_parse_function_spec_shapes():
     assert parse_function_spec("maj:3").n == 3
     assert parse_function_spec("tribes:2,3").n == 6

@@ -11,6 +11,7 @@ from boolreg import (
     energy,
     evaluate,
     evaluate_table,
+    has_small_noisy_influences,
     leaves,
     majority,
     noisy_influence,
@@ -250,3 +251,55 @@ def test_to_dot():
 def test_energy_delta_validation():
     with pytest.raises(ValueError):
         energy(singleton(majority(3)), 0.0)
+
+
+def random_tree(f, rng, splits):
+    t = singleton(f)
+    for _ in range(splits):
+        splittable = [leaf for leaf, _ in leaves(t) if leaf.free]
+        if not splittable:
+            break
+        leaf = splittable[rng.integers(len(splittable))]
+        t = split_leaf(t, leaf.id, leaf.free[rng.integers(len(leaf.free))])
+    return t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compact_leaf_statistics_match_the_ambient_ones(seed):
+    # energy and bad_leaf_mass transform each leaf's compact table; the
+    # ambient route transforms the 2^n table leaf.fn
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    f = BooleanFunction(n, random_real_unit(rng, n))
+    t = random_tree(f, rng, int(rng.integers(0, 2 * n)))
+    for delta in (0.1, 0.3, 1.0):
+        want = sum(2.0 ** -depth * stability(wht(leaf.fn), 1.0 - delta) for leaf, depth in leaves(t))
+        assert energy(t, delta) == pytest.approx(want, rel=0.0, abs=1e-12)
+        for eps in (0.01, 0.1, 0.3):
+            want = sum(2.0 ** -depth for leaf, depth in leaves(t)
+                       if not has_small_noisy_influences(leaf.fn, eps, delta).ok)
+            assert bad_leaf_mass(t, eps, delta) == want
+
+
+def test_leaves_without_free_variables():
+    # every leaf of a full split is a constant: Stab = value^2, influences 0
+    f = majority(5)
+    t = singleton(f)
+    for v in range(5):
+        t = split_all_leaves(t, v)
+    assert all(leaf.table.size == 1 for leaf, _ in leaves(t))
+    assert energy(t, 0.3) == 1.0
+    assert bad_leaf_mass(t, 1e-12, 0.3) == 0.0
+    dot = to_dot(t, 0.3)
+    assert dot.count("max_inf=0\"") == 32
+    assert dot.count("mean=1\\nmax_inf") + dot.count("mean=-1\\nmax_inf") == 32
+
+
+def test_bad_leaf_mass_and_dot_validate_parameters():
+    t = singleton(majority(3))
+    with pytest.raises(ValueError):
+        bad_leaf_mass(t, 0.0, 0.3)
+    with pytest.raises(ValueError):
+        bad_leaf_mass(t, 0.1, 1.5)
+    with pytest.raises(ValueError):
+        to_dot(t, -0.1)

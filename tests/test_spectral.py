@@ -1,6 +1,7 @@
-"""The spectral leaf path: half-butterfly restriction, the leaf kernel, and
-the drivers against the earlier per-pass design, exactly; and the compact
-leaf tables against chains of ``restrict``."""
+"""The spectral leaf path: half-butterfly restriction, the leaf kernel over
+the compact layout and its exact tie-break, and the drivers against the
+earlier per-pass design (the same trees and decisions exactly, floats within
+1e-12); and the compact leaf tables against chains of ``restrict``."""
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from boolreg import (
     wht,
 )
 from boolreg import regularity
-from boolreg.noise import _powers, expansion_influences
-from boolreg.regularity import _ambient, _analyzer, _split_rows
+from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
+from boolreg.regularity import _ambient, _analyzer, _fold_sums, _split_rows
 from boolreg.stablest import _leaf_spectrum
 from oracles import (
     mask_gather_influences,
@@ -72,8 +73,16 @@ params = st.builds(
 )
 
 
+# the gate for floats whose evaluation order changed
+FLOAT_TOL = 1e-12
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= FLOAT_TOL
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,7 +121,9 @@ def test_kernel_matches_power_and_mask_gather(coeffs, delta):
 @pytest.mark.parametrize("n", [14, 16, 18])
 def test_kernel_matches_mask_gather_on_large_tables(n):
     # summing the strided view without the contiguous copy first agrees
-    # with the gather up to n = 14 here, but not at n = 16
+    # with the gather up to n = 14 here, but not at n = 16; the drivers'
+    # analyzer sums over the compact layout, so it agrees within FLOAT_TOL,
+    # and exactly on the split variable of a bad leaf (eps is tiny here)
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(-1.0, 1.0, 1 << n) / 2.0 ** (n / 2)
     g = FourierExpansion(n, coeffs)
@@ -125,13 +136,13 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
     for delta in (0.05, 0.3, 1.0):
         assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
         assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
-        analyze = _analyzer(n, delta)
+        analyze = _analyzer(n, delta, 1e-6)
         for spectrum_free, compact, ambient in spectra:
             [stats] = analyze(spectrum_free, compact.reshape(1, -1))
             influences = mask_gather_influences(ambient, delta)
-            assert stats.stab == power_stability(ambient, 1.0 - delta)
+            assert close(stats.stab, power_stability(ambient, 1.0 - delta))
             assert stats.var == int(influences.argmax())
-            assert stats.max_influence == influences.max()
+            assert close(stats.max_influence, influences.max())
 
 
 @pytest.mark.parametrize("n", [3, 11, 16, 22])
@@ -180,10 +191,12 @@ def tree_rows(tree):
     return [(leaf.id, depth, sorted(leaf.fixed.items())) for leaf, depth in leaves(tree)]
 
 
-def check_against_reference(result, want, delta):
+def check_against_reference(result, want, p):
     assert tree_rows(result.tree) == tree_rows(want["tree"])
-    assert result.ledger.history == want["history"]
-    assert result.bad_mass == want["bad_mass"]
+    assert [it for it, _ in result.ledger.history] == [it for it, _ in want["history"]]
+    assert all(close(phi, want_phi) for (_, phi), (_, want_phi)
+               in zip(result.ledger.history, want["history"]))
+    assert result.bad_mass == want["bad_mass"]  # a sum of the same powers of 2
     assert result.iterations == want["iterations"]
     assert result.homogeneous_vars == want["query_vars"]
     assert result.exhausted == want["exhausted"]
@@ -191,15 +204,19 @@ def check_against_reference(result, want, delta):
     for leaf, _ in leaves(result.tree):
         coeffs = wht(leaf.fn).coeffs
         stats = result.leaf_stats[leaf.id]
+        influences = mask_gather_influences(coeffs, p.delta)
         assert stats.mean == float(coeffs[0])
-        assert stats.max_influence == float(mask_gather_influences(coeffs, delta).max())
+        assert close(stats.max_influence, float(influences.max()))
+        assert stats.bad(p.eps) == (influences.max() > p.eps + INFLUENCE_SLACK)
+        if stats.bad(p.eps):
+            assert stats.var == int(influences.argmax())
 
 
 @settings(max_examples=80, deadline=None)
 @given(tables(max_n=6), params)
 def test_decompose_matches_reference_driver(case, p):
     f, _ = case
-    check_against_reference(decompose(f, p), reference_decompose(f, p), p.delta)
+    check_against_reference(decompose(f, p), reference_decompose(f, p), p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,7 +225,80 @@ def test_decompose_homogeneous_matches_reference_driver(case, p, data):
     f, _ = case
     var_cap = data.draw(st.integers(0, f.n))
     check_against_reference(decompose_homogeneous(f, p, var_cap),
-                            reference_decompose_homogeneous(f, p, var_cap), p.delta)
+                            reference_decompose_homogeneous(f, p, var_cap), p)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+def test_tie_break_keeps_the_reference_trees(eps):
+    # Within a tribe the influences are equal, and the compact sums break
+    # those ties differently from the ambient ones on some bad leaves here
+    f, p = tribes(3, 4), RegularityParams(eps, 0.3, 0.05)
+    check_against_reference(decompose(f, p), reference_decompose(f, p), p)
+    check_against_reference(decompose_homogeneous(f, p, f.n),
+                            reference_decompose_homogeneous(f, p, f.n), p)
+
+
+def eps_at(threshold: float) -> float:
+    """An eps with eps + INFLUENCE_SLACK == threshold to the last bit."""
+    eps = threshold - INFLUENCE_SLACK
+    for _ in range(8):
+        if eps + INFLUENCE_SLACK == threshold:
+            return eps
+        eps = np.nextafter(eps, np.inf if eps + INFLUENCE_SLACK < threshold else -np.inf)
+    raise AssertionError(f"no eps reaches {threshold}")
+
+
+@pytest.mark.parametrize("f, delta, below, bad", [
+    # one top variable each; the compact fold sums random_pm_one(6, 0)'s top
+    # influence one ulp above the ambient sum, and random_pm_one(5, 4)'s one
+    # ulp below
+    (random_pm_one(6, 0), 0.1, 0, False),
+    (random_pm_one(5, 4), 0.3, 1, True),
+], ids=["random_6_0_good", "random_5_4_bad"])
+def test_threshold_decided_by_the_ambient_sums(f, delta, below, bad):
+    coeffs = wht(f).coeffs
+    top = mask_gather_influences(coeffs, delta).max()
+    threshold = top
+    for _ in range(below):
+        threshold = np.nextafter(threshold, 0.0)
+    p = RegularityParams(eps_at(threshold), delta, 0.05)
+    weights = _influence_powers(delta, f.n)[subset_sizes(f.n)]
+    compact = _fold_sums(((weights * coeffs) * coeffs).reshape(1, -1))
+    assert compact.max() != top  # so the band decides this case
+    [stats] = _analyzer(f.n, delta, p.eps)(tuple(range(f.n)), coeffs.reshape(1, -1))
+    assert stats.max_influence == top
+    assert stats.bad(p.eps) == bad
+    result = decompose(f, p)
+    assert (result.iterations > 0) == bad
+    check_against_reference(result, reference_decompose(f, p), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_compact_kernel_matches_power_and_mask_gather(n, data):
+    free = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    m = len(free)
+    r = data.draw(st.integers(1, 1 << (n - m)))  # a batch fits the product buffer
+    elements = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = data.draw(arrays(np.float64, (r, 1 << m), elements=elements)) / 2.0 ** (m / 2)
+    delta = data.draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    weights = _influence_powers(delta, m)[subset_sizes(m)]
+    folded = _fold_sums((weights * rows) * rows)
+    for row, row_influences in zip(rows, folded):
+        want = mask_gather_influences(row, delta)
+        assert np.all(np.abs(row_influences - want) <= FLOAT_TOL)
+    eps = data.draw(st.sampled_from([1e-6, 0.01, 0.1]))
+    analyze = _analyzer(n, delta, eps)
+    for _ in range(2):  # the second run would see a stale buffer
+        for row, stats in zip(rows, analyze(free, rows)):
+            ambient = _ambient(n, free, row, np.zeros(1 << n)).coeffs
+            influences = mask_gather_influences(ambient, delta)
+            assert stats.mean == row[0]
+            assert close(stats.stab, power_stability(ambient, 1.0 - delta))
+            assert close(stats.max_influence, influences.max())
+            assert stats.bad(eps) == (influences.max() > eps + INFLUENCE_SLACK)
+            if stats.bad(eps):
+                assert stats.var == int(influences.argmax())
 
 
 def split_points(f, tree):
