@@ -46,7 +46,6 @@ from .errors import BudgetExceededError, PreconditionError
 from .families import constant, dictator, majority, parity, random_pm_one, tribes
 from .noise import (
     InfluenceVerdict,
-    NoiseParams,
     all_noisy_influences,
     has_small_noisy_influences,
     noisy_influence,

@@ -195,6 +195,23 @@ def _check_index(f: BooleanFunction, i: int) -> None:
         raise IndexError(f"variable index {i} out of range for n={f.n}")
 
 
+def mask_of(indices: Iterable[int], n: int) -> int:
+    """The bitmask of 0-based variable indices, each in [0, n)."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} out of range for n={n}")
+        mask |= 1 << i
+    return mask
+
+
+def mask_vars(mask: int) -> list[int]:
+    """The 0-based variables of a nonnegative bitmask, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 # --- truth-table text format -------------------------------------------------
 #
 # First line "n=<k>", then 2^k lines, one value per line in increasing index

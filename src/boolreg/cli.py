@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import families
-from .boolfn import PM_ONE, REAL, BooleanFunction, load_table, mean, norm2, wht
+from .boolfn import PM_ONE, REAL, BooleanFunction, load_table, mask_vars, mean, norm2, wht
 from .dtree import to_dot
 from .errors import BudgetExceededError, PreconditionError
 from .noise import _check_delta, expansion_influences, stability
@@ -80,10 +80,6 @@ def parse_function_spec(spec: str) -> BooleanFunction:
     raise UsageError(f"unknown function kind {kind!r} in {spec!r}")
 
 
-def _mask_vars(mask: int, n: int) -> list[int]:
-    return [i + 1 for i in range(n) if (mask >> i) & 1]
-
-
 def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -99,7 +95,7 @@ def cmd_analyze(args) -> int:
     magnitudes = np.abs(ghat.coeffs)
     order = np.lexsort((np.arange(magnitudes.size), -magnitudes))
     top = [
-        {"vars": _mask_vars(int(mask), f.n), "value": float(ghat.coeffs[mask])}
+        {"vars": [v + 1 for v in mask_vars(int(mask))], "value": float(ghat.coeffs[mask])}
         for mask in order[:16]
     ]
     report = {

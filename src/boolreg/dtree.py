@@ -126,8 +126,9 @@ def evaluate(t: DecisionTree, b: int) -> float:
     node = t.root
     while isinstance(node, Internal):
         node = node.child_minus if (b >> node.var) & 1 else node.child_plus
-    index = sum(((b >> v) & 1) << k for k, v in enumerate(node.free))
-    return float(node.table[index])
+    for v in sorted(node.fixed, reverse=True):  # delete the fixed bits of b
+        b = (b >> (v + 1) << v) | (b & ((1 << v) - 1))
+    return float(node.table[b])
 
 
 def evaluate_table(t: DecisionTree) -> np.ndarray:
@@ -143,7 +144,8 @@ def evaluate_table(t: DecisionTree) -> np.ndarray:
 def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     if j in leaf.fixed:
         raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
-    halves = leaf.table.reshape(-1, 2, 1 << leaf.free.index(j))
+    k = j - sum(v < j for v in leaf.fixed)  # j's position among the free variables
+    halves = leaf.table.reshape(-1, 2, 1 << k)
     children = []
     for child_id, x in ((first_id, 1), (first_id + 1, -1)):
         table = halves[:, int(x == -1), :].flatten()  # a copy: never pins the parent

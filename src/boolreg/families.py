@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import PM_ONE, BooleanFunction, check_arity, infer_range_tag, subset_sizes
+from .boolfn import PM_ONE, BooleanFunction, check_arity, infer_range_tag, mask_of, subset_sizes
 
 
 def majority(n: int) -> BooleanFunction:
@@ -20,13 +20,7 @@ def majority(n: int) -> BooleanFunction:
 def parity(n: int, subset: list[int] | None = None) -> BooleanFunction:
     """Product of the coordinates in ``subset`` (all coordinates by default)."""
     check_arity(n)
-    if subset is None:
-        subset = list(range(n))
-    mask = 0
-    for i in subset:
-        if not 0 <= i < n:
-            raise ValueError(f"parity index {i} out of range for n={n}")
-        mask |= 1 << i
+    mask = mask_of(range(n) if subset is None else subset, n)
     pop = subset_sizes(n)[np.arange(1 << n) & mask] if mask else np.zeros(1 << n, dtype=np.int64)
     return BooleanFunction(n, 1.0 - 2.0 * (pop % 2), PM_ONE)
 

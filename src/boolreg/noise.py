@@ -22,30 +22,6 @@ INFLUENCE_SLACK = 1e-12
 _MC_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Correlation rho and noise rate delta, tied by rho = 1 - delta."""
-
-    rho: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if abs(self.rho - (1.0 - self.delta)) > 1e-12:
-            raise ValueError(f"rho = {self.rho} and delta = {self.delta} violate rho = 1 - delta")
-
-    @classmethod
-    def from_rho(cls, rho: float) -> "NoiseParams":
-        return cls(rho, 1.0 - rho)
-
-    @classmethod
-    def from_delta(cls, delta: float) -> "NoiseParams":
-        return cls(1.0 - delta, delta)
-
-
 def _check_rho(rho: float) -> None:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")

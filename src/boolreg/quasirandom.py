@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, mean, subset_sizes, wht
+from .boolfn import BooleanFunction, FourierExpansion, mask_of, mask_vars, mean, subset_sizes, wht
 from .errors import BudgetExceededError
 from .noise import all_noisy_influences
 
@@ -64,28 +64,15 @@ def is_quasirandom(g: FourierExpansion, eps: float, delta: float) -> Quasirandom
     return QuasirandomnessVerdict(False, mask, float(g.coeffs[mask]))
 
 
-def as_mask(subset: int | Iterable[int], n: int) -> int:
-    """Normalize a subset given as a bitmask or as 0-based indices."""
-    if isinstance(subset, (int, np.integer)):
-        mask = int(subset)
-        if not 0 <= mask < (1 << n):
-            raise ValueError(f"mask {mask} out of range for n={n}")
-        return mask
-    mask = 0
-    for i in subset:
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        mask |= 1 << i
-    return mask
-
-
 def influence_quasirandom_bound(f: BooleanFunction, subset: int | Iterable[int],
                                 delta: float) -> float:
     """Certified lower bound (1-delta)^(|S|-1) * fhat(S)^2 on the noisy
     influence of every coordinate in S; verified against the true
     influences before returning.
     """
-    mask = as_mask(subset, f.n)
+    if isinstance(subset, (int, np.integer)):
+        subset = mask_vars(int(subset))
+    mask = mask_of(subset, f.n)
     if mask == 0:
         raise ValueError("subset must be nonempty")
     size = int(subset_sizes(f.n)[mask])
@@ -94,8 +81,8 @@ def influence_quasirandom_bound(f: BooleanFunction, subset: int | Iterable[int],
     coeff = float(wht(f).coeffs[mask])
     bound = (1.0 - delta) ** (size - 1) * coeff * coeff
     influences = all_noisy_influences(f, delta)
-    for i in range(f.n):
-        if (mask >> i) & 1 and influences[i] < bound - BOUND_SLACK:
+    for i in mask_vars(mask):
+        if influences[i] < bound - BOUND_SLACK:
             raise AssertionError(
                 f"influence bound {bound} exceeds true influence {influences[i]} at coordinate {i}"
             )

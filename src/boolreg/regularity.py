@@ -8,33 +8,39 @@ the energy is capped by E[f^2] <= 1, so at most 1/(eps*delta*gamma) passes
 can run.  ``decompose_homogeneous`` additionally forces every level of the
 tree to query one fixed variable, at the price of a tower-type size bound.
 
+Both drivers run one energy-increment loop, ``_decompose``, and differ only
+in their split policy.  A pass is a list of rounds, each mapping every held
+leaf to one split variable: one round in which each bad leaf splits on its
+own argmax variable, or one round per new query variable in which every
+leaf splits on it.  The loop checks every pass at run time: phi <= max(1,
+E[f^2]), the iteration budget, and the exact energy identity, by which a
+split of a leaf at depth d on j gains delta * 2^-d * Inf_j (Inf_j read
+from the half of the spectrum that the split already touches).  The plain
+policy raises past depth min(1/(eps*delta*gamma), n); the homogeneous one
+stops at ``var_cap`` and returns the partial tree.
+
 Only the root is transformed.  A child's spectrum comes from its parent's
 by one half-butterfly, the restriction identity
 ghat_{x_i=+1}(S) = ghat(S) + ghat(S+{i}) and ghat_{x_i=-1}(S) = ghat(S) -
 ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
-Functions, section 3.3).  Each leaf is analysed once, when it is created;
-a good leaf keeps its statistics from pass to pass and drops its spectrum.
-Spectra of bad leaves are held in compact form over their free variables,
-so together they never hold more than 2^n values.  The analysis works on
-the compact spectra, a batch of rows at a time: a leaf with m free
-variables costs about 3 * 2^m operations (Stab as a row sum, the influences
-by an in-place fold), not the (n + 1) * 2^n of a sum over the ambient 2^n
-layout.  Its sums differ from the ambient ones only in the last bits, but
-those bits decide argmax ties and influences that sit on the threshold.  So
-two kinds of leaf re-sum their candidate variables (those within a
-relative 1e-9 of the top influence) over the ambient layout: a bad leaf
-with more than one candidate, and a leaf whose top influence lies within
-1e-9 of the threshold.  The split variables and the bad/good decisions,
-and so the trees, are then exactly the ones that a fresh transform of
-every leaf table would give.  One product buffer, a half-size buffer and
-the weights are allocated once per driver call, so no leaf costs a 2^n
-temporary.
+Functions, section 3.3).  The children of a pass are analysed once, when
+the pass ends; a good leaf keeps its statistics from pass to pass and
+drops its spectrum.  Spectra are held in compact form over their free
+variables, so together they never hold more than 2^n values.  The analysis
+works on the compact spectra, a batch of rows at a time, in about 3 * 2^m
+operations per leaf with m free variables; the few leaves whose argmax or
+bad/good decision sits within 1e-9 of a tie re-sum their candidates over
+the ambient layout (``_analyzer``), so the trees are exactly the ones that
+a fresh transform of every leaf table would give.  One product buffer, a
+half-size buffer and the weights are allocated once per driver call, so no
+leaf costs a 2^n temporary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +52,6 @@ from .dtree import (
     _cube,
     leaves,
     singleton,
-    split_all_leaves,
     split_leaves,
     tree_depth,
 )
@@ -174,6 +179,10 @@ def _analyzer(n: int, delta: float, eps: float):
     with a single candidate well above the threshold needs no tie-break.
     Split variables and bad/good decisions are then exactly those of the
     ambient kernel.  The buffer is zero between calls.
+
+    ``analyze.influences(free, rows, j)`` gives each row's (1-delta)-noisy
+    influence of j, for the loop's energy identity, in the product buffer
+    (whose pages the analysis has touched already, unlike the half buffer's).
     """
     sizes = subset_sizes(n)
     stab_weights = _powers(1.0 - delta, n)[sizes]
@@ -207,6 +216,17 @@ def _analyzer(n: int, delta: float, eps: float):
             out.append(LeafStats(float(row[0]), float(stab), var, top))
         return out
 
+    def influences(free: tuple[int, ...], rows: np.ndarray, j: int) -> np.ndarray:
+        # Stab_{1-delta} of the half with j (mask S at the position of S - {j})
+        # is the sum of (1-delta)^(|S|-1) * ghat(S)^2 over S containing j
+        upper = rows.reshape(len(rows), -1, 2, 1 << free.index(j))[:, :, 1, :]
+        weights = stab_weights[:upper[0].size].reshape(upper.shape[1:])
+        batch = prod[:upper.size].reshape(upper.shape)
+        sums = _weighted_squares(upper, weights, batch).reshape(len(rows), -1).sum(axis=1)
+        batch[...] = 0.0
+        return sums
+
+    analyze.influences = influences
     return analyze
 
 
@@ -224,16 +244,15 @@ def _split_rows(rows: np.ndarray, free: tuple[int, ...], j: int) -> tuple[tuple[
 
 
 def _tally(level: list[tuple[Leaf, int]], stats: dict[int, LeafStats],
-           eps: float) -> tuple[float, list[tuple[Leaf, int]], float, int]:
-    """Energy, the bad (leaf, depth) pairs, bad mass and tree depth."""
-    phi = 0.0
-    bad: list[tuple[Leaf, int]] = []
-    bad_mass = 0.0
+           eps: float) -> tuple[float, list[int], float, int]:
+    """Energy, the ids of the bad leaves, bad mass and tree depth."""
+    phi = bad_mass = 0.0
+    bad: list[int] = []
     for leaf, depth in level:
         s = stats[leaf.id]
         phi += 2.0 ** -depth * s.stab
         if s.bad(eps):
-            bad.append((leaf, depth))
+            bad.append(leaf.id)
             bad_mass += 2.0 ** -depth
     return phi, bad, bad_mass, max(depth for _, depth in level)
 
@@ -243,24 +262,32 @@ def _check_phi(phi: float, bound: float) -> None:
         raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
 
 
-def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
-    """Split every bad leaf on its argmax-influence variable until at most a
-    gamma fraction of leaf mass fails the (eps, delta)-small-influence test.
+def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool) -> DecompositionResult:
+    """The energy-increment loop of both drivers: run passes until at most
+    a gamma fraction of leaf mass is bad.
 
-    The returned tree computes f exactly, has depth at most
-    min(1/(eps*delta*gamma), n), and its ledger records the energy after
-    every pass; each recorded gain exceeds eps*delta*gamma and equals
-    delta * sum over the split leaves of 2^-depth * Inf_var, which is
-    checked at run time.
+    ``plan(stats, bad, depth)`` (leaf statistics by id, the bad leaves' ids,
+    the tree depth) is the split policy: it returns the next pass as a list
+    of rounds, each a function from a held leaf's id to the variable it
+    splits on, or None to stop with ``exhausted`` set.  The spectra held are
+    groups of rows over shared free variables, in ``leaves`` order, so each
+    round's children take consecutive ids, and the rows of a group split on
+    one variable.  With ``keep_all`` every leaf's spectrum is held and a
+    level stays one group; otherwise only the bad leaves' are, one copied
+    row each.  The children of a pass's last round are analysed, those of
+    earlier rounds are not.
+
+    Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
+    holds, and the restriction identity: a split of a leaf at depth d on j
+    gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
     """
     f.require_unit_mean_square()
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
-    free, root = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
     analyze = _analyzer(f.n, p.delta, p.eps)
+    free, root = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
     stats = {0: analyze(free, root)[0]}
-    # compact spectra of the bad leaves (one-row arrays, free variables) by leaf id
-    spectra = {0: (root, free)} if stats[0].bad(p.eps) else {}
+    groups = [([0], free, root)] if keep_all or stats[0].bad(p.eps) else []
     del root
     phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
@@ -268,26 +295,35 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     ledger.record(0, phi, 0)
     iterations = 0
     while bad_mass > p.gamma:
-        if depth + 1 > min(p.budget, float(t.n)):
-            raise RuntimeError(
-                "internal error: split would push depth past "
-                f"min(budget={p.budget}, n={t.n}); the energy argument forbids this"
-            )
-        first_id = t.next_leaf_id
-        splits = {leaf.id: stats[leaf.id].var for leaf, _ in bad}
+        rounds = plan(stats, bad, depth)
+        if rounds is None:
+            return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=True, leaf_stats=stats)
         predicted = 0.0
-        for k, (leaf, leaf_depth) in enumerate(bad):
-            parent = stats.pop(leaf.id)
-            free, children = _split_rows(*spectra.pop(leaf.id), parent.var)
-            child_ids = (first_id + 2 * k, first_id + 2 * k + 1)
-            for child_id, child, child_stats in zip(child_ids, children, analyze(free, children)):
-                stats[child_id] = child_stats
-                if child_stats.bad(p.eps):  # a copy, so that a good sibling is freed
-                    spectra[child_id] = (child.reshape(1, -1).copy(), free)
-            predicted += 2.0 ** -leaf_depth * parent.max_influence
-        # after the spectra, so that a parent's spectrum is freed before its
-        # children's tables are allocated
-        t = split_leaves(t, splits)
+        for k, var_of in enumerate(rounds):
+            last = k == len(rounds) - 1
+            held, groups = groups[::-1], []
+            splits: dict[int, int] = {}
+            next_id = t.next_leaf_id
+            while held:
+                ids, free, rows = held.pop()
+                for leaf_id in ids:
+                    splits[leaf_id] = var_of(leaf_id)
+                    stats.pop(leaf_id, None)
+                j = splits[ids[0]]
+                predicted += 2.0 ** (len(free) - f.n) * float(analyze.influences(free, rows, j).sum())
+                free, rows = _split_rows(rows, free, j)  # frees the parents' rows
+                ids = list(range(next_id, next_id + len(rows)))
+                next_id += len(rows)
+                if last:
+                    stats.update(zip(ids, analyze(free, rows)))
+                if keep_all or not last:
+                    groups.append((ids, free, rows))
+                else:  # a copy each, so that a good sibling is freed
+                    groups.extend(([leaf_id], free, row.reshape(1, -1).copy())
+                                  for leaf_id, row in zip(ids, rows) if stats[leaf_id].bad(p.eps))
+            # after the spectra, so that a parent's spectrum is freed before
+            # its children's tables are allocated
+            t = split_leaves(t, splits)
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
@@ -301,54 +337,51 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
 
 
+def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
+    """Split every bad leaf on its argmax-influence variable until at most a
+    gamma fraction of leaf mass fails the (eps, delta)-small-influence test.
+
+    The returned tree computes f exactly, has depth at most
+    min(1/(eps*delta*gamma), n), and its ledger records the energy after
+    every pass; each recorded gain exceeds eps*delta*gamma and equals
+    delta * sum over the split leaves of 2^-depth * Inf_var, which is
+    checked at run time.
+    """
+    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]]:
+        if depth + 1 > min(p.budget, float(f.n)):
+            raise RuntimeError(f"internal error: split would push depth past min(budget={p.budget}, "
+                               f"n={f.n}); the energy argument forbids this")
+        return [lambda leaf_id: stats[leaf_id].var]  # the held leaves are the bad ones
+
+    return _decompose(f, p, plan, keep_all=False)
+
+
 def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int) -> DecompositionResult:
     """Variant whose tree queries one fixed variable per level.
 
     Each pass collects the argmax-influence variables of all bad leaves and
-    splits every leaf on all of them, so the leaves are exactly the
-    restrictions of f on the query set.  When the next pass would push the
-    query set past ``var_cap`` the partial tree is returned with
-    ``exhausted`` set instead of an error: the guaranteed worst case is a
-    tower-type size that no table-based run could reach anyway.
-
-    The leaves of a level share their free variables, so their compact
-    spectra are the rows of one array, in ``leaves`` order.
+    splits every leaf on all of them, one round per new variable, so the
+    leaves are exactly the restrictions of f on the query set.  When the
+    next pass would push the query set past ``var_cap`` the partial tree is
+    returned with ``exhausted`` set instead of an error: the guaranteed
+    worst case is a tower-type size that no table-based run could reach
+    anyway.  The leaves of a level share their free variables, so their
+    spectra are held as the rows of one array and analysed in one batch.
     """
-    f.require_unit_mean_square()
     if not 0 <= var_cap <= f.n:
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
-    norm_bound = max(1.0, norm2(f))
-    t = singleton(f)
     query_vars: list[int] = []
-    free, rows = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
-    analyze = _analyzer(f.n, p.delta, p.eps)
-    stats = {0: analyze(free, rows)[0]}
-    phi, bad, bad_mass, _ = _tally(leaves(t), stats, p.eps)
-    _check_phi(phi, norm_bound)
-    ledger = EnergyLedger(phi)
-    ledger.record(0, phi, 0)
-    iterations = 0
-    exhausted = False
-    while bad_mass > p.gamma:
-        new_vars = sorted({stats[leaf.id].var for leaf, _ in bad} - set(query_vars))
+
+    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]] | None:
+        new_vars = sorted({stats[leaf_id].var for leaf_id in bad} - set(query_vars))
         if not new_vars:
             raise RuntimeError("internal error: bad leaf with no splittable variable")
         if len(query_vars) + len(new_vars) > var_cap:
-            exhausted = True
-            break
-        for var in new_vars:
-            t = split_all_leaves(t, var)
-            query_vars.append(var)
-            free, rows = _split_rows(rows, free, var)
-        iterations += 1
-        if iterations > p.budget:
-            raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-        level = leaves(t)
-        stats = {leaf.id: leaf_stats for (leaf, _), leaf_stats in zip(level, analyze(free, rows))}
-        phi, bad, bad_mass, _ = _tally(level, stats, p.eps)
-        _check_phi(phi, norm_bound)
-        ledger.record(iterations, phi, len(query_vars))
-    return DecompositionResult(t, iterations, ledger, bad_mass, query_vars, exhausted, stats)
+            return None
+        query_vars.extend(new_vars)
+        return [lambda leaf_id, var=var: var for var in new_vars]
+
+    return replace(_decompose(f, p, plan, keep_all=True), homogeneous_vars=query_vars)
 
 
 def tower(k: int) -> int | float:

@@ -19,62 +19,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import ndtri, owens_t
 
-from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, FourierExpansion, wht
-from .dtree import Leaf, _compact_spectrum, leaves
+from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, mask_vars, wht
+from .dtree import _compact_spectrum, leaves
 from .errors import PreconditionError
-from .noise import stability
+from .noise import _stability, stability
 from .quasirandom import is_quasirandom
-from .regularity import RegularityParams, _ambient, decompose
+from .regularity import _PHI_GUARD, RegularityParams, decompose
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _std_cdf(t: float) -> float:
-    return 0.5 * math.erfc(-t / _SQRT2)
-
-
-def _std_pdf(t: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
 
 
 def gaussian_quantile(mu: float) -> float:
-    """t with Phi(t) = mu to absolute error 1e-10; mu of 0 or 1 gives -/+inf.
-
-    Newton iteration on the erfc-based CDF, seeded by the library inverse.
-    """
+    """t with Phi(t) = mu (``scipy.special.ndtri``); mu of 0 or 1 gives -/+inf."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if mu == 0.0:
-        return -math.inf
-    if mu == 1.0:
-        return math.inf
-    t = float(ndtri(mu))
-    for _ in range(4):
-        err = _std_cdf(t) - mu
-        if abs(err) <= 1e-13:
-            break
-        density = _std_pdf(t)
-        if density < 1e-300:
-            break  # tail so extreme that Phi is locally flat in doubles
-        t -= err / density
-    if abs(_std_cdf(t) - mu) > 1e-10:
-        t = _bisect_quantile(mu)
-    return t
-
-
-def _bisect_quantile(mu: float) -> float:
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _std_cdf(mid) < mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(ndtri(mu))
 
 
 def quadrant_prob(rho: float, mu: float) -> float:
@@ -86,12 +47,10 @@ def quadrant_prob(rho: float, mu: float) -> float:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if mu in (0.0, 1.0):
-        return float(mu)
-    if rho == 1.0:
+    if mu in (0.0, 1.0) or rho == 1.0:
         return float(mu)
     t = gaussian_quantile(mu)
-    return float(_std_cdf(t) - 2.0 * owens_t(t, math.sqrt((1.0 - rho) / (1.0 + rho))))
+    return float(0.5 * math.erfc(-t / _SQRT2) - 2.0 * owens_t(t, math.sqrt((1.0 - rho) / (1.0 + rho))))
 
 
 def to_zero_one(f: BooleanFunction) -> BooleanFunction:
@@ -157,13 +116,6 @@ def mist_slack(g: BooleanFunction, rho: float) -> MistReport:
     return MistReport(rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam)
 
 
-def _leaf_spectrum(leaf: Leaf) -> FourierExpansion:
-    """A leaf's spectrum in the 2^n mask layout, transformed from its compact
-    table: the same bits as the transform of the ambient table ``leaf.fn``,
-    whose butterfly stages on fixed variables only double entries or zero them."""
-    return _ambient(leaf.n, leaf.free, _compact_spectrum(leaf), np.zeros(1 << leaf.n))
-
-
 def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
                      q_eps: float, q_delta: float) -> MistReport:
     """Regularity-plus-quadrant pipeline for a [0,1]-valued function.
@@ -174,7 +126,10 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
     quadrant probability of the global mean (bad leaves by 1, good leaves
     with a 2-Lipschitz mean-drift correction plus their own measured
     slack), and the certified upper bound is returned next to the true
-    stability.  Every additive term is reported separately.
+    stability.  Every additive term is reported separately.  A bound below
+    the stability raises RuntimeError: Lambda_rho is 2-Lipschitz in mu and
+    the leaf-mass-weighted Stab_rho of the leaves is at least Stab_rho f, so
+    only a fault can cause it.
     """
     if f.range_tag != ZERO_ONE:
         raise PreconditionError(f"check_quasi_mist needs a zero_one-tagged function, got {f.range_tag}")
@@ -188,10 +143,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
                    "q_eps": q_eps, "q_delta": q_delta}
     verdict = is_quasirandom(ghat, q_eps, q_delta)
     if not verdict.ok:
-        witness = {
-            "vars": [i + 1 for i in range(f.n) if (verdict.witness_mask >> i) & 1],
-            "value": verdict.witness_value,
-        }
+        witness = {"vars": [v + 1 for v in mask_vars(verdict.witness_mask)],
+                   "value": verdict.witness_value}
         return MistReport(rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam,
                           params_used=params_used, quasirandom_ok=False, witness=witness)
 
@@ -210,12 +163,14 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         if stats.bad(p.eps):
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
-        leaf_stab = stability(_leaf_spectrum(leaf), rho)
+        leaf_stab = _stability(_compact_spectrum(leaf), rho)
         leaf_lam = quadrant_prob(rho, stats.mean)
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift
         leaf_slack_term += mass * (leaf_stab - leaf_lam)
     certified = bad_term + good_lambda_term + lipschitz_term + leaf_slack_term
+    if certified < stab - _PHI_GUARD:
+        raise RuntimeError(f"internal error: certified bound {certified} is below the stability {stab}")
     return MistReport(
         rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam,
         bad_mass=result.bad_mass, params_used=params_used,

@@ -25,6 +25,7 @@ from boolreg import (
     wht,
     write_table,
 )
+from boolreg.boolfn import mask_of, mask_vars
 from oracles import brute_wht
 
 
@@ -203,6 +204,18 @@ def test_subset_sizes():
         sizes = subset_sizes(n)
         assert sizes.dtype == np.uint8
         np.testing.assert_array_equal(sizes, np.bitwise_count(np.arange(1 << n)))
+
+
+def test_mask_helpers():
+    assert mask_of([3, 0], 4) == 0b1001
+    assert mask_of([], 4) == 0
+    assert mask_vars(0b1001) == [0, 3]
+    assert mask_vars(0) == []
+    for bad in ([4], [-1]):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            mask_of(bad, 4)
+    with pytest.raises(ValueError):
+        mask_vars(-1)
 
 
 def test_validation():

@@ -6,7 +6,6 @@ import pytest
 from boolreg import (
     PM_ONE,
     BooleanFunction,
-    NoiseParams,
     all_noisy_influences,
     constant,
     derivative,
@@ -179,12 +178,3 @@ def test_has_small_tie_breaks_low_index():
 def test_has_small_validation():
     with pytest.raises(ValueError):
         has_small_noisy_influences(dictator(2, 0), 0.0, 0.5)
-
-
-def test_noise_params():
-    p = NoiseParams.from_delta(0.3)
-    assert p.rho == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        NoiseParams(0.5, 0.2)
-    with pytest.raises(ValueError):
-        NoiseParams(1.5, -0.5)

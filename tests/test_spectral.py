@@ -35,7 +35,6 @@ from boolreg import (
 from boolreg import regularity
 from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
 from boolreg.regularity import _ambient, _analyzer, _fold_sums, _split_rows
-from boolreg.stablest import _leaf_spectrum
 from oracles import (
     mask_gather_influences,
     power_stability,
@@ -175,8 +174,6 @@ def test_compact_leaf_tables_are_restrictions(case, data):
             g = restrict(g, var, v)
         assert same_bits(leaf.fn.values, g.values)
         assert leaf.fn.range_tag == g.range_tag
-        # check_quasi_mist's spectrum from the compact table
-        assert same_bits(_leaf_spectrum(leaf).coeffs, wht(g).coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,7 +331,9 @@ def test_energy_identity_pass_by_pass(f):
         assert gain == pytest.approx(predicted, rel=0.0, abs=1e-12)
 
 
-def test_energy_identity_guard_catches_drift(monkeypatch):
+@pytest.mark.parametrize("driver", [decompose, lambda f, p: decompose_homogeneous(f, p, f.n)],
+                         ids=["plain", "homogeneous"])
+def test_energy_identity_guard_catches_drift(monkeypatch, driver):
     split = regularity._split_rows
 
     def drifting(rows, free, j):
@@ -343,4 +342,4 @@ def test_energy_identity_guard_catches_drift(monkeypatch):
 
     monkeypatch.setattr(regularity, "_split_rows", drifting)
     with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
-        decompose(majority(5), RegularityParams(0.05, 0.3, 0.05))
+        driver(majority(5), RegularityParams(0.05, 0.3, 0.05))

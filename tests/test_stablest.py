@@ -22,6 +22,8 @@ from boolreg import (
     to_zero_one,
     wht,
 )
+from boolreg import stablest
+from boolreg.cli import main
 from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d
 
 
@@ -239,6 +241,27 @@ def test_pipeline_soundness_corpus():
 def test_pipeline_validation():
     with pytest.raises(PreconditionError):
         check_quasi_mist(majority(3), 0.5, default_params(), 0.5, 0.5)
+
+
+def test_pipeline_certified_bound_below_stability_is_an_internal_error(monkeypatch, capsys):
+    # A Lambda that breaks the 2-Lipschitz step: 0 at the global mean, 2 at
+    # every leaf's, so the certified bound falls below the stability
+    def broken_lambda():
+        calls = iter([0.0])
+        return lambda rho, mu: next(calls, 2.0)
+
+    g = to_zero_one(majority(5))
+    assert check_quasi_mist(g, 0.6, default_params(), 0.6, 0.5).bad_mass == 0.0
+    monkeypatch.setattr(stablest, "quadrant_prob", broken_lambda())
+    with pytest.raises(RuntimeError, match="internal error: certified bound .* below the stability"):
+        check_quasi_mist(g, 0.6, default_params(), 0.6, 0.5)
+    monkeypatch.setattr(stablest, "quadrant_prob", broken_lambda())
+    assert main(["mist", "--fn", "maj:5", "--rho", "0.6", "--eps", "0.2", "--delta", "0.3",
+                 "--gamma", "0.25", "--q-eps", "0.6", "--q-delta", "0.5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: certified bound ")
+    assert captured.err.count("\n") == 1
 
 
 # --- asymptotic schedule ----------------------------------------------------------
