@@ -214,8 +214,9 @@ def mask_vars(mask: int) -> list[int]:
 
 # --- truth-table text format -------------------------------------------------
 #
-# First line "n=<k>", then 2^k lines, one value per line in increasing index
-# order.  Writers emit 17 significant digits so tables round-trip exactly.
+# First line "n=<k>", then exactly 2^k lines, one value per line in
+# increasing index order; only blank lines may follow.  Writers emit 17
+# significant digits so tables round-trip exactly.
 
 def write_table(f: BooleanFunction, fp: IO[str]) -> None:
     fp.write(f"n={f.n}\n")
@@ -250,6 +251,9 @@ def read_table(fp: IO[str]) -> BooleanFunction:
             raise ValueError(f"truth table truncated: expected {arr.size} values, "
                              f"got {done + len(lines)}")
         done += want
+    for k, line in enumerate(fp, start=done + 2):
+        if line.strip():
+            raise ValueError(f"line {k} follows the last of the {done} values: {line.strip()!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("truth table contains non-finite entries")
     return BooleanFunction(n, arr, infer_range_tag(arr))

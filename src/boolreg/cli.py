@@ -81,10 +81,8 @@ def parse_function_spec(spec: str) -> BooleanFunction:
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(report, sort_keys=True))
+    # strict JSON: a NaN or infinity raises ValueError (exit 3) before anything is printed
+    print(json.dumps(report, sort_keys=True, indent=2 if pretty else None, allow_nan=False))
     sys.stdout.flush()  # so that a closed stdout shows here, not at exit
 
 

@@ -220,7 +220,7 @@ def energy(t: DecisionTree, delta: float) -> float:
 def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     """Total mass of leaves whose subfunction fails the small-influence test
     (a noisy influence above eps; INFLUENCE_SLACK counts as small)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
     return float(sum(2.0 ** -depth for leaf, depth in leaves(t)

@@ -157,7 +157,7 @@ def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> 
     lowest index), which the regularity splitter reuses as its split
     variable.  Values within INFLUENCE_SLACK above eps count as small.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
     influences = all_noisy_influences(f, delta)

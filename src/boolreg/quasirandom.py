@@ -20,7 +20,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, FourierExpansion, mask_of, mask_vars, mean, subset_sizes, wht
 from .errors import BudgetExceededError
-from .noise import all_noisy_influences
+from .noise import expansion_influences
 
 ENUMERATION_BUDGET = 10 ** 6
 
@@ -31,7 +31,7 @@ BOUND_SLACK = 1e-12
 
 def degree_cap(delta: float) -> int:
     """floor(1/delta), the degree range the quasirandomness test scans."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return int(math.floor(1.0 / delta + 1e-12))
 
@@ -49,7 +49,7 @@ def is_quasirandom(g: FourierExpansion, eps: float, delta: float) -> Quasirandom
     The witness, when present, is the coefficient of largest magnitude in
     that range; ties resolve to the lowest mask value.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     cap = degree_cap(delta)
     sizes = subset_sizes(g.n)
@@ -78,9 +78,10 @@ def influence_quasirandom_bound(f: BooleanFunction, subset: int | Iterable[int],
     size = int(subset_sizes(f.n)[mask])
     if size > degree_cap(delta):
         raise ValueError(f"|S| = {size} exceeds the degree cap floor(1/delta) = {degree_cap(delta)}")
-    coeff = float(wht(f).coeffs[mask])
+    ghat = wht(f)
+    coeff = float(ghat.coeffs[mask])
     bound = (1.0 - delta) ** (size - 1) * coeff * coeff
-    influences = all_noisy_influences(f, delta)
+    influences = expansion_influences(ghat, delta)
     for i in mask_vars(mask):
         if influences[i] < bound - BOUND_SLACK:
             raise AssertionError(

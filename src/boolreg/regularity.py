@@ -19,8 +19,10 @@ from the half of the spectrum that the split already touches).  The plain
 policy raises past depth min(1/(eps*delta*gamma), n); the homogeneous one
 stops at ``var_cap`` and returns the partial tree.
 
-Only the root is transformed.  A child's spectrum comes from its parent's
-by one half-butterfly, the restriction identity
+Only the root is transformed, and the loop takes that spectrum as an
+argument, so ``stablest.check_quasi_mist`` hands over the one it has
+already made.  A child's spectrum comes from its parent's by one
+half-butterfly, the restriction identity
 ghat_{x_i=+1}(S) = ghat(S) + ghat(S+{i}) and ghat_{x_i=-1}(S) = ghat(S) -
 ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  The children of a pass are analysed once, when
@@ -32,14 +34,21 @@ operations per leaf with m free variables; the few leaves whose argmax or
 bad/good decision sits within 1e-9 of a tie re-sum their candidates over
 the ambient layout (``_analyzer``), so the trees are exactly the ones that
 a fresh transform of every leaf table would give.  One product buffer, a
-half-size buffer and the weights are allocated once per driver call, so no
-leaf costs a 2^n temporary.
+half-size buffer and the influence weights are allocated once per driver
+call, so no leaf costs a 2^n temporary.
+
+Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
+ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho
+(O'Donnell, Analysis of Boolean Functions, chapter 2): the driver's energy
+reads it at rho = 1 - delta, and ``stablest.check_quasi_mist`` at its own
+rho, so no leaf is transformed again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,6 +71,9 @@ from .noise import INFLUENCE_SLACK, _influence_powers, _influence_sums, _powers,
 # of at most 2^n nonnegative doubles, so anything past this is a logic bug.
 _PHI_GUARD = 1e-9
 
+# Mask bits whose sizes one matrix product of ``_degree_weights`` sums by.
+_DEGREE_BITS = 8
+
 # Relative band within which two influences count as tied, and an influence
 # as at the threshold.  A compact sum and the ambient sum of the same m-bit
 # nonnegative terms differ by a relative error of about m * 2^-53, far
@@ -78,7 +90,7 @@ class RegularityParams:
     gamma: float
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
@@ -89,14 +101,18 @@ class RegularityParams:
 
     @property
     def budget(self) -> float:
-        """Iteration and depth budget 1/(eps*delta*gamma)."""
-        return 1.0 / (self.eps * self.delta * self.gamma)
+        """Iteration and depth budget 1/(eps*delta*gamma); infinite when the
+        product underflows to 0."""
+        product = self.eps * self.delta * self.gamma
+        return 1.0 / product if product else math.inf
 
 
 @dataclass(frozen=True)
 class LeafStats:
-    """One leaf's analysis: its mean, Stab_{1-delta}, and its argmax noisy
-    influence variable (ties go to the lowest index) with that influence.
+    """One leaf's analysis: its mean, Stab_{1-delta}, its argmax noisy
+    influence variable (ties go to the lowest index) with that influence,
+    and its degree profile: W^k = sum over |S| = k of ghat(S)^2 for k = 0
+    .. m, so that Stab_rho is sum_k rho^k W^k.
 
     On a bad leaf, and on one at the threshold, ``var`` and whether the leaf
     is bad are exactly those of the ambient kernel; on a good leaf, which is
@@ -107,6 +123,7 @@ class LeafStats:
     stab: float
     var: int
     max_influence: float
+    profile: tuple[float, ...]
 
     def bad(self, eps: float) -> bool:
         """Fails the small-influence test; INFLUENCE_SLACK counts as small."""
@@ -157,17 +174,62 @@ def _fold_sums(weighted: np.ndarray) -> np.ndarray:
     return out
 
 
+def _indicator(values: np.ndarray, width: int) -> np.ndarray:
+    """The read-only (len(values), width) 0/1 matrix whose row r has its one
+    at values[r]."""
+    matrix = np.equal.outer(values, np.arange(width)).astype(np.float64)
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=None)
+def _degree_matrix(b: int) -> np.ndarray:
+    """The (2^b, b + 1) 0/1 matrix whose row l has its one at |l|."""
+    return _indicator(subset_sizes(b), b + 1)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_matrix(b: int, a: int) -> np.ndarray:
+    """The ((b + 1)(a + 1), a + b + 1) 0/1 matrix whose row (i, j) has its
+    one at i + j."""
+    return _indicator(np.add.outer(np.arange(b + 1), np.arange(a + 1)).ravel(), a + b + 1)
+
+
+def _degree_weights(squares: np.ndarray) -> np.ndarray:
+    """Per row of ``squares`` (rows in the 2^m mask layout of m variables),
+    the sums over the masks of each size 0 .. m.
+
+    A mask is a low part l over b <= _DEGREE_BITS variables and a high part
+    h over the a = m - b others, and |S| = |l| + |h|.  One matrix product
+    sums each block of 2^b entries by |l|; the same reduction of its
+    transpose sums the blocks by |h|, and a last product adds the (|l|,
+    |h|) sums by |l| + |h|.  The weights are 0 and 1, so the sums are exact
+    whenever their partial sums are, as on Boolean tables.
+    """
+    rows, size = squares.shape
+    m = size.bit_length() - 1
+    # the low part is the largest of ceil(m / _DEGREE_BITS) near-equal parts
+    b = m if m <= _DEGREE_BITS else math.ceil(m / math.ceil(m / _DEGREE_BITS))
+    low = squares.reshape(-1, 1 << b) @ _degree_matrix(b)
+    if b == m:
+        return low
+    by_low = low.reshape(rows, -1, b + 1).transpose(0, 2, 1).reshape(rows * (b + 1), -1)
+    return _degree_weights(by_low).reshape(rows, -1) @ _diagonal_matrix(b, m - b)
+
+
 def _analyzer(n: int, delta: float, eps: float):
     """The leaf analysis of one driver call at rho = 1 - delta and influence
     threshold eps, with its weights and buffers allocated once, so that no
     leaf costs a 2^n temporary.
 
     ``analyze(free, rows)`` analyses the compact spectra (rows) over
-    ``free`` in one batch, in a prefix of the product buffer: the weights
-    of a mask over m variables are the first 2^m ambient ones, because
+    ``free`` in one batch, in a prefix of the product buffer.  The squares
+    of the rows give each leaf's degree profile (``_degree_weights``), and
+    its Stab is the profile at rho.  The influences come from
+    ``_fold_sums`` of the weighted squares: the weights of a mask over m
+    variables are the first 2^m ambient ones, because
     ``subset_sizes(n)[:2^m]`` is ``subset_sizes(m)``, so every product has
-    the bits of the ambient kernel's.  Stab is each row's sum and the
-    influences come from ``_fold_sums``.  These sums differ from the
+    the bits of the ambient kernel's.  The fold sums differ from the
     ambient kernel's (``noise._influence_sums`` over the spectrum scattered
     into the 2^n layout) only in the last bits, but those bits decide argmax
     ties, and influences at the threshold.  So every leaf that is bad, or
@@ -184,9 +246,8 @@ def _analyzer(n: int, delta: float, eps: float):
     influence of j, for the loop's energy identity, in the product buffer
     (whose pages the analysis has touched already, unlike the half buffer's).
     """
-    sizes = subset_sizes(n)
-    stab_weights = _powers(1.0 - delta, n)[sizes]
-    influence_weights = _influence_powers(delta, n)[sizes]
+    stab_powers = _powers(1.0 - delta, n)
+    influence_weights = _influence_powers(delta, n)[subset_sizes(n)]
     prod = np.zeros(1 << n)
     half = np.empty(1 << (n - 1))
     threshold = eps + INFLUENCE_SLACK
@@ -200,27 +261,29 @@ def _analyzer(n: int, delta: float, eps: float):
         return candidates[best], float(sums[best])
 
     def analyze(free: tuple[int, ...], rows: np.ndarray) -> list[LeafStats]:
-        size = rows.shape[1]
         batch = prod[:rows.size].reshape(rows.shape)
-        stabs = _weighted_squares(rows, stab_weights[:size], batch).sum(axis=1)
-        influences = _fold_sums(_weighted_squares(rows, influence_weights[:size], batch))
+        profiles = _degree_weights(np.multiply(rows, rows, out=batch))
+        stabs = profiles @ stab_powers[:len(free) + 1]
+        influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
         batch[...] = 0.0
+        tops = influences.max(axis=1, initial=0.0)
+        variables = [free[k] for k in influences.argmax(axis=1).tolist()] if free else [0] * len(rows)
         out = []
-        for row, stab, row_influences in zip(rows, stabs, influences):
-            top = float(row_influences.max(initial=0.0))
-            var = free[int(row_influences.argmax())] if free else 0
+        for r, (mean, stab, var, top, profile) in enumerate(zip(
+                rows[:, 0].tolist(), stabs.tolist(), variables, tops.tolist(), profiles.tolist())):
             if top >= threshold * (1.0 - _TIE_BAND):
-                candidates = np.flatnonzero(row_influences >= top * (1.0 - _TIE_BAND))
+                candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
                 if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
-                    var, top = ambient_argmax(free, row, [free[k] for k in candidates])
-            out.append(LeafStats(float(row[0]), float(stab), var, top))
+                    var, top = ambient_argmax(free, rows[r], [free[k] for k in candidates])
+            out.append(LeafStats(mean, stab, var, top, tuple(profile)))
         return out
 
     def influences(free: tuple[int, ...], rows: np.ndarray, j: int) -> np.ndarray:
-        # Stab_{1-delta} of the half with j (mask S at the position of S - {j})
-        # is the sum of (1-delta)^(|S|-1) * ghat(S)^2 over S containing j
+        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing j;
+        # the masks containing the top variable have those weights, in order
         upper = rows.reshape(len(rows), -1, 2, 1 << free.index(j))[:, :, 1, :]
-        weights = stab_weights[:upper[0].size].reshape(upper.shape[1:])
+        half_size = rows.shape[1] // 2
+        weights = influence_weights[half_size:2 * half_size].reshape(upper.shape[1:])
         batch = prod[:upper.size].reshape(upper.shape)
         sums = _weighted_squares(upper, weights, batch).reshape(len(rows), -1).sum(axis=1)
         batch[...] = 0.0
@@ -262,9 +325,10 @@ def _check_phi(phi: float, bound: float) -> None:
         raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
 
 
-def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool) -> DecompositionResult:
-    """The energy-increment loop of both drivers: run passes until at most
-    a gamma fraction of leaf mass is bad.
+def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, plan: Callable,
+               keep_all: bool) -> DecompositionResult:
+    """The energy-increment loop of both drivers, from f and its spectrum
+    ``ghat``: run passes until at most a gamma fraction of leaf mass is bad.
 
     ``plan(stats, bad, depth)`` (leaf statistics by id, the bad leaves' ids,
     the tree depth) is the split policy: it returns the next pass as a list
@@ -280,15 +344,15 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
     holds, and the restriction identity: a split of a leaf at depth d on j
     gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
+    The callers check E[f^2] <= 1 before they transform f.
     """
-    f.require_unit_mean_square()
     norm_bound = max(1.0, norm2(f))
     t = singleton(f)
     analyze = _analyzer(f.n, p.delta, p.eps)
-    free, root = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    free, root = tuple(range(f.n)), ghat.coeffs.reshape(1, -1)
     stats = {0: analyze(free, root)[0]}
     groups = [([0], free, root)] if keep_all or stats[0].bad(p.eps) else []
-    del root
+    del ghat, root  # the root's rows are freed at its split, unless a caller holds them
     phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
     ledger = EnergyLedger(phi)
@@ -337,6 +401,18 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
 
 
+def _split_bad_leaves(n: int, p: RegularityParams) -> Callable:
+    """The plain split policy: one round in which each bad leaf splits on
+    its own argmax variable, up to depth min(budget, n)."""
+    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]]:
+        if depth + 1 > min(p.budget, float(n)):
+            raise RuntimeError(f"internal error: split would push depth past min(budget={p.budget}, "
+                               f"n={n}); the energy argument forbids this")
+        return [lambda leaf_id: stats[leaf_id].var]  # the held leaves are the bad ones
+
+    return plan
+
+
 def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     """Split every bad leaf on its argmax-influence variable until at most a
     gamma fraction of leaf mass fails the (eps, delta)-small-influence test.
@@ -347,13 +423,8 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     delta * sum over the split leaves of 2^-depth * Inf_var, which is
     checked at run time.
     """
-    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]]:
-        if depth + 1 > min(p.budget, float(f.n)):
-            raise RuntimeError(f"internal error: split would push depth past min(budget={p.budget}, "
-                               f"n={f.n}); the energy argument forbids this")
-        return [lambda leaf_id: stats[leaf_id].var]  # the held leaves are the bad ones
-
-    return _decompose(f, p, plan, keep_all=False)
+    f.require_unit_mean_square()
+    return _decompose(f, wht(f), p, _split_bad_leaves(f.n, p), keep_all=False)
 
 
 def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int) -> DecompositionResult:
@@ -370,6 +441,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     """
     if not 0 <= var_cap <= f.n:
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
+    f.require_unit_mean_square()
     query_vars: list[int] = []
 
     def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]] | None:
@@ -381,7 +453,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         query_vars.extend(new_vars)
         return [lambda leaf_id, var=var: var for var in new_vars]
 
-    return replace(_decompose(f, p, plan, keep_all=True), homogeneous_vars=query_vars)
+    return replace(_decompose(f, wht(f), p, plan, keep_all=True), homogeneous_vars=query_vars)
 
 
 def tower(k: int) -> int | float:

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from scipy.special import ndtri, owens_t
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, mask_vars, wht
-from .dtree import _compact_spectrum, leaves
+from .dtree import leaves
 from .errors import PreconditionError
-from .noise import _stability, stability
+from .noise import stability
 from .quasirandom import is_quasirandom
-from .regularity import _PHI_GUARD, RegularityParams, decompose
+from .regularity import _PHI_GUARD, RegularityParams, _decompose, _split_bad_leaves
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -122,13 +122,14 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
 
     Verifies the quasirandomness hypothesis at (q_eps, q_delta) first; on
     failure the report flags it and skips the decomposition.  Otherwise the
-    function is decomposed, each leaf's stability is bounded through the
-    quadrant probability of the global mean (bad leaves by 1, good leaves
-    with a 2-Lipschitz mean-drift correction plus their own measured
-    slack), and the certified upper bound is returned next to the true
-    stability.  Every additive term is reported separately.  A bound below
-    the stability raises RuntimeError: Lambda_rho is 2-Lipschitz in mu and
-    the leaf-mass-weighted Stab_rho of the leaves is at least Stab_rho f, so
+    function is decomposed from the same spectrum, each leaf's stability is
+    bounded through the quadrant probability of the global mean (bad leaves
+    by 1, good leaves with a 2-Lipschitz mean-drift correction plus their
+    own measured slack, their Stab_rho read from their degree profiles),
+    and the certified upper bound is returned next to the true stability.
+    Every additive term is reported separately.  A bound below the
+    stability raises RuntimeError: Lambda_rho is 2-Lipschitz in mu and the
+    leaf-mass-weighted Stab_rho of the leaves is at least Stab_rho f, so
     only a fault can cause it.
     """
     if f.range_tag != ZERO_ONE:
@@ -148,7 +149,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         return MistReport(rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam,
                           params_used=params_used, quasirandom_ok=False, witness=witness)
 
-    result = decompose(f, p)
+    # decompose(f, p) from the spectrum at hand; a [0,1]-valued f has E[f^2] <= 1
+    result = _decompose(f, ghat, p, _split_bad_leaves(f.n, p), keep_all=False)
     bad_term = 0.0
     good_lambda_term = 0.0
     lipschitz_term = 0.0
@@ -163,7 +165,7 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         if stats.bad(p.eps):
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
-        leaf_stab = _stability(_compact_spectrum(leaf), rho)
+        leaf_stab = sum(w * rho ** k for k, w in enumerate(stats.profile))
         leaf_lam = quadrant_prob(rho, stats.mean)
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift

@@ -12,6 +12,7 @@ primitives, so that the spectral drivers can be compared with it exactly.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import dblquad
@@ -106,6 +107,24 @@ def random_real_unit(rng: np.random.Generator, n: int, target_ms: float | None =
     if target_ms is None:
         target_ms = rng.uniform(0.2, 0.99)
     return values * math.sqrt(target_ms / ms)
+
+
+def exact_profile(table: np.ndarray) -> list[Fraction]:
+    """The degree profile W^k = sum over |S| = k of ghat(S)^2, k = 0 .. m, of
+    an integer-valued table over m variables, in exact rationals: the
+    unnormalised transform by the butterfly on Python integers."""
+    c = [int(v) for v in table]
+    assert c == list(table)
+    h = 1
+    while h < len(c):
+        for start in range(0, len(c), 2 * h):
+            for i in range(start, start + h):
+                c[i], c[i + h] = c[i] + c[i + h], c[i] - c[i + h]
+        h *= 2
+    out = [0] * len(c).bit_length()
+    for mask, x in enumerate(c):
+        out[popcount(mask)] += x * x
+    return [Fraction(w, len(c) ** 2) for w in out]
 
 
 # --- the earlier leaf kernel and drivers ---------------------------------------

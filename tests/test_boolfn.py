@@ -301,5 +301,15 @@ def test_table_read_messages(n, lines, message):
 
 
 def test_table_read_ignores_what_follows_the_table():
-    f = read_table(table_text(1, [" 0.25 ", "1", "trailing text"]))
+    f = read_table(table_text(1, [" 0.25 ", "1", "", "  "]))
     np.testing.assert_array_equal(f.values, [0.25, 1.0])
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["1", "-1", "1", "1", "1"], "line 4 follows the last of the 2 values: '1'"),
+    (["1", "-1", "", " trailing text "], "line 5 follows the last of the 2 values: 'trailing text'"),
+])
+def test_table_read_rejects_what_follows_the_table(lines, message):
+    with pytest.raises(ValueError) as info:
+        read_table(table_text(1, lines))
+    assert str(info.value) == message

@@ -162,6 +162,34 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+def test_table_with_extra_values_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("n=1\n1\n-1\n1\n1\n1\n", encoding="ascii")
+    code, out, err = run_cli(["analyze", "--fn", f"file:{path}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad function spec 'file:{path}': line 4 follows the last of the 2 values: '1'\n"
+
+
+PIPELINE = ["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.2", "--delta", "0.3", "--gamma", "0.25"]
+
+
+@pytest.mark.parametrize("args, message", [
+    # eps * delta * gamma underflows to 0
+    (["decompose", "--fn", "maj:3", "--eps", "1e-300", "--delta", "0.3", "--gamma", "1e-300"],
+     "iteration budget 1/(eps*delta*gamma) must be finite"),
+    (["decompose", "--fn", "maj:3", "--eps", "nan", "--delta", "0.3", "--gamma", "0.05"],
+     "eps must be positive, got nan"),
+    (PIPELINE + ["--q-eps", "nan", "--q-delta", "0.5"], "eps must be nonnegative, got nan"),
+    (PIPELINE + ["--q-eps", "0.6", "--q-delta", "nan"], "delta must be positive, got nan"),
+    # a report holding an infinity is not strict JSON
+    (["decompose", "--fn", "maj:3", "--eps", "inf", "--delta", "0.3", "--gamma", "0.05"],
+     "Out of range float values are not JSON compliant"),
+    (PIPELINE + ["--q-eps", "inf", "--q-delta", "0.5"], "Out of range float values are not JSON compliant"),
+], ids=["underflowing_budget", "nan_eps", "nan_q_eps", "nan_q_delta", "inf_eps", "inf_q_eps"])
+def test_nonfinite_and_underflowing_flags_exit_3(args, message, capsys):
+    assert run_cli(args, capsys) == (3, "", f"error: {message}\n")
+
+
 def test_dot_output(capsys, tmp_path):
     path = tmp_path / "tree.dot"
     run_json(["decompose", "--fn", "dictator:1", "--eps", "0.5", "--delta", "0.5",

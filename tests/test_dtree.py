@@ -295,6 +295,14 @@ def test_leaves_without_free_variables():
     assert dot.count("mean=1\\nmax_inf") + dot.count("mean=-1\\nmax_inf") == 32
 
 
+def test_bad_leaf_mass_rejects_nan():
+    t = singleton(majority(3))
+    with pytest.raises(ValueError, match="eps must be positive, got nan"):
+        bad_leaf_mass(t, float("nan"), 0.3)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        bad_leaf_mass(t, 0.1, float("nan"))
+
+
 def test_bad_leaf_mass_and_dot_validate_parameters():
     t = singleton(majority(3))
     with pytest.raises(ValueError):

@@ -178,3 +178,10 @@ def test_has_small_tie_breaks_low_index():
 def test_has_small_validation():
     with pytest.raises(ValueError):
         has_small_noisy_influences(dictator(2, 0), 0.0, 0.5)
+
+
+def test_has_small_rejects_nan():
+    with pytest.raises(ValueError, match="eps must be positive, got nan"):
+        has_small_noisy_influences(dictator(2, 0), float("nan"), 0.5)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        has_small_noisy_influences(dictator(2, 0), 0.1, float("nan"))

@@ -112,6 +112,33 @@ def test_influence_bound_validation():
         influence_quasirandom_bound(parity(3), [0, 1, 2], 0.5)  # |S|=3 > cap 2
 
 
+def test_quasirandom_thresholds_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        degree_cap(nan)
+    g = wht(parity(3, [0, 1]))
+    with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+        is_quasirandom(g, nan, 0.5)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        is_quasirandom(g, 0.1, nan)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        influence_quasirandom_bound(parity(3), [0], nan)
+
+
+def test_influence_bound_transforms_once(monkeypatch):
+    import boolreg.boolfn
+
+    calls = []
+    butterfly = boolreg.boolfn._butterfly
+    monkeypatch.setattr(boolreg.boolfn, "_butterfly",
+                        lambda values: calls.append(values.size) or butterfly(values))
+    f = random_pm_one(10, 3)
+    bound = influence_quasirandom_bound(f, [2, 7], 0.3)
+    assert calls == [1 << 10]
+    coeff = wht(f).coeffs[(1 << 2) | (1 << 7)]
+    assert bound == pytest.approx(0.7 * coeff * coeff, rel=1e-15, abs=0.0)
+
+
 def test_max_mean_shift_constant():
     restriction, shift = max_mean_shift(constant(3, 1.0), 2)
     assert restriction == {}

@@ -249,6 +249,18 @@ def test_report_shape():
     assert sum(row["mass"] for row in rep["leaves"]) == pytest.approx(1.0)
 
 
+def test_params_reject_nan_and_an_underflowing_budget():
+    # eps * delta * gamma underflows to 0: the budget is infinite, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="must be finite"):
+        RegularityParams(1e-200, 0.5, 1e-200)
+    nan = float("nan")
+    for args, message in [((nan, 0.3, 0.05), "eps must be positive"),
+                          ((0.05, nan, 0.05), "delta must lie in"),
+                          ((0.05, 0.3, nan), "gamma must lie in")]:
+        with pytest.raises(ValueError, match=message):
+            RegularityParams(*args)
+
+
 def test_report_reads_leaf_stats_bit_for_bit():
     # the carried kernel results equal a fresh analysis of every leaf table
     p = RegularityParams(0.05, 0.3, 0.05)

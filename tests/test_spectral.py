@@ -3,6 +3,9 @@ the compact layout and its exact tie-break, and the drivers against the
 earlier per-pass design (the same trees and decisions exactly, floats within
 1e-12); and the compact leaf tables against chains of ``restrict``."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +37,9 @@ from boolreg import (
 )
 from boolreg import regularity
 from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
-from boolreg.regularity import _ambient, _analyzer, _fold_sums, _split_rows
+from boolreg.regularity import _ambient, _analyzer, _degree_weights, _fold_sums, _split_rows
 from oracles import (
+    exact_profile,
     mask_gather_influences,
     power_stability,
     reference_decompose,
@@ -150,6 +154,73 @@ def test_power_table_matches_full_power(n):
     wide = sizes.astype(np.int64)
     for rho in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0 - 0.3, 0.95, 1.0):
         assert same_bits(_powers(rho, n)[sizes], np.float64(rho) ** wide)
+
+
+@pytest.mark.parametrize("n", [3, 11, 16, 22])
+def test_upper_influence_weights_are_the_stability_powers(n):
+    # analyze.influences weights ghat(S)^2, S containing j, over m free
+    # variables by the upper half of the first 2^m influence weights:
+    # (1-delta)^(|S|-1), with the bits of the Stab_{1-delta} power of S - {j}
+    # that the energy identity is stated with
+    sizes = subset_sizes(n)
+    for delta in (0.0, 0.1, 1.0 / 3.0, 0.3, 0.5, 1.0):
+        weights = _influence_powers(delta, n)[sizes]
+        for m in sorted({1, n // 2, n}):
+            want = _powers(1.0 - delta, n)[subset_sizes(m - 1)]
+            assert same_bits(weights[1 << (m - 1):1 << m], want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 8, 9, 12, 16, 17, 20])
+def test_degree_weights_sum_each_mask_size(m):
+    rng = np.random.default_rng(m)
+    sizes = subset_sizes(m)
+    # integer squares: every partial sum is exact, so any order gives the same bits
+    rows = rng.integers(-1 << 10, 1 << 10, (1 if m > 16 else 3, 1 << m)).astype(np.float64)
+    squares = rows * rows
+    want = np.array([np.bincount(sizes, row, minlength=m + 1) for row in squares])
+    assert same_bits(_degree_weights(squares), want)
+    squares = rng.uniform(0.0, 1.0, squares.shape) / squares.shape[1]
+    want = np.array([np.bincount(sizes, row, minlength=m + 1) for row in squares])
+    np.testing.assert_allclose(_degree_weights(squares), want, rtol=0.0, atol=FLOAT_TOL)
+
+
+boolean_tables = st.integers(1, 8).flatmap(lambda n: st.sampled_from([PM_ONE, ZERO_ONE]).flatmap(
+    lambda kind: arrays(np.float64, 1 << n, elements=st.sampled_from(EXACT_KINDS[kind])).map(
+        lambda values: BooleanFunction(n, values, kind))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(boolean_tables, params, st.booleans())
+def test_leaf_profiles_are_exact_on_boolean_tables(f, p, homogeneous):
+    # every partial sum of ghat^2 is an integer over 4^n below 2^53 of them
+    result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
+    for leaf, depth in leaves(result.tree):
+        stats = result.leaf_stats[leaf.id]
+        want = exact_profile(leaf.table)
+        assert len(stats.profile) == f.n - depth + 1
+        assert [w.hex() for w in stats.profile] == [float(w).hex() for w in want]
+        assert sum(stats.profile) == Fraction(int(sum(leaf.table * leaf.table)), leaf.table.size)
+        assert close(stats.stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
+
+
+def test_analyzer_holds_three_buffers_of_2_to_the_n():
+    # the product buffer and the influence weights (2^n doubles each) and
+    # the half buffer (2^(n-1)), plus the degree sums' temporaries (about
+    # 2 * 7/64 of 2^n doubles here) and ufunc buffers; a weight table per
+    # rho would be a fourth 2^n
+    n = 18
+    subset_sizes(n)
+    root = wht(random_pm_one(n, 5)).coeffs.reshape(1, -1)
+    free = tuple(range(n))
+    tracemalloc.start()
+    try:
+        analyze = _analyzer(n, 0.3, 1e-6)  # a bad root: its tie-break runs too
+        assert analyze(free, root)[0].bad(1e-6)
+        analyze.influences(free, root, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * (1 << n)
 
 
 @settings(max_examples=150, deadline=None)

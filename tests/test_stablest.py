@@ -20,6 +20,7 @@ from boolreg import (
     quadrant_prob,
     stability,
     to_zero_one,
+    tribes,
     wht,
 )
 from boolreg import stablest
@@ -262,6 +263,35 @@ def test_pipeline_certified_bound_below_stability_is_an_internal_error(monkeypat
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: certified bound ")
     assert captured.err.count("\n") == 1
+
+
+def test_pipeline_transforms_f_once(monkeypatch):
+    # the decomposition starts from the pipeline's spectrum, and each good
+    # leaf's Stab_rho comes from its degree profile
+    import boolreg.boolfn
+    import boolreg.dtree
+
+    calls = []
+    butterfly = boolreg.boolfn._butterfly
+
+    def counting(values):
+        calls.append(values.size)
+        return butterfly(values)
+
+    monkeypatch.setattr(boolreg.boolfn, "_butterfly", counting)
+    monkeypatch.setattr(boolreg.dtree, "_butterfly", counting)
+    g = to_zero_one(tribes(3, 4))
+    report = check_quasi_mist(g, 0.5, RegularityParams(0.02, 0.3, 0.05), 0.6, 0.5)
+    assert report.quasirandom_ok and report.bad_mass > 0.0
+    assert calls == [1 << 12]
+
+
+def test_pipeline_rejects_nan_thresholds():
+    g = to_zero_one(majority(5))
+    with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+        check_quasi_mist(g, 0.6, default_params(), float("nan"), 0.5)
+    with pytest.raises(ValueError, match="delta must be positive, got nan"):
+        check_quasi_mist(g, 0.6, default_params(), 0.6, float("nan"))
 
 
 # --- asymptotic schedule ----------------------------------------------------------
