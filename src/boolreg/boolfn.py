@@ -54,7 +54,18 @@ def subset_sizes(n: int) -> np.ndarray:
 
 
 def _freeze(values: Iterable[float]) -> np.ndarray:
+    """A read-only float64 copy of the values; a read-only float64 array
+    that owns its data is adopted as it is."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=np.float64, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _handover(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only, for a constructor to adopt."""
     arr.setflags(write=False)
     return arr
 
@@ -123,32 +134,74 @@ class FourierExpansion:
         object.__setattr__(self, "coeffs", arr)
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, O(n 2^n) in-place scheme.
+_BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)
+_STRIP_BITS = 12  # the high stages run on strips of 2^12 columns (32 KiB rows)
 
-    Returns out[S] = sum_b values[b] * (-1)^popcount(b & S).
+
+def _stages(x: np.ndarray, buf: np.ndarray) -> None:
+    """Every radix-2 stage along axis 0 of x, in place, with buf (x's shape)
+    as the other half of a ping-pong pair.
+
+    A stage writes row 2k plus row 2k+1 to row k and row 2k minus row 2k+1
+    to row k + rows/2.  That combines the rows differing in the lowest bit
+    of the current row index and rotates the index right by one bit, so
+    stage t combines the rows differing in bit t of the original index, and
+    after all log2(rows) stages every row is back in its place.
     """
-    a = values.astype(np.float64, copy=True)
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bottom = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bottom
-        a = a.reshape(-1)
-        h *= 2
+    half = x.shape[0] >> 1
+    src, dst = x, buf
+    for _ in range(x.shape[0].bit_length() - 1):
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src, dst = dst, src
+    if src is not x:
+        np.copyto(x, src)
+
+
+def _butterfly(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, O(n 2^n), into one fresh
+    float64 array: out[S] = sum_b values[b] * (-1)^popcount(b & S).
+
+    The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS), the
+    low b stages (index bits 0 .. b-1) run on each contiguous block of 2^b
+    entries in turn; the high n - b stages run on the (2^(n-b), 2^b) view
+    of the table, one strip of columns at a time.  The only other memory is
+    one scratch array of max(2^b, 2^(n-b) * strip width) entries.
+
+    Radix-2 keeps every bit.  Each stage maps a pair (u, v) of entries that
+    differ in one index bit to (u + v, u - v), and the stages run in bit
+    order 0 .. n-1 for every entry, so each output is the result of the
+    same sequence of float64 adds and subtracts as the textbook in-place
+    butterfly (h = 1, 2, 4, ...), whatever the blocking: the output is
+    bit-identical to it on every input, real tables included.
+    """
+    a = np.array(values, dtype=np.float64)
+    n = a.size.bit_length() - 1
+    b = min(n, _BLOCK_BITS)
+    rows = 1 << (n - b)
+    width = 1 << min(b, _STRIP_BITS)
+    scratch = np.empty(max(1 << b, rows * width))
+    grid = a.reshape(rows, 1 << b)
+    low = scratch[:1 << b].reshape(-1, 1)
+    for block in grid:
+        _stages(block.reshape(-1, 1), low)
+    if rows > 1:
+        high = scratch[:rows * width].reshape(rows, width)
+        for c in range(0, 1 << b, width):
+            _stages(grid[:, c:c + width], high)
     return a
 
 
 def wht(f: BooleanFunction) -> FourierExpansion:
     """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S]."""
-    return FourierExpansion(f.n, _butterfly(f.values) / f.size)
+    a = _butterfly(f.values)
+    np.divide(a, f.size, out=a)
+    return FourierExpansion(f.n, _handover(a))
 
 
 def inverse_wht(g: FourierExpansion) -> BooleanFunction:
     """Evaluate the expansion back to a value table; range tag becomes real."""
-    return BooleanFunction(g.n, _butterfly(g.coeffs), REAL)
+    return BooleanFunction(g.n, _handover(_butterfly(g.coeffs)), REAL)
 
 
 def restrict(f: BooleanFunction, i: int, v: int) -> BooleanFunction:
@@ -160,10 +213,10 @@ def restrict(f: BooleanFunction, i: int, v: int) -> BooleanFunction:
     _check_index(f, i)
     if v not in (-1, 1):
         raise ValueError(f"restriction value must be +1 or -1, got {v!r}")
-    idx = np.arange(f.size)
-    bit = 1 << i
-    src = (idx & ~bit) if v == 1 else (idx | bit)
-    return BooleanFunction(f.n, f.values[src], f.range_tag)
+    pairs = f.values.reshape(-1, 2, 1 << i)
+    out = np.empty(f.size)
+    out.reshape(pairs.shape)[...] = pairs[:, :1] if v == 1 else pairs[:, 1:]
+    return BooleanFunction(f.n, _handover(out), f.range_tag)
 
 
 def derivative(f: BooleanFunction, i: int) -> BooleanFunction:
@@ -173,11 +226,13 @@ def derivative(f: BooleanFunction, i: int) -> BooleanFunction:
     the same ambient cube; the output does not depend on bit i.
     """
     _check_index(f, i)
-    idx = np.arange(f.size)
-    bit = 1 << i
-    plus = f.values[idx & ~bit]
-    minus = f.values[idx | bit]
-    return BooleanFunction(f.n, (plus - minus) / 2.0, REAL)
+    pairs = f.values.reshape(-1, 2, 1 << i)
+    out = np.empty(f.size)
+    # each difference is formed on both halves: copying one half of out to
+    # the other would make numpy buffer the overlapping source
+    np.subtract(pairs[:, :1], pairs[:, 1:], out=out.reshape(pairs.shape))
+    np.divide(out, 2.0, out=out)
+    return BooleanFunction(f.n, _handover(out), REAL)
 
 
 def mean(f: BooleanFunction) -> float:
@@ -256,7 +311,7 @@ def read_table(fp: IO[str]) -> BooleanFunction:
             raise ValueError(f"line {k} follows the last of the {done} values: {line.strip()!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("truth table contains non-finite entries")
-    return BooleanFunction(n, arr, infer_range_tag(arr))
+    return BooleanFunction(n, _handover(arr), infer_range_tag(arr))
 
 
 def save_table(f: BooleanFunction, path: str) -> None:

@@ -193,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        # a value past the float64 range ends the run with one error line
+        # rather than a warning on stderr and a report holding an infinity
+        with np.errstate(over="raise", invalid="raise"):
+            return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -205,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except FloatingPointError as exc:
+        print(f"error: out of float64 range: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so that the flush at

@@ -201,7 +201,9 @@ def split_all_leaves(t: DecisionTree, j: int) -> DecisionTree:
 def _compact_spectrum(leaf: Leaf) -> np.ndarray:
     """The leaf's spectrum over its free variables, transformed from its
     compact table (one value when no variable is free)."""
-    return _butterfly(leaf.table) / leaf.table.size
+    a = _butterfly(leaf.table)
+    np.divide(a, leaf.table.size, out=a)
+    return a
 
 
 def _max_influence(leaf: Leaf, delta: float) -> float:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import PM_ONE, BooleanFunction, check_arity, infer_range_tag, mask_of, subset_sizes
+from .boolfn import (PM_ONE, BooleanFunction, _handover, check_arity, infer_range_tag, mask_of,
+                     subset_sizes)
 
 
 def majority(n: int) -> BooleanFunction:
@@ -21,8 +22,17 @@ def parity(n: int, subset: list[int] | None = None) -> BooleanFunction:
     """Product of the coordinates in ``subset`` (all coordinates by default)."""
     check_arity(n)
     mask = mask_of(range(n) if subset is None else subset, n)
-    pop = subset_sizes(n)[np.arange(1 << n) & mask] if mask else np.zeros(1 << n, dtype=np.int64)
-    return BooleanFunction(n, 1.0 - 2.0 * (pop % 2), PM_ONE)
+    # the table over bits 0 .. i, from the one over bits 0 .. i-1: the upper
+    # half is the lower one, negated when variable i is in the subset
+    values = np.empty(1 << n)
+    values[0] = 1.0
+    for i in range(n):
+        lower, upper = values[:1 << i], values[1 << i: 2 << i]
+        if mask >> i & 1:
+            np.negative(lower, out=upper)
+        else:
+            upper[...] = lower
+    return BooleanFunction(n, _handover(values), PM_ONE)
 
 
 def dictator(n: int, i: int) -> BooleanFunction:
@@ -41,12 +51,17 @@ def tribes(w: int, s: int) -> BooleanFunction:
         raise ValueError(f"tribes needs positive width and block count, got w={w}, s={s}")
     n = w * s
     check_arity(n)
-    idx = np.arange(1 << n)
-    block = (1 << w) - 1
-    fired = np.zeros(1 << n, dtype=bool)
+    # the table over blocks 0 .. j, from the one over blocks 0 .. j-1 (one
+    # entry, 1, for j = 0): block j's bits select a tile, each a copy of the
+    # table before it, except the last, where block j fires
+    values = np.empty(1 << n)
+    values[0] = 1.0
+    tiles = 1 << w
     for j in range(s):
-        fired |= ((idx >> (j * w)) & block) == block
-    return BooleanFunction(n, np.where(fired, -1.0, 1.0), PM_ONE)
+        size = 1 << (j * w)
+        values[:(tiles - 1) * size].reshape(tiles - 1, size)[1:] = values[:size]
+        values[(tiles - 1) * size: tiles * size] = -1.0
+    return BooleanFunction(n, _handover(values), PM_ONE)
 
 
 def random_pm_one(n: int, seed: int) -> BooleanFunction:

@@ -92,6 +92,8 @@ class RegularityParams:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if not 0.0 < self.gamma <= 1.0:

@@ -136,6 +136,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         raise PreconditionError(f"check_quasi_mist needs a zero_one-tagged function, got {f.range_tag}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    if math.isinf(q_eps):  # NaN is refused by is_quasirandom
+        raise ValueError(f"q_eps must be finite, got {q_eps}")
     ghat = wht(f)
     mu = float(ghat.coeffs[0])
     stab = stability(ghat, rho)

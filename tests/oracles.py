@@ -39,6 +39,47 @@ def brute_wht(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def radix2_butterfly(values: np.ndarray) -> np.ndarray:
+    """The unnormalised transform by the textbook radix-2 loop, one stage
+    at a time over the whole table (h = 1, 2, 4, ...) with two fresh
+    half-size arrays per stage: the reference for the blocked butterfly's
+    bits."""
+    a = values.astype(np.float64, copy=True)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :] + a[:, 1, :]
+        bottom = a[:, 0, :] - a[:, 1, :]
+        a[:, 0, :] = top
+        a[:, 1, :] = bottom
+        a = a.reshape(-1)
+        h *= 2
+    return a
+
+
+def gather_restrict(values: np.ndarray, i: int, v: int) -> np.ndarray:
+    """The table with x_i fixed to v, gathered through an index array."""
+    idx = np.arange(values.size)
+    bit = 1 << i
+    return values[(idx & ~bit) if v == 1 else (idx | bit)]
+
+
+def gather_parity(n: int, mask: int) -> np.ndarray:
+    """The parity table of a mask, from the popcounts of index & mask."""
+    pop = np.bitwise_count(np.arange(1 << n) & mask)
+    return 1.0 - 2.0 * (pop % 2)
+
+
+def gather_tribes(w: int, s: int) -> np.ndarray:
+    """The tribes table, one index comparison per block."""
+    idx = np.arange(1 << (w * s))
+    block = (1 << w) - 1
+    fired = np.zeros(idx.size, dtype=bool)
+    for j in range(s):
+        fired |= ((idx >> (j * w)) & block) == block
+    return np.where(fired, -1.0, 1.0)
+
+
 def brute_stability(values: np.ndarray, rho: float) -> float:
     """E[f(x) f(y)] through the explicit per-bit transition kernel."""
     n = values.size.bit_length() - 1

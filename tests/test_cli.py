@@ -181,13 +181,28 @@ PIPELINE = ["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.2", "--delta", 
      "eps must be positive, got nan"),
     (PIPELINE + ["--q-eps", "nan", "--q-delta", "0.5"], "eps must be nonnegative, got nan"),
     (PIPELINE + ["--q-eps", "0.6", "--q-delta", "nan"], "delta must be positive, got nan"),
-    # a report holding an infinity is not strict JSON
+    # an infinite threshold is refused before any report could hold it
     (["decompose", "--fn", "maj:3", "--eps", "inf", "--delta", "0.3", "--gamma", "0.05"],
-     "Out of range float values are not JSON compliant"),
-    (PIPELINE + ["--q-eps", "inf", "--q-delta", "0.5"], "Out of range float values are not JSON compliant"),
+     "eps must be finite, got inf"),
+    (PIPELINE + ["--q-eps", "inf", "--q-delta", "0.5"], "q_eps must be finite, got inf"),
 ], ids=["underflowing_budget", "nan_eps", "nan_q_eps", "nan_q_delta", "inf_eps", "inf_q_eps"])
 def test_nonfinite_and_underflowing_flags_exit_3(args, message, capsys):
     assert run_cli(args, capsys) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("values, message", [
+    (["1e308", "1e308"], "overflow encountered in add"),  # in the transform
+    (["1", "1e308"], "overflow encountered in multiply"),  # in E[f^2]
+])
+def test_overflowing_table_exits_3_with_one_error_line(values, message, tmp_path):
+    # a separate process, so that stderr is what a user sees: no numpy
+    # warning lines before the error
+    path = tmp_path / "table.txt"
+    path.write_text("n=1\n" + "".join(v + "\n" for v in values), encoding="ascii")
+    result = subprocess.run([sys.executable, "-m", "boolreg", "analyze", "--fn", f"file:{path}"],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == f"error: out of float64 range: {message}\n"
 
 
 def test_dot_output(capsys, tmp_path):

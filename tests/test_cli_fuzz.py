@@ -119,6 +119,10 @@ def check_run(argv):
 # a NaN threshold
 @example(["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.3", "--delta", "0.3", "--gamma", "0.5",
           "--q-eps", "nan", "--q-delta", "0.5"])
+# infinite thresholds
+@example(["decompose", "--fn", "maj:3", "--eps", "inf", "--delta", "0.3", "--gamma", "0.05"])
+@example(["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.3", "--delta", "0.3", "--gamma", "0.5",
+          "--q-eps", "inf", "--q-delta", "0.5"])
 def test_cli_runs_end_in_a_documented_exit_code(argv):
     check_run(argv)
 
@@ -126,6 +130,8 @@ def test_cli_runs_end_in_a_documented_exit_code(argv):
 @settings(max_examples=200, deadline=None)
 @given(tables(), st.sampled_from([[], ["--pretty"]]))
 @example("n=1\n1\n-1\n1\n1\n1\n", [])  # more values than the header says
+@example("n=1\n1e308\n1e308\n", [])  # the transform overflows
+@example("n=1\n1\n1e308\n", [])  # E[f^2] overflows
 def test_cli_reads_exactly_the_well_formed_tables(text, rest):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.txt")

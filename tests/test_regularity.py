@@ -261,6 +261,14 @@ def test_params_reject_nan_and_an_underflowing_budget():
             RegularityParams(*args)
 
 
+def test_params_reject_an_infinite_eps():
+    # its reports would hold an infinity, which is not JSON
+    with pytest.raises(ValueError, match="eps must be finite, got inf"):
+        RegularityParams(math.inf, 0.3, 0.05)
+    with pytest.raises(ValueError, match="eps must be positive, got -inf"):
+        RegularityParams(-math.inf, 0.3, 0.05)
+
+
 def test_report_reads_leaf_stats_bit_for_bit():
     # the carried kernel results equal a fresh analysis of every leaf table
     p = RegularityParams(0.05, 0.3, 0.05)

@@ -294,6 +294,13 @@ def test_pipeline_rejects_nan_thresholds():
         check_quasi_mist(g, 0.6, default_params(), 0.6, float("nan"))
 
 
+def test_pipeline_rejects_an_infinite_q_eps():
+    g = to_zero_one(majority(5))
+    for q_eps in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"q_eps must be finite, got {q_eps}"):
+            check_quasi_mist(g, 0.6, default_params(), q_eps, 0.5)
+
+
 # --- asymptotic schedule ----------------------------------------------------------
 
 def test_schedule_at_e_to_minus_e():
