@@ -7,11 +7,14 @@ splits of other leaves.
 
 A leaf holds its subfunction's table over its free variables only, 2^(n-d)
 values, so all leaf tables of a tree together hold exactly 2^n values.  A
-child's table is an exact strided slice of its parent's.
+child's table is an exact strided slice of its parent's.  No walk forms a
+reference cycle, so a dropped tree or leaf list frees its tables at once.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -94,15 +97,14 @@ def singleton(f: BooleanFunction) -> DecisionTree:
 def leaves(t: DecisionTree) -> list[tuple[Leaf, int]]:
     """All (leaf, depth) pairs in left-to-right order (plus branch first)."""
     out: list[tuple[Leaf, int]] = []
-
-    def walk(node: Node, depth: int) -> None:
+    stack: list[tuple[Node, int]] = [(t.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         if isinstance(node, Leaf):
             out.append((node, depth))
-        else:
-            walk(node.child_plus, depth + 1)
-            walk(node.child_minus, depth + 1)
-
-    walk(t.root, 0)
+        else:  # the plus branch is popped, so walked, first
+            stack.append((node.child_minus, depth + 1))
+            stack.append((node.child_plus, depth + 1))
     return out
 
 
@@ -154,6 +156,18 @@ def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     return Internal(j, *children)
 
 
+def _split_walk(node: Node, splits: dict[int, int], ids: Iterator[int]) -> Node:
+    """``node`` with each leaf ``splits`` names split, its children's ids
+    drawn from ``ids`` in ``leaves`` order; untouched branches are shared."""
+    if isinstance(node, Leaf):
+        return _split_node(node, splits[node.id], next(ids)) if node.id in splits else node
+    plus = _split_walk(node.child_plus, splits, ids)
+    minus = _split_walk(node.child_minus, splits, ids)
+    if plus is node.child_plus and minus is node.child_minus:
+        return node
+    return Internal(node.var, plus, minus)
+
+
 def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     """Replace each leaf ``splits`` names by a query to its variable, in one
     walk; other leaves are untouched.
@@ -165,23 +179,9 @@ def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     for j in splits.values():
         if not 0 <= j < t.n:
             raise IndexError(f"variable index {j} out of range for n={t.n}")
-    next_id = t.next_leaf_id
-
-    def walk(node: Node) -> Node:
-        nonlocal next_id
-        if isinstance(node, Leaf):
-            if node.id not in splits:
-                return node
-            split = _split_node(node, splits[node.id], next_id)
-            next_id += 2
-            return split
-        plus = walk(node.child_plus)
-        minus = walk(node.child_minus)
-        if plus is node.child_plus and minus is node.child_minus:
-            return node
-        return Internal(node.var, plus, minus)
-
-    root = walk(t.root)
+    ids = itertools.count(t.next_leaf_id, 2)
+    root = _split_walk(t.root, splits, ids)
+    next_id = next(ids)
     if next_id - t.next_leaf_id < 2 * len(splits):
         present = {leaf.id for leaf, _ in leaves(t)}
         raise KeyError(f"no leaf with id {min(set(splits) - present)}")
@@ -229,31 +229,27 @@ def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
                      if _max_influence(leaf, delta) > eps + INFLUENCE_SLACK))
 
 
+def _dot(node: Node, depth: int, delta: float, lines: list[str], names: Iterator[int]) -> str:
+    """Append the DOT lines of the subtree at ``node`` to ``lines`` and
+    return its root's name; node names are drawn from ``names`` in preorder."""
+    name = f"n{next(names)}"
+    if isinstance(node, Leaf):
+        lines.append(f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
+                     f'\\nmean={float(np.mean(node.table)):.6g}'
+                     f'\\nmax_inf={_max_influence(node, delta):.6g}"];')
+        return name
+    lines.append(f'  {name} [label="x{node.var + 1}"];')
+    plus = _dot(node.child_plus, depth + 1, delta, lines, names)
+    minus = _dot(node.child_minus, depth + 1, delta, lines, names)
+    lines.append(f'  {name} -> {plus} [label="+1"];')
+    lines.append(f'  {name} -> {minus} [label="-1"];')
+    return name
+
+
 def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
     lines = ["digraph dtree {"]
-    counter = 0
-
-    def walk(node: Node, depth: int) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
-        if isinstance(node, Leaf):
-            fn_mean = float(np.mean(node.table))
-            max_inf = _max_influence(node, delta)
-            lines.append(
-                f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
-                f'\\nmean={fn_mean:.6g}\\nmax_inf={max_inf:.6g}"];'
-            )
-            return name
-        lines.append(f'  {name} [label="x{node.var + 1}"];')
-        plus = walk(node.child_plus, depth + 1)
-        minus = walk(node.child_minus, depth + 1)
-        lines.append(f'  {name} -> {plus} [label="+1"];')
-        lines.append(f'  {name} -> {minus} [label="-1"];')
-        return name
-
-    walk(t.root, 0)
+    _dot(t.root, 0, delta, lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,8 @@ import numpy as np
 from .boolfn import (PM_ONE, BooleanFunction, _handover, check_arity, infer_range_tag, mask_of,
                      subset_sizes)
 
+_CHUNK = 1 << 16  # random_pm_one draws its table 2^16 values at a time
+
 
 def majority(n: int) -> BooleanFunction:
     """Sign of the coordinate sum; n must be odd so there are no ties."""
@@ -15,7 +17,9 @@ def majority(n: int) -> BooleanFunction:
     check_arity(n)
     # the coordinate sum is n - 2*popcount under the bit=1 <=> x=-1 encoding;
     # compared without subtracting, since the popcounts are unsigned
-    return BooleanFunction(n, np.where(2 * subset_sizes(n) < n, 1.0, -1.0), PM_ONE)
+    values = np.full(1 << n, -1.0)
+    np.copyto(values, 1.0, where=2 * subset_sizes(n) < n)
+    return BooleanFunction(n, _handover(values), PM_ONE)
 
 
 def parity(n: int, subset: list[int] | None = None) -> BooleanFunction:
@@ -68,10 +72,18 @@ def random_pm_one(n: int, seed: int) -> BooleanFunction:
     """Uniformly random {-1,+1} table, deterministic in the seed."""
     check_arity(n)
     rng = np.random.default_rng(seed)
-    return BooleanFunction(n, rng.integers(0, 2, size=1 << n) * 2.0 - 1.0, PM_ONE)
+    # drawn in chunks, so that the int64 draws never reach the table's size;
+    # the draws continue one stream, so the table is the one a single draw
+    # of 2^n values gives
+    values = np.empty(1 << n)
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        np.multiply(rng.integers(0, 2, size=chunk.size), 2.0, out=chunk)
+        chunk -= 1.0
+    return BooleanFunction(n, _handover(values), PM_ONE)
 
 
 def constant(n: int, c: float) -> BooleanFunction:
     check_arity(n)
     values = np.full(1 << n, float(c))
-    return BooleanFunction(n, values, infer_range_tag(values))
+    return BooleanFunction(n, _handover(values), infer_range_tag(values))

@@ -33,7 +33,10 @@ def degree_cap(delta: float) -> int:
     """floor(1/delta), the degree range the quasirandomness test scans."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return int(math.floor(1.0 / delta + 1e-12))
+    cap = 1.0 / delta + 1e-12
+    if not math.isfinite(cap):  # a subnormal delta
+        raise ValueError(f"degree cap 1/delta must be finite, got delta = {delta}")
+    return int(math.floor(cap))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from scipy.special import ndtri, owens_t
 
-from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, mask_vars, wht
+from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
 from .dtree import leaves
 from .errors import PreconditionError
 from .noise import stability
@@ -61,7 +61,9 @@ def to_zero_one(f: BooleanFunction) -> BooleanFunction:
     """
     if f.range_tag != PM_ONE:
         raise PreconditionError(f"to_zero_one needs a pm_one-tagged function, got {f.range_tag}")
-    return BooleanFunction(f.n, (1.0 - f.values) / 2.0, ZERO_ONE)
+    values = 1.0 - f.values
+    values /= 2.0
+    return BooleanFunction(f.n, _handover(values), ZERO_ONE)
 
 
 @dataclass

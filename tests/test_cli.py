@@ -205,6 +205,16 @@ def test_overflowing_table_exits_3_with_one_error_line(values, message, tmp_path
     assert result.stderr == f"error: out of float64 range: {message}\n"
 
 
+@pytest.mark.parametrize("q_delta", ["1e-310", "5e-324"])
+def test_subnormal_q_delta_exits_3_with_one_error_line(q_delta):
+    # 1/q_delta overflows to inf; a separate process, so that stderr is all
+    # a user sees
+    result = subprocess.run([sys.executable, "-m", "boolreg", *PIPELINE, "--q-eps", "0.6",
+                             "--q-delta", q_delta], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == f"error: degree cap 1/delta must be finite, got delta = {float(q_delta)}\n"
+
+
 def test_dot_output(capsys, tmp_path):
     path = tmp_path / "tree.dot"
     run_json(["decompose", "--fn", "dictator:1", "--eps", "0.5", "--delta", "0.5",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from boolreg.cli import main
 
-NUMBERS = ["nan", "inf", "-inf", "1e-300", "-1", "-0.5", "0", "1", "0.3", "0.5", "x"]
+NUMBERS = ["nan", "inf", "-inf", "1e-300", "1e-310", "5e-324", "-1", "-0.5", "0", "1", "0.3", "0.5", "x"]
 # small arities only: every valid spec has at most 9 variables
 SPEC_ARGS = st.lists(st.sampled_from(["", "0", "1", "2", "3", "-1", "2.5", "x", "25", "1e3"]),
                      max_size=3).map(",".join)
@@ -123,6 +123,9 @@ def check_run(argv):
 @example(["decompose", "--fn", "maj:3", "--eps", "inf", "--delta", "0.3", "--gamma", "0.05"])
 @example(["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.3", "--delta", "0.3", "--gamma", "0.5",
           "--q-eps", "inf", "--q-delta", "0.5"])
+# a subnormal degree rate: 1/q_delta overflows
+@example(["mist", "--fn", "maj:3", "--rho", "0.5", "--eps", "0.2", "--delta", "0.3", "--gamma", "0.25",
+          "--q-eps", "0.6", "--q-delta", "1e-310"])
 def test_cli_runs_end_in_a_documented_exit_code(argv):
     check_run(argv)
 

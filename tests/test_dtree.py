@@ -1,12 +1,21 @@
-"""Decision trees: splitting, evaluation, energy accounting, bad-leaf mass."""
+"""Decision trees: splitting, evaluation, energy accounting, bad-leaf mass,
+and walks that leave no reference cycles behind."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from boolreg import (
     BooleanFunction,
+    RegularityParams,
     bad_leaf_mass,
+    check_quasi_mist,
     constant,
+    decompose,
+    decompose_homogeneous,
+    decomposition_report,
     dictator,
     energy,
     evaluate,
@@ -22,7 +31,9 @@ from boolreg import (
     split_leaves,
     stability,
     to_dot,
+    to_zero_one,
     tree_depth,
+    tribes,
     wht,
 )
 from oracles import random_real_unit
@@ -311,3 +322,65 @@ def test_bad_leaf_mass_and_dot_validate_parameters():
         bad_leaf_mass(t, 0.1, 1.5)
     with pytest.raises(ValueError):
         to_dot(t, -0.1)
+
+
+PARAMS = RegularityParams(eps=0.05, delta=0.3, gamma=0.05)
+MIST_PARAMS = RegularityParams(eps=0.02, delta=0.3, gamma=0.05)
+
+
+def first_leaf_split(t):
+    leaf = leaves(t)[0][0]
+    return split_leaves(t, {leaf.id: leaf.free[0]})
+
+
+# each operation takes a finished decomposition of tribes(3, 4); var_cap 1
+# exhausts the homogeneous run, and tribes(3, 4) is quasirandom at q_eps 0.6
+# but not at 0.05, where the pipeline skips its decomposition
+OPERATIONS = {
+    "decompose": lambda r: decompose(tribes(3, 4), PARAMS),
+    "decompose_homogeneous": lambda r: decompose_homogeneous(majority(7), PARAMS, 7),
+    "decompose_homogeneous_exhausted": lambda r: decompose_homogeneous(majority(7), PARAMS, 1),
+    "check_quasi_mist": lambda r: check_quasi_mist(to_zero_one(tribes(3, 4)), 0.5, MIST_PARAMS, 0.6, 0.5),
+    "check_quasi_mist_not_quasirandom":
+        lambda r: check_quasi_mist(to_zero_one(tribes(3, 4)), 0.5, MIST_PARAMS, 0.05, 0.5),
+    "leaves": lambda r: leaves(r.tree),
+    "tree_depth": lambda r: tree_depth(r.tree),
+    "split_leaves": lambda r: first_leaf_split(r.tree),
+    "evaluate_table": lambda r: evaluate_table(r.tree),
+    "energy": lambda r: energy(r.tree, 0.3),
+    "bad_leaf_mass": lambda r: bad_leaf_mass(r.tree, 0.05, 0.3),
+    "to_dot": lambda r: to_dot(r.tree, 0.3),
+    "decomposition_report": lambda r: decomposition_report(r, PARAMS, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_operations_leave_no_cyclic_garbage(name):
+    # a tree or leaf list kept alive by a cycle holds its leaf tables until
+    # the cycle collector happens to run
+    op = OPERATIONS[name]
+    result = decompose(tribes(3, 4), PARAMS)
+    op(result)  # first-call caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        op(result)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_replaced_leaf_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        t = split_leaf(singleton(majority(5)), 0, 2)
+        walked = leaves(t)
+        replaced = weakref.ref(walked[1][0])
+        t = split_leaves(t, {replaced().id: 0})  # drops the old tree
+        assert replaced() is not None
+        del walked
+        assert replaced() is None
+        assert [leaf.id for leaf, _ in leaves(t)] == [1, 3, 4]
+    finally:
+        gc.enable()

@@ -1,8 +1,8 @@
 """The table kernels against their index-gather and radix-2 references, bit
 for bit: the blocked butterfly (with small blocks and strips, so that the
 strip stages run on small tables), wht and inverse_wht, restrict and
-derivative, and the parity and tribes families; and the memory each of
-them holds at its peak."""
+derivative, the families and ``to_zero_one``; and the memory each of them
+holds at its peak."""
 
 import tracemalloc
 
@@ -16,15 +16,19 @@ from boolreg import (
     REAL,
     BooleanFunction,
     FourierExpansion,
+    constant,
     derivative,
     dictator,
     inverse_wht,
+    majority,
     parity,
+    random_pm_one,
     restrict,
+    to_zero_one,
     tribes,
     wht,
 )
-from boolreg import boolfn
+from boolreg import boolfn, families
 from oracles import brute_derivative, gather_parity, gather_restrict, gather_tribes, radix2_butterfly
 
 
@@ -122,6 +126,21 @@ def test_parity_is_the_popcount_construction_bit_for_bit():
         assert same_bits(dictator(n, i).values, gather_parity(n, 1 << i))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 18])
+def test_families_are_their_one_line_expressions_bit_for_bit(n):
+    # n > 16: random_pm_one draws its table in more than one chunk
+    assert n <= 16 or 1 << n > families._CHUNK
+    for seed in (0, 1, 12345):
+        f = random_pm_one(n, seed)
+        assert same_bits(f.values, np.random.default_rng(seed).integers(0, 2, size=1 << n) * 2.0 - 1.0)
+        assert same_bits(to_zero_one(f).values, (1.0 - f.values) / 2.0)
+    for c in (1.0, -1.0, 0.25, -3.5):
+        assert same_bits(constant(n, c).values, np.full(1 << n, c))
+    if n % 2:
+        assert same_bits(majority(n).values,
+                         np.where(2 * boolfn.subset_sizes(n) < n, 1.0, -1.0))
+
+
 def peak_doubles(fn) -> float:
     """The peak traced allocation of fn(), in doubles."""
     tracemalloc.start()
@@ -144,5 +163,9 @@ def test_kernels_hold_one_table_at_their_peak():
 
 def test_families_hold_one_table_at_their_peak():
     n = 20
-    for name, fn in [("dictator", lambda: dictator(n, 0)), ("tribes", lambda: tribes(4, 5))]:
+    f = random_pm_one(n, 1)
+    for name, fn in [("dictator", lambda: dictator(n, 0)), ("tribes", lambda: tribes(4, 5)),
+                     ("random_pm_one", lambda: random_pm_one(n, 2)), ("constant", lambda: constant(n, 0.5)),
+                     ("to_zero_one", lambda: to_zero_one(f))]:
         assert peak_doubles(fn) <= 1.5 * (1 << n), name
+    assert peak_doubles(lambda: majority(n - 1)) <= 1.5 * (1 << (n - 1)), "majority"
