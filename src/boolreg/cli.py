@@ -113,6 +113,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.var_cap is not None and not args.hom:
+        raise UsageError("--var-cap needs --hom")
     f = parse_function_spec(args.fn)
     p = RegularityParams(eps=args.eps, delta=args.delta, gamma=args.gamma)
     if args.hom:

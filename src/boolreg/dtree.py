@@ -5,10 +5,10 @@ branch.  A leaf at depth d carries mass 2^-d, the probability of reaching
 it by uniformly random decisions from the root.  Leaf ids are stable under
 splits of other leaves.
 
-A leaf holds its subfunction's table over its free variables only, 2^(n-d)
-values, so all leaf tables of a tree together hold exactly 2^n values.  A
-child's table is an exact strided slice of its parent's.  No walk forms a
-reference cycle, so a dropped tree or leaf list frees its tables at once.
+A leaf's table is a read-only view of the root table at the leaf's fixed
+bits: its sub-cube of 2^(n-d) values (O'Donnell, Analysis of Boolean
+Functions, section 3.3).  A split indexes its parent's view once per child,
+so no split copies a value, and every tree over f holds f's table alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ class Leaf:
     """A subfunction of the root: the root with the variables in ``fixed``
     (root-to-leaf path, variable -> assigned value, treat as immutable) set.
 
-    ``table`` is read-only and holds the subfunction over the free variables:
-    bit k of its index is the k-th free variable in ascending order.
+    ``table`` is the read-only view of the root table at the fixed bits,
+    shaped (2,) * m for the m free variables: axis a holds the free variable
+    of rank m-1-a, so its C-order ravel is indexed by the free variables'
+    bits in ascending order.
     """
 
     id: int
@@ -79,19 +81,17 @@ class EnergyLedger:
     growth recurrences can be audited afterwards.
     """
 
-    phi: float
     history: list[tuple[int, float]] = field(default_factory=list)
     depths: list[int] = field(default_factory=list)
 
     def record(self, iteration: int, phi: float, depth: int) -> None:
-        self.phi = phi
         self.history.append((iteration, phi))
         self.depths.append(depth)
 
 
 def singleton(f: BooleanFunction) -> DecisionTree:
     """One leaf holding f itself; the starting point of every decomposition."""
-    return DecisionTree(f.n, Leaf(0, f.values, {}, f.n, f.range_tag), 1)
+    return DecisionTree(f.n, Leaf(0, f.values.reshape((2,) * f.n), {}, f.n, f.range_tag), 1)
 
 
 def leaves(t: DecisionTree) -> list[tuple[Leaf, int]]:
@@ -122,38 +122,33 @@ def _cube(out: np.ndarray, n: int, at: dict[int, int]) -> np.ndarray:
 
 
 def evaluate(t: DecisionTree, b: int) -> float:
-    """Walk the tree by the bits of input index b, then evaluate the leaf."""
+    """Walk the tree by the bits of input index b, then read the leaf's
+    table at the free bits of b."""
     if not 0 <= b < (1 << t.n):
         raise IndexError(f"input index {b} out of range for n={t.n}")
     node = t.root
     while isinstance(node, Internal):
         node = node.child_minus if (b >> node.var) & 1 else node.child_plus
-    for v in sorted(node.fixed, reverse=True):  # delete the fixed bits of b
-        b = (b >> (v + 1) << v) | (b & ((1 << v) - 1))
-    return float(node.table[b])
+    return float(node.table[tuple((b >> v) & 1 for v in reversed(node.free))])
 
 
 def evaluate_table(t: DecisionTree) -> np.ndarray:
     """Vector of evaluate(t, b) over all 2^n inputs: each leaf's table
     written into the sub-cube of the inputs that reach it."""
     out = np.empty(1 << t.n)
-    for leaf, depth in leaves(t):
+    for leaf, _ in leaves(t):
         bits = {v: int(x == -1) for v, x in leaf.fixed.items()}  # x_v = -1 is input bit 1
-        _cube(out, t.n, bits)[...] = leaf.table.reshape((2,) * (t.n - depth))
+        _cube(out, t.n, bits)[...] = leaf.table
     return out
 
 
 def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     if j in leaf.fixed:
         raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
-    k = j - sum(v < j for v in leaf.fixed)  # j's position among the free variables
-    halves = leaf.table.reshape(-1, 2, 1 << k)
-    children = []
-    for child_id, x in ((first_id, 1), (first_id + 1, -1)):
-        table = halves[:, int(x == -1), :].flatten()  # a copy: never pins the parent
-        table.setflags(write=False)
-        children.append(Leaf(child_id, table, {**leaf.fixed, j: x}, leaf.n, leaf.range_tag))
-    return Internal(j, *children)
+    axis = sum(v > j for v in leaf.free)  # the axes run down the free variables
+    plus, minus = (leaf.table[(slice(None),) * axis + (bit, ...)] for bit in (0, 1))
+    return Internal(j, Leaf(first_id, plus, {**leaf.fixed, j: 1}, leaf.n, leaf.range_tag),
+                    Leaf(first_id + 1, minus, {**leaf.fixed, j: -1}, leaf.n, leaf.range_tag))
 
 
 def _split_walk(node: Node, splits: dict[int, int], ids: Iterator[int]) -> Node:
@@ -201,7 +196,7 @@ def split_all_leaves(t: DecisionTree, j: int) -> DecisionTree:
 def _compact_spectrum(leaf: Leaf) -> np.ndarray:
     """The leaf's spectrum over its free variables, transformed from its
     compact table (one value when no variable is free)."""
-    a = _butterfly(leaf.table)
+    a = _butterfly(leaf.table).reshape(-1)
     np.divide(a, leaf.table.size, out=a)
     return a
 
@@ -235,7 +230,7 @@ def _dot(node: Node, depth: int, delta: float, lines: list[str], names: Iterator
     name = f"n{next(names)}"
     if isinstance(node, Leaf):
         lines.append(f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
-                     f'\\nmean={float(np.mean(node.table)):.6g}'
+                     f'\\nmean={float(np.mean(node.table.reshape(-1))):.6g}'
                      f'\\nmax_inf={_max_influence(node, delta):.6g}"];')
         return name
     lines.append(f'  {name} [label="x{node.var + 1}"];')

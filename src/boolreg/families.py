@@ -86,4 +86,4 @@ def random_pm_one(n: int, seed: int) -> BooleanFunction:
 def constant(n: int, c: float) -> BooleanFunction:
     check_arity(n)
     values = np.full(1 << n, float(c))
-    return BooleanFunction(n, _handover(values), infer_range_tag(values))
+    return BooleanFunction(n, _handover(values), infer_range_tag(np.float64(c)))

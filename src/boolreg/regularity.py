@@ -357,7 +357,7 @@ def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, 
     del ghat, root  # the root's rows are freed at its split, unless a caller holds them
     phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
     _check_phi(phi, norm_bound)
-    ledger = EnergyLedger(phi)
+    ledger = EnergyLedger()
     ledger.record(0, phi, 0)
     iterations = 0
     while bad_mass > p.gamma:
@@ -387,8 +387,6 @@ def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, 
                 else:  # a copy each, so that a good sibling is freed
                     groups.extend(([leaf_id], free, row.reshape(1, -1).copy())
                                   for leaf_id, row in zip(ids, rows) if stats[leaf_id].bad(p.eps))
-            # after the spectra, so that a parent's spectrum is freed before
-            # its children's tables are allocated
             t = split_leaves(t, splits)
         iterations += 1
         if iterations > p.budget:

@@ -113,6 +113,12 @@ def test_mist_pipeline_incomplete_flags(capsys):
     assert "pipeline" in err
 
 
+def test_var_cap_without_hom_is_a_usage_error(capsys):
+    code, out, err = run_cli(["decompose", "--fn", "maj:3", "--eps", ".1", "--delta", ".3",
+                              "--gamma", ".05", "--var-cap", "1"], capsys)
+    assert (code, out, err) == (1, "", "error: --var-cap needs --hom\n")
+
+
 def test_usage_error_unknown_function(capsys):
     code, _, err = run_cli(["analyze", "--fn", "nonsense:3"], capsys)
     assert code == 1

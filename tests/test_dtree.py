@@ -2,6 +2,7 @@
 and walks that leave no reference cycles behind."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +26,7 @@ from boolreg import (
     majority,
     noisy_influence,
     parity,
+    random_pm_one,
     singleton,
     split_all_leaves,
     split_leaf,
@@ -306,6 +308,35 @@ def test_leaves_without_free_variables():
     assert dot.count("mean=1\\nmax_inf") + dot.count("mean=-1\\nmax_inf") == 32
 
 
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("f", [tribes(3, 4), majority(7), BooleanFunction(8, random_real_unit(np.random.default_rng(4), 8))],
+                         ids=["tribes", "maj", "real"])
+def test_leaf_tables_are_read_only_views_of_the_root_table(f, homogeneous):
+    result = decompose_homogeneous(f, PARAMS, f.n) if homogeneous else decompose(f, PARAMS)
+    final = leaves(result.tree)
+    assert len(final) > 1
+    for leaf, depth in final:
+        assert leaf.table.shape == (2,) * (f.n - depth)
+        assert not leaf.table.flags.writeable
+        assert np.shares_memory(leaf.table, f.values)
+
+
+def test_a_split_copies_no_table():
+    # the 512 children of a depth-8 tree at n = 20 hold 8 MiB of values as
+    # copies; as views they cost only their leaf objects
+    t = singleton(random_pm_one(20, 0))
+    for v in range(8):
+        t = split_all_leaves(t, v)
+    splits = {leaf.id: 8 for leaf, _ in leaves(t)}
+    tracemalloc.start()
+    try:
+        split_leaves(t, splits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_bad_leaf_mass_rejects_nan():
     t = singleton(majority(3))
     with pytest.raises(ValueError, match="eps must be positive, got nan"):
@@ -356,8 +387,8 @@ OPERATIONS = {
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_operations_leave_no_cyclic_garbage(name):
-    # a tree or leaf list kept alive by a cycle holds its leaf tables until
-    # the cycle collector happens to run
+    # a tree or leaf list kept alive by a cycle holds its leaves, and
+    # through their views the root table, until the cycle collector runs
     op = OPERATIONS[name]
     result = decompose(tribes(3, 4), PARAMS)
     op(result)  # first-call caches are not garbage

@@ -4,6 +4,8 @@ strip stages run on small tables), wht and inverse_wht, restrict and
 derivative, the families and ``to_zero_one``; and the memory each of them
 holds at its peak."""
 
+import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,16 +21,18 @@ from boolreg import (
     constant,
     derivative,
     dictator,
+    infer_range_tag,
     inverse_wht,
     majority,
     parity,
     random_pm_one,
+    read_table,
     restrict,
     to_zero_one,
     tribes,
     wht,
 )
-from boolreg import boolfn, families
+from boolreg import boolfn, families, stablest
 from oracles import brute_derivative, gather_parity, gather_restrict, gather_tribes, radix2_butterfly
 
 
@@ -92,11 +96,32 @@ def test_restrict_and_derivative_are_the_gathers_bit_for_bit(values):
         assert same_bits(derivative(f, i).values, brute_derivative(values, i))
 
 
-def test_transforms_adopt_their_fresh_arrays():
+def test_transforms_adopt_their_fresh_arrays(monkeypatch):
+    handed = []
+
+    def record(arr):
+        handed.append(arr)
+        return handover(arr)
+
+    handover = boolfn._handover
+    for module in (boolfn, families, stablest):
+        monkeypatch.setattr(module, "_handover", record)
     f = BooleanFunction(3, np.arange(8.0), REAL)
-    for arr in (wht(f).coeffs, inverse_wht(wht(f)).values, restrict(f, 1, 1).values,
-                derivative(f, 1).values, parity(3).values, tribes(2, 2).values):
-        assert arr.flags.owndata and not arr.flags.writeable
+    ghat = wht(f)
+    for name, build in [("wht", lambda: wht(f).coeffs), ("inverse_wht", lambda: inverse_wht(ghat).values),
+                        ("restrict", lambda: restrict(f, 1, 1).values),
+                        ("derivative", lambda: derivative(f, 1).values),
+                        ("parity", lambda: parity(3).values), ("tribes", lambda: tribes(2, 2).values),
+                        ("majority", lambda: majority(3).values),
+                        ("random_pm_one", lambda: random_pm_one(3, 0).values),
+                        ("constant", lambda: constant(3, 0.5).values),
+                        ("to_zero_one", lambda: to_zero_one(parity(3)).values),
+                        ("read_table", lambda: read_table(io.StringIO("n=1\n1\n-1\n")).values)]:
+        handed.clear()
+        arr = build()
+        # the stored table is the very buffer handed over, not a copy of it
+        assert arr.ctypes.data == handed[-1].ctypes.data and arr.size == handed[-1].size, name
+        assert arr.flags.owndata and not arr.flags.writeable, name
     # a caller's writable array is still copied
     values = np.arange(8.0)
     g = BooleanFunction(3, values, REAL)
@@ -134,8 +159,14 @@ def test_families_are_their_one_line_expressions_bit_for_bit(n):
         f = random_pm_one(n, seed)
         assert same_bits(f.values, np.random.default_rng(seed).integers(0, 2, size=1 << n) * 2.0 - 1.0)
         assert same_bits(to_zero_one(f).values, (1.0 - f.values) / 2.0)
-    for c in (1.0, -1.0, 0.25, -3.5):
-        assert same_bits(constant(n, c).values, np.full(1 << n, c))
+    for c in (1.0, -1.0, 0.0, -0.0, 0.25, 0.5, 1.5, -2.0, -3.5):
+        g = constant(n, c)
+        assert same_bits(g.values, np.full(1 << n, c))
+        assert g.range_tag == infer_range_tag(np.full(1 << n, c)), c  # the tag of a scan
+    for c in (math.nan, math.inf):  # tagged as a scan tags them, then refused
+        assert infer_range_tag(np.float64(c)) == infer_range_tag(np.full(1 << n, c))
+        with pytest.raises(ValueError, match="non-finite"):
+            constant(n, c)
     if n % 2:
         assert same_bits(majority(n).values,
                          np.where(2 * boolfn.subset_sizes(n) < n, 1.0, -1.0))

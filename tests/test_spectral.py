@@ -196,10 +196,10 @@ def test_leaf_profiles_are_exact_on_boolean_tables(f, p, homogeneous):
     result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
     for leaf, depth in leaves(result.tree):
         stats = result.leaf_stats[leaf.id]
-        want = exact_profile(leaf.table)
+        want = exact_profile(leaf.table.ravel())
         assert len(stats.profile) == f.n - depth + 1
         assert [w.hex() for w in stats.profile] == [float(w).hex() for w in want]
-        assert sum(stats.profile) == Fraction(int(sum(leaf.table * leaf.table)), leaf.table.size)
+        assert sum(stats.profile) == Fraction(int((leaf.table * leaf.table).sum()), leaf.table.size)
         assert close(stats.stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
 
 
