@@ -33,7 +33,7 @@ RANGE_TAGS = (PM_ONE, ZERO_ONE, REAL)
 MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
 
-_READ_CHUNK = 1 << 16  # table lines parsed per batch
+_TABLE_CHUNK = 1 << 16  # table lines parsed or formatted per batch
 
 
 def check_arity(n: int) -> None:
@@ -112,11 +112,12 @@ class BooleanFunction:
     def size(self) -> int:
         return 1 << self.n
 
-    def require_unit_mean_square(self) -> None:
-        """Raise when E[f^2] exceeds 1 beyond the shared tolerance."""
+    def require_unit_mean_square(self) -> float:
+        """E[f^2], raising when it exceeds 1 beyond the shared tolerance."""
         ms = norm2(self)
         if ms > 1.0 + MEAN_SQUARE_TOL:
             raise PreconditionError(f"mean square E[f^2] = {ms} exceeds 1")
+        return ms
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +276,8 @@ def mask_vars(mask: int) -> list[int]:
 
 def write_table(f: BooleanFunction, fp: IO[str]) -> None:
     fp.write(f"n={f.n}\n")
-    for v in f.values:
-        fp.write(f"{v:.17g}\n")
+    for start in range(0, f.size, _TABLE_CHUNK):
+        fp.write("".join([f"{v:.17g}\n" for v in f.values[start:start + _TABLE_CHUNK].tolist()]))
 
 
 def read_table(fp: IO[str]) -> BooleanFunction:
@@ -291,7 +292,7 @@ def read_table(fp: IO[str]) -> BooleanFunction:
     arr = np.empty(1 << n)
     done = 0
     while done < arr.size:
-        want = min(_READ_CHUNK, arr.size - done)
+        want = min(_TABLE_CHUNK, arr.size - done)
         lines = list(itertools.islice(fp, want))
         try:
             arr[done:done + len(lines)] = np.fromiter(map(float, lines), np.float64, len(lines))

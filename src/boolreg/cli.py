@@ -90,11 +90,16 @@ def cmd_analyze(args) -> int:
     f = parse_function_spec(args.fn)
     _check_delta(args.delta)
     ghat = wht(f)
+    # the 16 largest magnitudes, ties to the lowest mask, without sorting all 2^n:
+    # every mask above the 16th-largest magnitude, then the lowest masks at it
     magnitudes = np.abs(ghat.coeffs)
-    order = np.lexsort((np.arange(magnitudes.size), -magnitudes))
+    k = min(16, magnitudes.size)
+    cut = np.partition(magnitudes, magnitudes.size - k)[magnitudes.size - k]
+    above = np.flatnonzero(magnitudes > cut)
+    masks = np.concatenate((above, np.flatnonzero(magnitudes == cut)[:k - above.size]))
     top = [
         {"vars": [v + 1 for v in mask_vars(int(mask))], "value": float(ghat.coeffs[mask])}
-        for mask in order[:16]
+        for mask in masks[np.lexsort((masks, -magnitudes[masks]))]
     ]
     report = {
         "function": args.fn,

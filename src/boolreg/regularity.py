@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, norm2, subset_sizes, wht
+from .boolfn import BooleanFunction, FourierExpansion, subset_sizes, wht
 from .dtree import (
     DecisionTree,
     EnergyLedger,
@@ -328,7 +328,7 @@ def _check_phi(phi: float, bound: float) -> None:
 
 
 def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, plan: Callable,
-               keep_all: bool) -> DecompositionResult:
+               keep_all: bool, norm_bound: float) -> DecompositionResult:
     """The energy-increment loop of both drivers, from f and its spectrum
     ``ghat``: run passes until at most a gamma fraction of leaf mass is bad.
 
@@ -343,12 +343,12 @@ def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, 
     row each.  The children of a pass's last round are analysed, those of
     earlier rounds are not.
 
-    Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
-    holds, and the restriction identity: a split of a leaf at depth d on j
-    gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
-    The callers check E[f^2] <= 1 before they transform f.
+    Every pass checks that phi <= ``norm_bound``, which callers pass as
+    max(1, E[f^2]), that the iteration budget holds, and the restriction
+    identity: a split of a leaf at depth d on j gains exactly
+    delta * 2^-d * Inf_j, summed over all rounds of the pass.  The callers
+    check E[f^2] <= 1 before they transform f.
     """
-    norm_bound = max(1.0, norm2(f))
     t = singleton(f)
     analyze = _analyzer(f.n, p.delta, p.eps)
     free, root = tuple(range(f.n)), ghat.coeffs.reshape(1, -1)
@@ -423,8 +423,8 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     delta * sum over the split leaves of 2^-depth * Inf_var, which is
     checked at run time.
     """
-    f.require_unit_mean_square()
-    return _decompose(f, wht(f), p, _split_bad_leaves(f.n, p), keep_all=False)
+    norm_bound = max(1.0, f.require_unit_mean_square())
+    return _decompose(f, wht(f), p, _split_bad_leaves(f.n, p), keep_all=False, norm_bound=norm_bound)
 
 
 def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int) -> DecompositionResult:
@@ -441,7 +441,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     """
     if not 0 <= var_cap <= f.n:
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
-    f.require_unit_mean_square()
+    norm_bound = max(1.0, f.require_unit_mean_square())
     query_vars: list[int] = []
 
     def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]] | None:
@@ -453,7 +453,8 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         query_vars.extend(new_vars)
         return [lambda leaf_id, var=var: var for var in new_vars]
 
-    return replace(_decompose(f, wht(f), p, plan, keep_all=True), homogeneous_vars=query_vars)
+    return replace(_decompose(f, wht(f), p, plan, keep_all=True, norm_bound=norm_bound),
+                   homogeneous_vars=query_vars)
 
 
 def tower(k: int) -> int | float:

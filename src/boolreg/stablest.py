@@ -7,7 +7,10 @@ two rho-correlated standard Gaussians both land below the mu-quantile:
 
 Computed in closed form, Lambda_rho(mu) = Phi(t) - 2 T(t, sqrt((1 - rho)/(1 +
 rho))), where T is Owen's T function (Owen 1956), to within a few units in
-the last place.  Among [0,1]-valued functions with
+the last place.  ``scipy.special`` (Owen's T and the quantile ``ndtri``) is
+loaded on the first quadrant or quantile call, not at import: importing it
+takes longer than most CLI commands, and ``import boolreg``, ``analyze`` and
+``decompose`` never need it.  Among [0,1]-valued functions with
 no dominant coordinate, noise stability cannot exceed this quantity by
 much; ``mist_slack`` reports the gap for one function, and
 ``check_quasi_mist`` assembles the certified leaf-wise upper bound that the
@@ -18,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri, owens_t
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
 from .dtree import leaves
@@ -35,6 +36,7 @@ def gaussian_quantile(mu: float) -> float:
     """t with Phi(t) = mu (``scipy.special.ndtri``); mu of 0 or 1 gives -/+inf."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    from scipy.special import ndtri
     return float(ndtri(mu))
 
 
@@ -49,6 +51,7 @@ def quadrant_prob(rho: float, mu: float) -> float:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     if mu in (0.0, 1.0) or rho == 1.0:
         return float(mu)
+    from scipy.special import owens_t
     t = gaussian_quantile(mu)
     return float(0.5 * math.erfc(-t / _SQRT2) - 2.0 * owens_t(t, math.sqrt((1.0 - rho) / (1.0 + rho))))
 
@@ -154,7 +157,9 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
                           params_used=params_used, quasirandom_ok=False, witness=witness)
 
     # decompose(f, p) from the spectrum at hand; a [0,1]-valued f has E[f^2] <= 1
-    result = _decompose(f, ghat, p, _split_bad_leaves(f.n, p), keep_all=False)
+    # (also in floating point: each square and each partial sum stays within
+    # its exact bound), so max(1, E[f^2]) is 1
+    result = _decompose(f, ghat, p, _split_bad_leaves(f.n, p), keep_all=False, norm_bound=1.0)
     bad_term = 0.0
     good_lambda_term = 0.0
     lipschitz_term = 0.0

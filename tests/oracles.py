@@ -168,6 +168,18 @@ def exact_profile(table: np.ndarray) -> list[Fraction]:
     return [Fraction(w, len(c) ** 2) for w in out]
 
 
+def sorted_top_masks(coeffs: np.ndarray, k: int = 16) -> list[int]:
+    """The k masks of largest |coefficient|, ties to the lowest mask, by a
+    full lexsort of all 2^n coefficients."""
+    magnitudes = np.abs(coeffs)
+    return [int(mask) for mask in np.lexsort((np.arange(magnitudes.size), -magnitudes))[:k]]
+
+
+def per_value_table_text(f) -> str:
+    """The table file text with one numpy scalar formatted per line."""
+    return f"n={f.n}\n" + "".join(f"{v:.17g}\n" for v in f.values)
+
+
 # --- the earlier leaf kernel and drivers ---------------------------------------
 
 def _int_sizes(size: int) -> np.ndarray:

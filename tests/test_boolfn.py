@@ -26,7 +26,7 @@ from boolreg import (
     write_table,
 )
 from boolreg.boolfn import mask_of, mask_vars
-from oracles import brute_wht
+from oracles import brute_wht, per_value_table_text
 
 
 def rand_pm(rng, n):
@@ -262,6 +262,27 @@ def test_table_format():
     buf = io.StringIO()
     write_table(dictator(1, 0), buf)
     assert buf.getvalue() == "n=1\n1\n-1\n"
+
+
+TABLE_ENTRIES = {
+    PM_ONE: [-1.0, 1.0],
+    ZERO_ONE: [0.0, 1.0, -0.0, 5e-324, 0.1, 1 / 3],
+    REAL: [-0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, -2.5e-7, 123456789.125],
+}
+
+
+@pytest.mark.parametrize("tag", [PM_ONE, ZERO_ONE, REAL])
+@pytest.mark.parametrize("n", [3, 17])  # 2^17 lines are two formatting batches
+def test_table_text_matches_per_value_formatting(tag, n):
+    rng = np.random.default_rng(n)
+    entries = TABLE_ENTRIES[tag]
+    values = np.resize(np.array(entries), 1 << n)  # every entry appears
+    values[len(entries):] = rng.choice(entries, size=values.size - len(entries))
+    f = BooleanFunction(n, values, tag)
+    buf = io.StringIO()
+    write_table(f, buf)
+    # line by line through numpy: pytest's diff of two 2^17-line strings takes minutes
+    np.testing.assert_array_equal(buf.getvalue().split("\n"), per_value_table_text(f).split("\n"))
 
 
 def test_table_read_infers_tag():

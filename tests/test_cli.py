@@ -1,16 +1,24 @@
 """CLI: spec parsing, report content, exit codes, determinism, file IO."""
 
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boolreg import majority, save_table
+import boolreg
+from boolreg import BooleanFunction, constant, dictator, majority, parity, save_table, wht
+from boolreg.boolfn import mask_vars
 from boolreg.cli import main, parse_function_spec
+from oracles import gather_parity, sorted_top_masks
 
 
 def run_cli(args, capsys):
@@ -341,3 +349,81 @@ def test_parse_function_spec_shapes():
     g = parse_function_spec("constant:3,0.25")
     assert g.range_tag == "zero_one"
     np.testing.assert_array_equal(g.values, np.full(8, 0.25))
+
+
+def imported_modules(args, cwd):
+    """Run ``python -X importtime`` with ``args``; the result and the names
+    of the modules the run imported.  It runs in ``cwd``, on the package
+    this test imported."""
+    path = os.path.dirname(os.path.dirname(boolreg.__file__))
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                            text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert "boolreg.stablest" in names  # the trace covers the package
+    return result, names
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import boolreg"],
+    ["-m", "boolreg", "analyze", "--fn", "maj:3"],
+    ["-m", "boolreg", "decompose", "--fn", "maj:5", "--eps", ".2", "--delta", ".3", "--gamma", ".25",
+     "--hom", "--dot", "tree.dot"],
+    ["-m", "boolreg", "analyze", "--fn", "file:table.txt"],
+], ids=["import", "analyze", "decompose", "analyze-file"])
+def test_commands_without_quadrants_do_not_load_scipy(args, tmp_path):
+    save_table(majority(5), str(tmp_path / "table.txt"))
+    _, names = imported_modules(args, tmp_path)
+    assert not [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def test_mist_loads_scipy_at_its_quadrant_call(tmp_path):
+    result, names = imported_modules(["-m", "boolreg", "mist", "--fn", "maj:3", "--rho", ".5"], tmp_path)
+    assert "scipy.special" in names
+    assert result.stdout == ('{"function": "maj:3", "lambda": 0.33333333333333337, "mean": 0.5, '
+                             '"rho": 0.5, "slack": 0.01822916666666663, "stab": 0.3515625}\n')
+
+
+@st.composite
+def tie_heavy_functions(draw):
+    """Tables whose spectra repeat magnitudes: families, {0,1} tables, and
+    real tables built from a few values or as weighted sums of parities."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["constant", "parity", "dictator", "majority", "zero_one", "few_values",
+                                 "parity_sum"]))
+    if kind == "constant":
+        return constant(n, draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0])))
+    if kind == "parity":
+        return parity(n, draw(st.lists(st.integers(0, n - 1), unique=True)))
+    if kind == "dictator":
+        return dictator(n, draw(st.integers(0, n - 1)))
+    if kind == "majority":
+        return majority(n - 1 + n % 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zero_one":
+        return BooleanFunction(n, rng.choice([0.0, 1.0], size=1 << n))
+    if kind == "few_values":
+        entries = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=draw(st.integers(1, 3)))
+        return BooleanFunction(n, rng.choice(entries, size=1 << n))
+    masks = rng.choice(1 << n, size=min(1 << n, draw(st.integers(1, 40))), replace=False)
+    return BooleanFunction(n, sum(rng.choice([-2.0, -1.0, 1.0, 2.0]) * gather_parity(n, int(mask))
+                                  for mask in masks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_functions())
+@example(constant(1, 0.0))
+@example(parity(3, [0, 1, 2]))
+@example(majority(3))
+def test_top_coefficients_match_a_full_sort(f):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        save_table(f, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--fn", f"file:{path}"]) == 0
+    coeffs = wht(f).coeffs
+    expected = [{"vars": [v + 1 for v in mask_vars(mask)], "value": float(coeffs[mask])}
+                for mask in sorted_top_masks(coeffs)]
+    assert json.loads(out.getvalue())["top_coefficients"] == expected
