@@ -19,21 +19,20 @@ from the half of the spectrum that the split already touches).  The plain
 policy raises past depth min(1/(eps*delta*gamma), n); the homogeneous one
 stops at ``var_cap`` and returns the partial tree.
 
-Only the root is transformed, and the loop takes that spectrum as an
-argument, so ``stablest.check_quasi_mist`` hands over the one it has
-already made.  A child's spectrum comes from its parent's by one
-half-butterfly, the restriction identity
+Only the root is transformed, and ``stablest.check_quasi_mist`` hands the
+loop the spectrum it already has.  A child's spectrum comes from its
+parent's by one half-butterfly, the restriction identity
 ghat_{x_i=+1}(S) = ghat(S) + ghat(S+{i}) and ghat_{x_i=-1}(S) = ghat(S) -
 ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
-Functions, section 3.3).  The children of a pass are analysed once, when
-the pass ends; a good leaf keeps its statistics from pass to pass and
-drops its spectrum.  Spectra are held in compact form over their free
-variables, so together they never hold more than 2^n values.  The analysis
-works on the compact spectra, a batch of rows at a time, in about 3 * 2^m
+Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
+pass is one batch: their spectra are the rows of one array, compact over
+their free variables (at most 2^n values in all), each round splits every
+row, and one analysis of all children ends the pass.  A good leaf keeps
+its statistics and drops its spectrum.  The analysis takes about 3 * 2^m
 operations per leaf with m free variables; the few leaves whose argmax or
 bad/good decision sits within 1e-9 of a tie re-sum their candidates over
-the ambient layout (``_analyzer``), so the trees are exactly the ones that
-a fresh transform of every leaf table would give.  One product buffer, a
+the ambient layout (``_analyzer``), so the trees are exactly those that a
+fresh transform of every leaf table would give.  One product buffer, a
 half-size buffer and the influence weights are allocated once per driver
 call, so no leaf costs a 2^n temporary.
 
@@ -53,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, subset_sizes, wht
+from .boolfn import REAL, BooleanFunction, FourierExpansion, subset_sizes, wht
 from .dtree import (
     DecisionTree,
     EnergyLedger,
@@ -224,28 +223,27 @@ def _analyzer(n: int, delta: float, eps: float):
     threshold eps, with its weights and buffers allocated once, so that no
     leaf costs a 2^n temporary.
 
-    ``analyze(free, rows)`` analyses the compact spectra (rows) over
-    ``free`` in one batch, in a prefix of the product buffer.  The squares
-    of the rows give each leaf's degree profile (``_degree_weights``), and
-    its Stab is the profile at rho.  The influences come from
-    ``_fold_sums`` of the weighted squares: the weights of a mask over m
-    variables are the first 2^m ambient ones, because
-    ``subset_sizes(n)[:2^m]`` is ``subset_sizes(m)``, so every product has
-    the bits of the ambient kernel's.  The fold sums differ from the
-    ambient kernel's (``noise._influence_sums`` over the spectrum scattered
-    into the 2^n layout) only in the last bits, but those bits decide argmax
-    ties, and influences at the threshold.  So every leaf that is bad, or
-    whose top influence lies within ``_TIE_BAND`` of eps + INFLUENCE_SLACK,
-    takes its variable and maximum influence from the ambient sums of its
-    candidates, the variables within ``_TIE_BAND`` of the top: the products
+    ``analyze(frees, rows)`` analyses the compact spectra (row r over the
+    ascending free variables frees[r]) in one batch, in a prefix of the
+    product buffer.  The squares of the rows give each leaf's degree profile
+    (``_degree_weights``), and its Stab is the profile at rho.  The
+    influences are ``_fold_sums`` of the weighted squares, whose weights over
+    m variables are the first 2^m ambient ones (``subset_sizes(n)[:2^m]`` is
+    ``subset_sizes(m)``), so every product has the ambient kernel's bits.
+    The fold sums differ from the ambient kernel's (``noise._influence_sums``
+    over the 2^n layout) only in the last bits, but those bits decide argmax
+    ties, and influences at the threshold.  So a leaf that is bad, or whose
+    top influence lies within ``_TIE_BAND`` of eps + INFLUENCE_SLACK, takes
+    its variable and maximum influence from the ambient sums of its
+    candidates, the variables within ``_TIE_BAND`` of the top: its products
     are scattered into the product buffer, zero at every mask with a fixed
-    variable, and summed as ``noise._influence_sums`` sums them.  A leaf
-    with a single candidate well above the threshold needs no tie-break.
-    Split variables and bad/good decisions are then exactly those of the
-    ambient kernel.  The buffer is zero between calls.
+    variable, and summed as ``noise._influence_sums`` sums them.  A single
+    candidate well above the threshold needs no tie-break.  Split variables
+    and bad/good decisions are then exactly the ambient kernel's.  The
+    buffer is zero between calls.
 
-    ``analyze.influences(free, rows, j)`` gives each row's (1-delta)-noisy
-    influence of j, for the loop's energy identity, in the product buffer
+    ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
+    influence of js[r], for the energy identity, in the product buffer
     (whose pages the analysis has touched already, unlike the half buffer's).
     """
     stab_powers = _powers(1.0 - delta, n)
@@ -262,50 +260,70 @@ def _analyzer(n: int, delta: float, eps: float):
         best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
         return candidates[best], float(sums[best])
 
-    def analyze(free: tuple[int, ...], rows: np.ndarray) -> list[LeafStats]:
+    def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
         batch = prod[:rows.size].reshape(rows.shape)
         profiles = _degree_weights(np.multiply(rows, rows, out=batch))
-        stabs = profiles @ stab_powers[:len(free) + 1]
+        stabs = profiles @ stab_powers[:frees.shape[1] + 1]
         influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
         batch[...] = 0.0
         tops = influences.max(axis=1, initial=0.0)
-        variables = [free[k] for k in influences.argmax(axis=1).tolist()] if free else [0] * len(rows)
+        variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
+                     else [0] * len(rows))
         out = []
         for r, (mean, stab, var, top, profile) in enumerate(zip(
                 rows[:, 0].tolist(), stabs.tolist(), variables, tops.tolist(), profiles.tolist())):
             if top >= threshold * (1.0 - _TIE_BAND):
                 candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
                 if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
-                    var, top = ambient_argmax(free, rows[r], [free[k] for k in candidates])
+                    free = frees[r].tolist()
+                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates])
             out.append(LeafStats(mean, stab, var, top, tuple(profile)))
         return out
 
-    def influences(free: tuple[int, ...], rows: np.ndarray, j: int) -> np.ndarray:
-        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing j;
+    def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
+        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r];
         # the masks containing the top variable have those weights, in order
-        upper = rows.reshape(len(rows), -1, 2, 1 << free.index(j))[:, :, 1, :]
         half_size = rows.shape[1] // 2
-        weights = influence_weights[half_size:2 * half_size].reshape(upper.shape[1:])
-        batch = prod[:upper.size].reshape(upper.shape)
-        sums = _weighted_squares(upper, weights, batch).reshape(len(rows), -1).sum(axis=1)
-        batch[...] = 0.0
+        weights = influence_weights[half_size:2 * half_size]
+        sums = np.empty(len(rows))
+        for run, k in _runs(frees, js):
+            upper = rows[run].reshape(-1, half_size >> k, 2, 1 << k)[:, :, 1, :]
+            batch = prod[:upper.size].reshape(upper.shape)
+            _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
+            batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
+            batch[...] = 0.0
         return sums
 
     analyze.influences = influences
     return analyze
 
 
-def _split_rows(rows: np.ndarray, free: tuple[int, ...], j: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Half-butterfly of every compact spectrum (row) on variable j.
+def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
+    """Slices of consecutive rows r in which js[r] has one rank k among the
+    free variables frees[r], each with its k: a homogeneous round is one
+    slice.  Slices are views; a gathered copy of the rows would add up to
+    2^n values to the peak."""
+    ranks = (frees < js[:, None]).sum(axis=1)
+    bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(ranks)]
+    return [(slice(a, b), int(ranks[a])) for a, b in zip(bounds, bounds[1:])]
 
-    Row r becomes rows 2r (x_j = +1) and 2r + 1 (x_j = -1), over ``free``
-    without j, which is the order of the children in the tree.
+
+def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-butterfly of every compact spectrum (row r, over the ascending
+    free variables frees[r]) on its variable js[r].
+
+    Row r becomes rows 2r (x_j = +1) and 2r + 1 (x_j = -1), over frees[r]
+    without js[r], which is the order of the children in the tree.
     """
-    h = rows.reshape(len(rows), -1, 2, 1 << free.index(j))
-    out = np.empty((len(rows), 2, h.shape[1], h.shape[3]))
-    np.add(h[:, :, 0, :], h[:, :, 1, :], out=out[:, 0])
-    np.subtract(h[:, :, 0, :], h[:, :, 1, :], out=out[:, 1])
-    return tuple(v for v in free if v != j), out.reshape(2 * len(rows), -1)
+    half_size = rows.shape[1] // 2
+    out = np.empty((len(rows), 2, half_size))
+    for run, k in _runs(frees, js):
+        h = rows[run].reshape(-1, half_size >> k, 2, 1 << k)
+        o = out[run].reshape(len(h), 2, half_size >> k, 1 << k)
+        np.add(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 0])
+        np.subtract(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 1])
+    rest = frees[frees != js[:, None]].reshape(len(rows), -1)
+    return np.repeat(rest, 2, axis=0), out.reshape(2 * len(rows), -1)
 
 
 def _tally(level: list[tuple[Leaf, int]], stats: dict[int, LeafStats],
@@ -322,83 +340,68 @@ def _tally(level: list[tuple[Leaf, int]], stats: dict[int, LeafStats],
     return phi, bad, bad_mass, max(depth for _, depth in level)
 
 
-def _check_phi(phi: float, bound: float) -> None:
-    if phi > bound + _PHI_GUARD:
-        raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
-
-
-def _decompose(f: BooleanFunction, ghat: FourierExpansion, p: RegularityParams, plan: Callable,
-               keep_all: bool, norm_bound: float) -> DecompositionResult:
+def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool,
+               ghat: FourierExpansion | None = None) -> DecompositionResult:
     """The energy-increment loop of both drivers, from f and its spectrum
-    ``ghat``: run passes until at most a gamma fraction of leaf mass is bad.
+    ``ghat`` (transformed here if not given): run passes until at most a
+    gamma fraction of leaf mass is bad.
 
     ``plan(stats, bad, depth)`` (leaf statistics by id, the bad leaves' ids,
     the tree depth) is the split policy: it returns the next pass as a list
     of rounds, each a function from a held leaf's id to the variable it
-    splits on, or None to stop with ``exhausted`` set.  The spectra held are
-    groups of rows over shared free variables, in ``leaves`` order, so each
-    round's children take consecutive ids, and the rows of a group split on
-    one variable.  With ``keep_all`` every leaf's spectrum is held and a
-    level stays one group; otherwise only the bad leaves' are, one copied
-    row each.  The children of a pass's last round are analysed, those of
-    earlier rounds are not.
+    splits on, or None to stop with ``exhausted`` set.  The held leaves'
+    spectra are the rows of one array in ``leaves`` order, with each row's
+    free variables in a parallel array; a round's children take consecutive
+    ids.  With ``keep_all`` the whole level is held; otherwise only its bad
+    leaves are, in one copy that frees their good siblings.  Only the last
+    round's children are analysed.
 
-    Every pass checks that phi <= ``norm_bound``, which callers pass as
-    max(1, E[f^2]), that the iteration budget holds, and the restriction
-    identity: a split of a leaf at depth d on j gains exactly
-    delta * 2^-d * Inf_j, summed over all rounds of the pass.  The callers
-    check E[f^2] <= 1 before they transform f.
+    Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
+    holds, and the restriction identity: a split of a leaf at depth d on j
+    gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
     """
+    # E[f^2] <= 1 is checked before f is transformed; on pm_one and zero_one
+    # tables it holds in floating point too, as each square is at most 1
+    bound = max(1.0, f.require_unit_mean_square()) if f.range_tag == REAL else 1.0
     t = singleton(f)
     analyze = _analyzer(f.n, p.delta, p.eps)
-    free, root = tuple(range(f.n)), ghat.coeffs.reshape(1, -1)
-    stats = {0: analyze(free, root)[0]}
-    groups = [([0], free, root)] if keep_all or stats[0].bad(p.eps) else []
-    del ghat, root  # the root's rows are freed at its split, unless a caller holds them
-    phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
-    _check_phi(phi, norm_bound)
+    ids, frees = range(1), np.arange(f.n).reshape(1, -1)
+    rows = (wht(f) if ghat is None else ghat).coeffs.reshape(1, -1)
+    del ghat  # the root's rows are freed at its split, unless a caller holds them
+    stats: dict[int, LeafStats] = {}
     ledger = EnergyLedger()
-    ledger.record(0, phi, 0)
-    iterations = 0
-    while bad_mass > p.gamma:
+    iterations, phi, predicted = 0, 0.0, 0.0
+    while True:  # a pass: analyse the new leaves and check the tree, then stop or split
+        stats.update(zip(ids, analyze(frees, rows)))
+        previous = phi
+        phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
+        if phi > bound + _PHI_GUARD:
+            raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
+        if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
+            raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
+                               f"the restriction identity predicts {p.delta * predicted}")
+        ledger.record(iterations, phi, depth)
+        if bad_mass <= p.gamma:
+            return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
         rounds = plan(stats, bad, depth)
         if rounds is None:
             return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=True, leaf_stats=stats)
+        if not keep_all and len(bad) < len(ids):  # every bad leaf is held, in leaves order
+            keep = [r for r, leaf_id in enumerate(ids) if stats[leaf_id].bad(p.eps)]
+            ids, frees, rows = bad, frees[keep], rows[keep]  # one copy; the good rows are released
         predicted = 0.0
-        for k, var_of in enumerate(rounds):
-            last = k == len(rounds) - 1
-            held, groups = groups[::-1], []
-            splits: dict[int, int] = {}
-            next_id = t.next_leaf_id
-            while held:
-                ids, free, rows = held.pop()
-                for leaf_id in ids:
-                    splits[leaf_id] = var_of(leaf_id)
-                    stats.pop(leaf_id, None)
-                j = splits[ids[0]]
-                predicted += 2.0 ** (len(free) - f.n) * float(analyze.influences(free, rows, j).sum())
-                free, rows = _split_rows(rows, free, j)  # frees the parents' rows
-                ids = list(range(next_id, next_id + len(rows)))
-                next_id += len(rows)
-                if last:
-                    stats.update(zip(ids, analyze(free, rows)))
-                if keep_all or not last:
-                    groups.append((ids, free, rows))
-                else:  # a copy each, so that a good sibling is freed
-                    groups.extend(([leaf_id], free, row.reshape(1, -1).copy())
-                                  for leaf_id, row in zip(ids, rows) if stats[leaf_id].bad(p.eps))
+        for var_of in rounds:
+            splits = {leaf_id: var_of(leaf_id) for leaf_id in ids}
+            for leaf_id in ids:
+                stats.pop(leaf_id, None)
+            js = np.fromiter(splits.values(), np.int64, len(splits))
+            predicted += 2.0 ** (frees.shape[1] - f.n) * float(analyze.influences(frees, rows, js).sum())
+            frees, rows = _split_rows(rows, frees, js)  # releases the parents' rows
+            ids = range(t.next_leaf_id, t.next_leaf_id + len(rows))
             t = split_leaves(t, splits)
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-        previous = phi
-        phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
-        _check_phi(phi, norm_bound)
-        if abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
-            raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
-                               f"the restriction identity predicts {p.delta * predicted}")
-        ledger.record(iterations, phi, depth)
-    return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
 
 
 def _split_bad_leaves(n: int, p: RegularityParams) -> Callable:
@@ -423,8 +426,7 @@ def decompose(f: BooleanFunction, p: RegularityParams) -> DecompositionResult:
     delta * sum over the split leaves of 2^-depth * Inf_var, which is
     checked at run time.
     """
-    norm_bound = max(1.0, f.require_unit_mean_square())
-    return _decompose(f, wht(f), p, _split_bad_leaves(f.n, p), keep_all=False, norm_bound=norm_bound)
+    return _decompose(f, p, _split_bad_leaves(f.n, p), keep_all=False)
 
 
 def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int) -> DecompositionResult:
@@ -436,12 +438,10 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
     next pass would push the query set past ``var_cap`` the partial tree is
     returned with ``exhausted`` set instead of an error: the guaranteed
     worst case is a tower-type size that no table-based run could reach
-    anyway.  The leaves of a level share their free variables, so their
-    spectra are held as the rows of one array and analysed in one batch.
+    anyway.
     """
     if not 0 <= var_cap <= f.n:
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
-    norm_bound = max(1.0, f.require_unit_mean_square())
     query_vars: list[int] = []
 
     def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]] | None:
@@ -453,8 +453,7 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         query_vars.extend(new_vars)
         return [lambda leaf_id, var=var: var for var in new_vars]
 
-    return replace(_decompose(f, wht(f), p, plan, keep_all=True, norm_bound=norm_bound),
-                   homogeneous_vars=query_vars)
+    return replace(_decompose(f, p, plan, keep_all=True), homogeneous_vars=query_vars)
 
 
 def tower(k: int) -> int | float:

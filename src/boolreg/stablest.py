@@ -156,10 +156,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         return MistReport(rho=rho, mean=mu, stab=stab, lam=lam, slack=stab - lam,
                           params_used=params_used, quasirandom_ok=False, witness=witness)
 
-    # decompose(f, p) from the spectrum at hand; a [0,1]-valued f has E[f^2] <= 1
-    # (also in floating point: each square and each partial sum stays within
-    # its exact bound), so max(1, E[f^2]) is 1
-    result = _decompose(f, ghat, p, _split_bad_leaves(f.n, p), keep_all=False, norm_bound=1.0)
+    # decompose(f, p) from the spectrum at hand
+    result = _decompose(f, p, _split_bad_leaves(f.n, p), keep_all=False, ghat=ghat)
     bad_term = 0.0
     good_lambda_term = 0.0
     lipschitz_term = 0.0

@@ -41,6 +41,18 @@ def test_analyze_maj3_influences(capsys):
     assert report["stability"]["0.5"] == pytest.approx(0.40625)
 
 
+def test_analyze_stabilities_match_the_spectral_sums(capsys, tmp_path):
+    # read from one degree profile, within 1e-12 of sum_S rho^|S| ghat(S)^2
+    rng = np.random.default_rng(3)
+    f = BooleanFunction(12, rng.uniform(-1.0, 1.0, 1 << 12), "real")
+    path = tmp_path / "table.txt"
+    save_table(f, str(path))
+    report = run_json(["analyze", "--fn", f"file:{path}"], capsys)
+    assert list(report["stability"]) == [f"0.{k}" for k in range(1, 10)]
+    for rho, value in report["stability"].items():
+        assert abs(value - boolreg.stability(wht(f), float(rho))) <= 1e-12
+
+
 def test_analyze_dictator_top_coefficient(capsys):
     report = run_json(["analyze", "--fn", "dictator:1"], capsys)
     assert report["top_coefficients"][0] == {"vars": [1], "value": 1.0}

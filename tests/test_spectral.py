@@ -20,8 +20,10 @@ from boolreg import (
     FourierExpansion,
     Internal,
     RegularityParams,
+    check_quasi_mist,
     decompose,
     decompose_homogeneous,
+    dictator,
     evaluate_table,
     leaves,
     majority,
@@ -32,10 +34,11 @@ from boolreg import (
     split_leaves,
     stability,
     subset_sizes,
+    to_zero_one,
     tribes,
     wht,
 )
-from boolreg import regularity
+from boolreg import regularity, stablest
 from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
 from boolreg.regularity import _ambient, _analyzer, _degree_weights, _fold_sums, _split_rows
 from oracles import (
@@ -88,19 +91,27 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= FLOAT_TOL
 
 
+def free_rows(free, count=1) -> np.ndarray:
+    """``count`` rows of the free variables ``free``, as the analyzer and
+    ``_split_rows`` take them."""
+    return np.tile(np.array(free, dtype=np.int64), (count, 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(tables(exact=False), st.data())
 def test_half_butterfly_is_the_restricted_spectrum(case, data):
     f, exact = case
     path = data.draw(st.lists(st.integers(0, f.n - 1), unique=True, max_size=3))
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(path), max_size=len(path)))
-    free, rows = tuple(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    frees, rows = free_rows(range(f.n)), wht(f).coeffs.reshape(1, -1)
     g = f
     for var, v in zip(path, signs):
-        free, children = _split_rows(rows, free, var)
-        assert children.shape == (2, 1 << len(free))
-        rows = children[0 if v == 1 else 1].reshape(1, -1)
+        frees, children = _split_rows(rows, frees, np.array([var]))
+        assert children.shape == (2, 1 << frees.shape[1])
+        assert np.array_equal(frees[0], frees[1])
+        frees, rows = frees[:1], children[0 if v == 1 else 1].reshape(1, -1)
         g = restrict(g, var, v)
+    free = tuple(frees[0].tolist())
     assert free == tuple(i for i in range(f.n) if i not in path)
     derived = _ambient(f.n, free, rows[0], np.zeros(1 << f.n)).coeffs
     fresh = wht(g).coeffs
@@ -141,7 +152,7 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
         assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
         analyze = _analyzer(n, delta, 1e-6)
         for spectrum_free, compact, ambient in spectra:
-            [stats] = analyze(spectrum_free, compact.reshape(1, -1))
+            [stats] = analyze(free_rows(spectrum_free), compact.reshape(1, -1))
             influences = mask_gather_influences(ambient, delta)
             assert close(stats.stab, power_stability(ambient, 1.0 - delta))
             assert stats.var == int(influences.argmax())
@@ -203,6 +214,95 @@ def test_leaf_profiles_are_exact_on_boolean_tables(f, p, homogeneous):
         assert close(stats.stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
 
 
+def addressing(n: int) -> BooleanFunction:
+    """The 4-bit addressing function: index bits 0-3 give an address a, and
+    f = 1 - 2 * (bit 4 + a of the index); bits past n - 1 read 0."""
+    x = np.arange(1 << n)
+    return BooleanFunction(n, 1.0 - 2.0 * ((x >> (4 + (x & 15))) & 1), PM_ONE)
+
+
+@pytest.mark.parametrize("build, tables", [(addressing, 4.565), (lambda n: dictator(n, 0), 4.503)],
+                         ids=["addressing", "dictator"])
+def test_plain_driver_peak(build, tables):
+    # f is built untraced.  The root spectrum and its split, the product
+    # buffer and the influence weights are a table of 2^n doubles each, and
+    # the half buffer half of one: 4.5 tables.  Split group by group, the
+    # drivers peaked at 4.565 and 4.503 tables here; gathering a pass's rows
+    # into one copy by a mask raised decompose(tribes(4,5)) from 4.50 to 6.00
+    n = 18
+    f = build(n)
+    subset_sizes(n)
+    tracemalloc.start()
+    try:
+        result = decompose(f, RegularityParams(0.05, 0.3, 0.05))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 1
+    assert peak <= (tables + 0.05) * 8 * (1 << n)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: decompose(tribes(4, 4), RegularityParams(0.05, 0.3, 0.05)),
+    lambda: decompose_homogeneous(majority(11), RegularityParams(0.05, 0.3, 0.05), 11),
+    lambda: check_quasi_mist(to_zero_one(tribes(3, 4)), 0.5, RegularityParams(0.02, 0.3, 0.05), 0.6, 0.5),
+], ids=["plain_tribes_4_4", "homogeneous_majority_11", "pipeline_tribes_3_4"])
+def test_one_leaf_analysis_per_pass(monkeypatch, run):
+    # the root's, and one batch of all new leaves at the end of each pass
+    calls, results = [], []
+    analyzer, loop = regularity._analyzer, regularity._decompose
+
+    def counting_analyzer(*args):
+        analyze = analyzer(*args)
+
+        def counted(frees, rows):
+            calls.append(len(rows))
+            return analyze(frees, rows)
+
+        counted.influences = analyze.influences
+        return counted
+
+    def recording_loop(*args, **kwargs):
+        results.append(loop(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(regularity, "_analyzer", counting_analyzer)
+    monkeypatch.setattr(regularity, "_decompose", recording_loop)
+    monkeypatch.setattr(stablest, "_decompose", recording_loop)
+    run()
+    [result] = results
+    assert result.iterations > 1
+    assert len(calls) == result.iterations + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
+    # rows of one depth split at different ranks in a plain pass; each row
+    # gets exactly what it gets alone, but for its profile and Stab, whose
+    # matrix products may block by the row count (on Boolean tables the
+    # profile is exact all the same)
+    m = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(1, min(6, 1 << (n - m))))  # a batch fits the product buffer
+    frees = np.array([sorted(data.draw(st.permutations(range(n)))[:m]) for _ in range(count)])
+    js = np.array([data.draw(st.sampled_from(free)) for free in frees.tolist()])
+    elements = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = data.draw(arrays(np.float64, (count, 1 << m), elements=elements)) / 2.0 ** (m / 2)
+    analyze = _analyzer(n, data.draw(st.sampled_from([0.1, 0.3, 1.0])), 1e-6)
+    rest, children = _split_rows(rows, frees, js)
+    sums, batch = analyze.influences(frees, rows, js), analyze(frees, rows)
+    for r in range(count):
+        one = slice(r, r + 1)
+        rest_alone, children_alone = _split_rows(rows[one], frees[one], js[one])
+        assert np.array_equal(rest[2 * r:2 * r + 2], rest_alone)
+        assert same_bits(children[2 * r:2 * r + 2], children_alone)
+        assert same_bits(sums[one], analyze.influences(frees[one], rows[one], js[one]))
+        [alone] = analyze(frees[one], rows[one])
+        assert (batch[r].mean, batch[r].var, batch[r].max_influence) == (alone.mean, alone.var, alone.max_influence)
+        np.testing.assert_allclose(batch[r].profile, alone.profile, rtol=0.0, atol=FLOAT_TOL)
+        assert close(batch[r].stab, alone.stab)
+
+
 def test_analyzer_holds_three_buffers_of_2_to_the_n():
     # the product buffer and the influence weights (2^n doubles each) and
     # the half buffer (2^(n-1)), plus the degree sums' temporaries (about
@@ -211,12 +311,12 @@ def test_analyzer_holds_three_buffers_of_2_to_the_n():
     n = 18
     subset_sizes(n)
     root = wht(random_pm_one(n, 5)).coeffs.reshape(1, -1)
-    free = tuple(range(n))
+    frees = free_rows(range(n))
     tracemalloc.start()
     try:
         analyze = _analyzer(n, 0.3, 1e-6)  # a bad root: its tie-break runs too
-        assert analyze(free, root)[0].bad(1e-6)
-        analyze.influences(free, root, 3)
+        assert analyze(frees, root)[0].bad(1e-6)
+        analyze.influences(frees, root, np.array([3]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -333,7 +433,7 @@ def test_threshold_decided_by_the_ambient_sums(f, delta, below, bad):
     weights = _influence_powers(delta, f.n)[subset_sizes(f.n)]
     compact = _fold_sums(((weights * coeffs) * coeffs).reshape(1, -1))
     assert compact.max() != top  # so the band decides this case
-    [stats] = _analyzer(f.n, delta, p.eps)(tuple(range(f.n)), coeffs.reshape(1, -1))
+    [stats] = _analyzer(f.n, delta, p.eps)(free_rows(range(f.n)), coeffs.reshape(1, -1))
     assert stats.max_influence == top
     assert stats.bad(p.eps) == bad
     result = decompose(f, p)
@@ -358,7 +458,7 @@ def test_compact_kernel_matches_power_and_mask_gather(n, data):
     eps = data.draw(st.sampled_from([1e-6, 0.01, 0.1]))
     analyze = _analyzer(n, delta, eps)
     for _ in range(2):  # the second run would see a stale buffer
-        for row, stats in zip(rows, analyze(free, rows)):
+        for row, stats in zip(rows, analyze(free_rows(free, r), rows)):
             ambient = _ambient(n, free, row, np.zeros(1 << n)).coeffs
             influences = mask_gather_influences(ambient, delta)
             assert stats.mean == row[0]
@@ -407,8 +507,8 @@ def test_energy_identity_pass_by_pass(f):
 def test_energy_identity_guard_catches_drift(monkeypatch, driver):
     split = regularity._split_rows
 
-    def drifting(rows, free, j):
-        rest, children = split(rows, free, j)
+    def drifting(rows, frees, js):
+        rest, children = split(rows, frees, js)
         return rest, children * 1.001
 
     monkeypatch.setattr(regularity, "_split_rows", drifting)
