@@ -17,8 +17,9 @@ Variable indices are 0-based throughout the library.  User-facing output
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import IO, Iterable
 
 import numpy as np
@@ -34,6 +35,9 @@ MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
 
 _TABLE_CHUNK = 1 << 16  # table lines parsed or formatted per batch
+
+# Mask bits whose sizes one matrix product of ``_degree_weights`` sums by.
+_DEGREE_BITS = 8
 
 
 def check_arity(n: int) -> None:
@@ -133,6 +137,61 @@ class FourierExpansion:
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValueError(f"coefficient table must have length 2^{self.n}")
         object.__setattr__(self, "coeffs", arr)
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """The read-only degree profile W^k = sum over |S| = k of coeff(S)^2,
+        k = 0 .. n, computed at the first read and kept: the coefficients
+        are read-only, so it cannot go stale.  Exact on the spectra of
+        {-1,1}- and {0,1}-valued tables (see ``_degree_weights``)."""
+        return _handover(_degree_profile(self.coeffs))
+
+
+def _indicator(values: np.ndarray, width: int) -> np.ndarray:
+    """The read-only (len(values), width) 0/1 matrix whose row r has its one
+    at values[r]."""
+    return _handover(np.equal.outer(values, np.arange(width)).astype(np.float64))
+
+
+@lru_cache(maxsize=None)
+def _degree_matrix(b: int) -> np.ndarray:
+    """The (2^b, b + 1) 0/1 matrix whose row l has its one at |l|."""
+    return _indicator(subset_sizes(b), b + 1)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_matrix(b: int, a: int) -> np.ndarray:
+    """The ((b + 1)(a + 1), a + b + 1) 0/1 matrix whose row (i, j) has its
+    one at i + j."""
+    return _indicator(np.add.outer(np.arange(b + 1), np.arange(a + 1)).ravel(), a + b + 1)
+
+
+def _degree_weights(squares: np.ndarray) -> np.ndarray:
+    """Per row of ``squares`` (rows in the 2^m mask layout of m variables),
+    the sums over the masks of each size 0 .. m.
+
+    A mask is a low part l over b <= _DEGREE_BITS variables and a high part
+    h over the a = m - b others, and |S| = |l| + |h|.  One matrix product
+    sums each block of 2^b entries by |l|; the same reduction of its
+    transpose sums the blocks by |h|, and a last product adds the (|l|,
+    |h|) sums by |l| + |h|.  The weights are 0 and 1, so the sums are exact
+    whenever their partial sums are, as on Boolean tables.
+    """
+    rows, size = squares.shape
+    m = size.bit_length() - 1
+    # the low part is the largest of ceil(m / _DEGREE_BITS) near-equal parts
+    b = m if m <= _DEGREE_BITS else math.ceil(m / math.ceil(m / _DEGREE_BITS))
+    low = squares.reshape(-1, 1 << b) @ _degree_matrix(b)
+    if b == m:
+        return low
+    by_low = low.reshape(rows, -1, b + 1).transpose(0, 2, 1).reshape(rows * (b + 1), -1)
+    return _degree_weights(by_low).reshape(rows, -1) @ _diagonal_matrix(b, m - b)
+
+
+def _degree_profile(coeffs: np.ndarray) -> np.ndarray:
+    """The degree profile of one coefficient table over m >= 0 variables:
+    m + 1 sums of squares by mask size, in a fresh array."""
+    return _degree_weights(np.square(coeffs).reshape(1, -1))[0]
 
 
 _BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)

@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from . import families, regularity
+from . import families
 from .boolfn import PM_ONE, REAL, BooleanFunction, load_table, mask_vars, mean, norm2, wht
 from .dtree import to_dot
 from .errors import BudgetExceededError, PreconditionError
-from .noise import _check_delta, _powers, expansion_influences
+from .noise import _check_delta, expansion_influences, stability
 from .regularity import RegularityParams, decompose, decompose_homogeneous, decomposition_report
 from .stablest import check_quasi_mist, mist_slack, to_zero_one
 
@@ -111,10 +111,9 @@ def cmd_analyze(args) -> int:
         "top_coefficients": top,
         "noisy_influences": [float(v) for v in expansion_influences(ghat, args.delta)],
     }
-    # Stab_rho = sum_k rho^k W^k, W^k = sum over |S| = k of ghat(S)^2; the squares
-    # come after E[f^2], so that a table past the float64 range fails there first
-    profile = regularity._degree_weights(np.square(ghat.coeffs).reshape(1, -1))[0]
-    report["stability"] = {f"{rho:.1f}": float(profile @ _powers(rho, f.n)) for rho in
+    # all nine read the spectrum's one degree profile; its squares come after
+    # E[f^2], so that a table past the float64 range fails there first
+    report["stability"] = {f"{rho:.1f}": stability(ghat, rho) for rho in
                            (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)}
     _emit(report, args.pretty)
     return EXIT_OK

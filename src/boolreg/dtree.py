@@ -20,8 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly
-from .noise import INFLUENCE_SLACK, _check_delta, _influences, _stability
+from .boolfn import BooleanFunction, _butterfly, _degree_profile
+from .noise import INFLUENCE_SLACK, _check_delta, _influences, _profile_stability
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +145,8 @@ def evaluate_table(t: DecisionTree) -> np.ndarray:
 def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
     if j in leaf.fixed:
         raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
-    axis = sum(v > j for v in leaf.free)  # the axes run down the free variables
+    # the axes run down the free variables: the free ones above j come first
+    axis = leaf.n - 1 - j - sum(v > j for v in leaf.fixed)
     plus, minus = (leaf.table[(slice(None),) * axis + (bit, ...)] for bit in (0, 1))
     return Internal(j, Leaf(first_id, plus, {**leaf.fixed, j: 1}, leaf.n, leaf.range_tag),
                     Leaf(first_id + 1, minus, {**leaf.fixed, j: -1}, leaf.n, leaf.range_tag))
@@ -207,10 +208,12 @@ def _max_influence(leaf: Leaf, delta: float) -> float:
 
 
 def energy(t: DecisionTree, delta: float) -> float:
-    """Leaf-mass-weighted average of Stab_{1-delta} over the leaf subfunctions."""
+    """Leaf-mass-weighted average of Stab_{1-delta} over the leaf subfunctions,
+    each read from the leaf's degree profile."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return float(sum(2.0 ** -depth * _stability(_compact_spectrum(leaf), 1.0 - delta)
+    return float(sum(2.0 ** -depth * _profile_stability(_degree_profile(_compact_spectrum(leaf)),
+                                                        1.0 - delta)
                      for leaf, depth in leaves(t)))
 
 

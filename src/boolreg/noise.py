@@ -1,7 +1,11 @@
 """Noise stability, noisy influence, and the small-influence predicate.
 
-The spectral formula Stab_rho[f] = sum_S rho^|S| fhat(S)^2 is the workhorse;
-a Monte-Carlo estimator over rho-correlated input pairs provides an
+The spectral formula Stab_rho[f] = sum_S rho^|S| fhat(S)^2 is the workhorse.
+It is read as sum_k rho^k W^k from the degree profile W^k = sum over |S| = k
+of fhat(S)^2 (O'Donnell, Analysis of Boolean Functions, chapter 2), which a
+spectrum computes once, at its first stability read, and keeps
+(``FourierExpansion.profile``): each further rho costs n + 1 products.  A
+Monte-Carlo estimator over rho-correlated input pairs provides an
 independent sampling cross-check.  The noisy influence of coordinate i is
 the stability of the directional derivative D_i f, equivalently
 sum_{S containing i} rho^(|S|-1) fhat(S)^2 at rho = 1 - delta.
@@ -67,13 +71,6 @@ def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords=None) -> np.n
     return out
 
 
-def _stability(coeffs: np.ndarray, rho: float) -> float:
-    """``stability`` of a coefficient table over m >= 0 variables."""
-    m = coeffs.size.bit_length() - 1
-    weights = _powers(rho, m)[subset_sizes(m)]
-    return float(_weighted_squares(coeffs, weights, weights).sum())
-
-
 def _influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
     """``expansion_influences`` of a coefficient table over m >= 0 variables
     (empty when m = 0)."""
@@ -82,10 +79,16 @@ def _influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
     return _influence_sums(_weighted_squares(coeffs, weights, weights), np.empty(coeffs.size // 2))
 
 
+def _profile_stability(profile: np.ndarray, rho: float) -> float:
+    """sum_k rho^k W^k over a degree profile W^0 .. W^m."""
+    return float(profile @ _powers(rho, profile.size - 1))
+
+
 def stability(g: FourierExpansion, rho: float) -> float:
-    """sum over masks S of rho^|S| * coeff(S)^2; lies in [0, E[f^2]]."""
+    """sum over masks S of rho^|S| * coeff(S)^2, read as sum_k rho^k W^k from
+    the spectrum's degree profile; lies in [0, E[f^2]]."""
     _check_rho(rho)
-    return _stability(g.coeffs, rho)
+    return _profile_stability(g.profile, rho)
 
 
 def stability_mc(f: BooleanFunction, rho: float, samples: int, seed: int) -> float:

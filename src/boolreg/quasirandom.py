@@ -3,8 +3,10 @@
 A function is (eps, delta)-quasirandom when every nonempty Fourier
 coefficient of degree at most floor(1/delta) has magnitude at most eps.
 ``max_mean_shift`` is the truth-table dual: an exhaustive scan over small
-restrictions for the one that moves the mean furthest.  The two sides bound
-each other (quasirandom functions barely move their mean under small
+restrictions for the one that moves the mean furthest.  It folds one copy
+of the table from the top variable down, so a subset whose largest variable
+is v reads 2^(v+1) partial sums instead of the whole table.  The two sides
+bound each other (quasirandom functions barely move their mean under small
 restrictions, and vice versa), which the test suite exercises as stated
 inequalities rather than trusting either code path alone.
 """
@@ -27,6 +29,9 @@ ENUMERATION_BUDGET = 10 ** 6
 # Comparisons against the true influence grant this much slack; the bound
 # itself is exact in exact arithmetic.
 BOUND_SLACK = 1e-12
+
+# Relative band within which two mean shifts count as tied.
+SHIFT_TIE = 1e-12
 
 
 def degree_cap(delta: float) -> int:
@@ -93,20 +98,35 @@ def influence_quasirandom_bound(f: BooleanFunction, subset: int | Iterable[int],
     return bound
 
 
-def _restriction_mean_table(values: np.ndarray, n: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Means of all restrictions on ``subset``; axis order is descending variable."""
-    arr = values.reshape((2,) * n)
-    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
-    keep_axes = {n - 1 - v for v in subset}
-    avg_axes = tuple(sorted(set(range(n)) - keep_axes))
-    return arr.mean(axis=avg_axes) if avg_axes else arr
+def _restriction_sums(prefix: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+    """Per assignment to ``subset`` (ascending, its largest variable the top
+    index bit of ``prefix``), the sum of ``prefix`` over the other bits,
+    shaped (2,) * j with axes in ascending variable order."""
+    shape = []
+    above = prefix.size.bit_length() - 1
+    for v in reversed(subset):  # the reshape runs down the index bits
+        shape += [1 << (above - v - 1), 2]
+        above = v
+    shape.append(1 << above)
+    sums = prefix.reshape(shape).sum(axis=tuple(range(0, len(shape), 2)))
+    return sums.transpose(tuple(reversed(range(len(subset)))))
 
 
 def max_mean_shift(f: BooleanFunction, k: int) -> tuple[dict[int, int], float]:
     """Exhaustively search all restrictions of at most k coordinates for the
-    one maximizing |E[f restricted] - E[f]|; ties go to the first candidate
-    in (subset size, subset, assignment) order, so the empty restriction
-    wins whenever nothing moves the mean.
+    one maximizing |E[f restricted] - E[f]|; shifts within a relative
+    SHIFT_TIE of the largest count as tied, and ties go to the first
+    candidate in (subset size, subset, assignment) order, so the empty
+    restriction wins whenever nothing moves the mean.
+
+    One copy of f's table is folded in place from the top variable down:
+    before variable ``top`` is summed out, its first 2^(top+1) entries hold
+    f summed over the variables above ``top``, and every subset whose
+    largest variable is ``top`` takes its restriction sums from that prefix.
+    On {-1,1}- and {0,1}-valued tables every sum and mean is exact and
+    distinct shifts differ by far more than SHIFT_TIE, so the result is that
+    of an exact search; on real tables x_i = +1 and x_i = -1 move the mean
+    equally in exact arithmetic, and the band keeps rounding from choosing.
     """
     if not 0 <= k <= f.n:
         raise ValueError(f"k must lie in [0, n={f.n}], got {k}")
@@ -116,17 +136,23 @@ def max_mean_shift(f: BooleanFunction, k: int) -> tuple[dict[int, int], float]:
             f"{cases} restrictions exceed the enumeration budget {ENUMERATION_BUDGET}"
         )
     base = mean(f)
-    best_restriction: dict[int, int] = {}
-    best_shift = 0.0
-    for j in range(1, k + 1):
-        for subset in itertools.combinations(range(f.n), j):
-            table = _restriction_mean_table(f.values, f.n, subset)
-            axis_vars = sorted(subset, reverse=True)
-            for assignment in itertools.product((1, -1), repeat=j):
-                by_var = dict(zip(subset, assignment))
-                idx = tuple(0 if by_var[v] == 1 else 1 for v in axis_vars)
-                shift = abs(float(table[idx]) - base)
-                if shift > best_shift:
-                    best_shift = shift
-                    best_restriction = by_var
-    return best_restriction, best_shift
+    sums = np.array(f.values)
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    for top in reversed(range(f.n)):
+        prefix = sums[:2 << top]
+        for j in range(1, k + 1):
+            for rest in itertools.combinations(range(top), j - 1):
+                tables[rest + (top,)] = _restriction_sums(prefix, rest + (top,))
+        np.add(prefix[:1 << top], prefix[1 << top:], out=prefix[:1 << top])
+    order = [subset for j in range(1, k + 1) for subset in itertools.combinations(range(f.n), j)]
+    # the empty restriction first, then each subset's 2^j assignments in
+    # product((1, -1)) order: the C order of its table, bit 1 meaning x = -1
+    shifts = np.abs(np.concatenate(
+        [[base], *(tables[subset].ravel() / 2.0 ** (f.n - len(subset)) for subset in order)]) - base)
+    best = int(np.argmax(shifts >= shifts.max() * (1.0 - SHIFT_TIE)))
+    if best == 0:
+        return {}, 0.0
+    starts = np.cumsum([1, *(1 << len(subset) for subset in order)])
+    r = int(np.searchsorted(starts, best, side="right")) - 1
+    bits = np.unravel_index(best - starts[r], (2,) * len(order[r]))
+    return {v: -1 if bit else 1 for v, bit in zip(order[r], bits)}, float(shifts[best])

@@ -40,19 +40,20 @@ Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
 ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho
 (O'Donnell, Analysis of Boolean Functions, chapter 2): the driver's energy
 reads it at rho = 1 - delta, and ``stablest.check_quasi_mist`` at its own
-rho, so no leaf is transformed again.
+rho, so no leaf is transformed again.  The profile is the one a spectrum
+carries (``FourierExpansion.profile``), computed by the same kernel,
+``boolfn._degree_weights``, for all rows of a pass at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .boolfn import REAL, BooleanFunction, FourierExpansion, subset_sizes, wht
+from .boolfn import REAL, BooleanFunction, FourierExpansion, _degree_weights, subset_sizes, wht
 from .dtree import (
     DecisionTree,
     EnergyLedger,
@@ -69,9 +70,6 @@ from .noise import INFLUENCE_SLACK, _influence_powers, _influence_sums, _powers,
 # against the gain the restriction identity predicts); the energy is a sum
 # of at most 2^n nonnegative doubles, so anything past this is a logic bug.
 _PHI_GUARD = 1e-9
-
-# Mask bits whose sizes one matrix product of ``_degree_weights`` sums by.
-_DEGREE_BITS = 8
 
 # Relative band within which two influences count as tied, and an influence
 # as at the threshold.  A compact sum and the ambient sum of the same m-bit
@@ -173,49 +171,6 @@ def _fold_sums(weighted: np.ndarray) -> np.ndarray:
         upper.sum(axis=1, out=out[:, k])
         np.add(lower, upper, out=lower)
     return out
-
-
-def _indicator(values: np.ndarray, width: int) -> np.ndarray:
-    """The read-only (len(values), width) 0/1 matrix whose row r has its one
-    at values[r]."""
-    matrix = np.equal.outer(values, np.arange(width)).astype(np.float64)
-    matrix.setflags(write=False)
-    return matrix
-
-
-@lru_cache(maxsize=None)
-def _degree_matrix(b: int) -> np.ndarray:
-    """The (2^b, b + 1) 0/1 matrix whose row l has its one at |l|."""
-    return _indicator(subset_sizes(b), b + 1)
-
-
-@lru_cache(maxsize=None)
-def _diagonal_matrix(b: int, a: int) -> np.ndarray:
-    """The ((b + 1)(a + 1), a + b + 1) 0/1 matrix whose row (i, j) has its
-    one at i + j."""
-    return _indicator(np.add.outer(np.arange(b + 1), np.arange(a + 1)).ravel(), a + b + 1)
-
-
-def _degree_weights(squares: np.ndarray) -> np.ndarray:
-    """Per row of ``squares`` (rows in the 2^m mask layout of m variables),
-    the sums over the masks of each size 0 .. m.
-
-    A mask is a low part l over b <= _DEGREE_BITS variables and a high part
-    h over the a = m - b others, and |S| = |l| + |h|.  One matrix product
-    sums each block of 2^b entries by |l|; the same reduction of its
-    transpose sums the blocks by |h|, and a last product adds the (|l|,
-    |h|) sums by |l| + |h|.  The weights are 0 and 1, so the sums are exact
-    whenever their partial sums are, as on Boolean tables.
-    """
-    rows, size = squares.shape
-    m = size.bit_length() - 1
-    # the low part is the largest of ceil(m / _DEGREE_BITS) near-equal parts
-    b = m if m <= _DEGREE_BITS else math.ceil(m / math.ceil(m / _DEGREE_BITS))
-    low = squares.reshape(-1, 1 << b) @ _degree_matrix(b)
-    if b == m:
-        return low
-    by_low = low.reshape(rows, -1, b + 1).transpose(0, 2, 1).reshape(rows * (b + 1), -1)
-    return _degree_weights(by_low).reshape(rows, -1) @ _diagonal_matrix(b, m - b)
 
 
 def _analyzer(n: int, delta: float, eps: float):

@@ -3,14 +3,17 @@
 Everything here avoids the library's fast paths on purpose: transforms by
 the defining sum, stability through the explicit Markov kernel, quadrant
 probabilities by 2-D quadrature, restriction means by direct enumeration.
-The one exception is the reference decomposition drivers at the end: they
-keep the earlier per-pass design (a fresh transform of every leaf table,
+The exceptions are the earlier designs kept at the end, so that the fast
+paths can be compared with them exactly: the reference decomposition
+drivers keep the per-pass design (a fresh transform of every leaf table,
 mask-gather influences, one tree walk per split) on the library's tree
-primitives, so that the spectral drivers can be compared with it exactly.
+primitives, and ``per_subset_max_mean_shift`` the one-reduction-per-subset
+restriction search.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.special import ndtri
 
-from boolreg import leaves, singleton, split_all_leaves, split_leaf, wht
+from boolreg import leaves, mean, singleton, split_all_leaves, split_leaf, wht
 from boolreg.noise import INFLUENCE_SLACK
 
 
@@ -168,6 +171,33 @@ def exact_profile(table: np.ndarray) -> list[Fraction]:
     return [Fraction(w, len(c) ** 2) for w in out]
 
 
+def exact_stability(coeffs: np.ndarray, rho: float) -> Fraction:
+    """sum_S rho^|S| coeff(S)^2 in exact rationals, from the doubles given."""
+    r = Fraction(rho)
+    return sum((r ** popcount(mask) * Fraction(c) ** 2 for mask, c in enumerate(coeffs.tolist())),
+               Fraction(0))
+
+
+def exact_max_mean_shift(values: np.ndarray, k: int) -> tuple[dict[int, int], Fraction]:
+    """The restriction of at most k coordinates that moves the mean most, in
+    exact rationals; exact ties go to the first in (subset size, subset,
+    assignment) order, assignments in product((1, -1)) order."""
+    n = values.size.bit_length() - 1
+    exact = [Fraction(v) for v in values.tolist()]
+    base = sum(exact) / len(exact)
+    best, best_shift = {}, Fraction(0)
+    for j in range(1, k + 1):
+        for subset in itertools.combinations(range(n), j):
+            for assignment in itertools.product((1, -1), repeat=j):
+                by_var = dict(zip(subset, assignment))
+                bits = {v: 0 if x == 1 else 1 for v, x in by_var.items()}
+                part = [x for b, x in enumerate(exact) if all((b >> v) & 1 == bit for v, bit in bits.items())]
+                shift = abs(sum(part) / len(part) - base)
+                if shift > best_shift:
+                    best, best_shift = by_var, shift
+    return best, best_shift
+
+
 def sorted_top_masks(coeffs: np.ndarray, k: int = 16) -> list[int]:
     """The k masks of largest |coefficient|, ties to the lowest mask, by a
     full lexsort of all 2^n coefficients."""
@@ -254,3 +284,28 @@ def reference_decompose_homogeneous(f, p, var_cap: int) -> dict:
         history.append((iterations, phi))
     return {"tree": t, "iterations": iterations, "history": history,
             "bad_mass": bad_mass, "query_vars": query_vars, "exhausted": exhausted}
+
+
+def per_subset_max_mean_shift(f, k: int) -> tuple[dict[int, int], float]:
+    """``max_mean_shift`` as it was: one multi-axis mean of the whole table
+    per subset, and the first strictly larger shift wins."""
+    n = f.n
+    base = mean(f)
+    best_restriction: dict[int, int] = {}
+    best_shift = 0.0
+    for j in range(1, k + 1):
+        for subset in itertools.combinations(range(n), j):
+            arr = f.values.reshape((2,) * n)
+            # reshape axis k holds bit n-1-k, i.e. variable n-1-k
+            keep_axes = {n - 1 - v for v in subset}
+            avg_axes = tuple(sorted(set(range(n)) - keep_axes))
+            table = arr.mean(axis=avg_axes) if avg_axes else arr
+            axis_vars = sorted(subset, reverse=True)
+            for assignment in itertools.product((1, -1), repeat=j):
+                by_var = dict(zip(subset, assignment))
+                idx = tuple(0 if by_var[v] == 1 else 1 for v in axis_vars)
+                shift = abs(float(table[idx]) - base)
+                if shift > best_shift:
+                    best_shift = shift
+                    best_restriction = by_var
+    return best_restriction, best_shift

@@ -278,6 +278,29 @@ def random_tree(f, rng, splits):
 
 
 @pytest.mark.parametrize("seed", range(6))
+def test_split_axis_from_the_fixed_variables(seed):
+    # a split finds its axis as n - 1 - j less the fixed variables above j;
+    # the children must be the halves along the axis that the count of free
+    # variables above j gives
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    f = BooleanFunction(n, rng.normal(size=1 << n))
+    for _ in range(20):
+        t = random_tree(f, rng, int(rng.integers(0, 2 * n)))
+        splittable = [leaf for leaf, _ in leaves(t) if leaf.free]
+        if not splittable:
+            continue
+        leaf = splittable[rng.integers(len(splittable))]
+        j = leaf.free[rng.integers(len(leaf.free))]
+        axis = sum(v > j for v in leaf.free)
+        split = split_leaf(t, leaf.id, j)
+        children = [child for child, _ in leaves(split) if child.id >= t.next_leaf_id]
+        for child, bit in zip(children, (0, 1)):
+            assert np.array_equal(child.table, np.take(leaf.table, bit, axis=axis))
+            assert np.shares_memory(child.table, f.values)
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_compact_leaf_statistics_match_the_ambient_ones(seed):
     # energy and bad_leaf_mass transform each leaf's compact table; the
     # ambient route transforms the 2^n table leaf.fn

@@ -1,7 +1,12 @@
 """Quasirandomness scans, the influence lower bound, and mean-shift search."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boolreg import (
     BooleanFunction,
@@ -20,7 +25,7 @@ from boolreg import (
     subset_sizes,
     wht,
 )
-from oracles import brute_restriction_mean
+from oracles import brute_restriction_mean, exact_max_mean_shift, per_subset_max_mean_shift
 
 
 def test_degree_cap():
@@ -174,6 +179,49 @@ def test_max_mean_shift_matches_enumeration_oracle():
         for vi in (1, -1):
             best = max(best, abs(brute_restriction_mean(f.values, {i: vi}) - base))
     assert shift == pytest.approx(best, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+           st.sampled_from([(-1.0, 1.0), (0.0, 1.0)]).flatmap(
+               lambda kind: arrays(np.float64, 1 << n, elements=st.sampled_from(kind))),
+           st.integers(0, min(3, n)))))
+def test_max_mean_shift_matches_per_subset_search_on_boolean_tables(case):
+    # every mean is exact, and distinct shifts differ by at least 2^-25 relative
+    values, k = case
+    f = BooleanFunction(values.size.bit_length() - 1, values)
+    restriction, shift = max_mean_shift(f, k)
+    want_restriction, want_shift = per_subset_max_mean_shift(f, k)
+    assert restriction == want_restriction
+    assert shift.hex() == want_shift.hex()
+
+
+def symmetric_real(n: int, rng) -> BooleanFunction:
+    """A real function of the number of -1 inputs: every variable ties."""
+    return BooleanFunction(n, rng.normal(size=n + 1)[np.bitwise_count(np.arange(1 << n))])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_max_mean_shift_matches_exact_search_on_real_tables(seed):
+    # seeded tables, so that distinct shifts are far apart; the exact ties
+    # are x_i = +1 against x_i = -1, always, and across all variables of a
+    # symmetric function
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    tables = [BooleanFunction(n, rng.normal(size=1 << n)), symmetric_real(n, rng)]
+    for f in tables:
+        for k in range(min(n, 3 if n <= 6 else 2) + 1):
+            restriction, shift = max_mean_shift(f, k)
+            want_restriction, want_shift = exact_max_mean_shift(f.values, k)
+            assert restriction == want_restriction
+            assert abs(Fraction(shift) - want_shift) <= Fraction(1e-12)
+
+
+def test_max_mean_shift_tie_of_opposite_values_goes_to_plus():
+    # the per-subset search let rounding decide: here it picked x_6 = -1
+    f = BooleanFunction(6, np.random.default_rng(0).normal(size=64))
+    assert per_subset_max_mean_shift(f, 1)[0] == {5: -1}
+    assert max_mean_shift(f, 1)[0] == exact_max_mean_shift(f.values, 1)[0] == {5: 1}
 
 
 def test_max_mean_shift_budget():

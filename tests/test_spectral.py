@@ -38,11 +38,13 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg import regularity, stablest
+from boolreg import boolfn, regularity, stablest
 from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
-from boolreg.regularity import _ambient, _analyzer, _degree_weights, _fold_sums, _split_rows
+from boolreg.boolfn import _degree_weights
+from boolreg.regularity import _ambient, _analyzer, _fold_sums, _split_rows
 from oracles import (
     exact_profile,
+    exact_stability,
     mask_gather_influences,
     power_stability,
     reference_decompose,
@@ -127,9 +129,27 @@ def test_half_butterfly_is_the_restricted_spectrum(case, data):
        st.floats(0.0, 1.0))
 def test_kernel_matches_power_and_mask_gather(coeffs, delta):
     g = FourierExpansion(coeffs.size.bit_length() - 1, coeffs)
-    assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
-    assert stability(g, delta) == power_stability(coeffs, delta)
+    for rho in (1.0 - delta, delta):
+        assert exactly_close(stability(g, rho), exact_stability(coeffs, rho))
     assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
+
+
+def exactly_close(value: float, exact: Fraction) -> bool:
+    """Within 1e-15 relative of the exact value, beyond what squares that
+    underflow (at most 2^-1075 each, a few thousand of them) can lose."""
+    return abs(Fraction(value) - exact) <= Fraction(1e-15) * exact + Fraction(2.0 ** -1060)
+
+
+def test_stabilities_of_one_spectrum_share_one_profile(monkeypatch):
+    calls = []
+    degree_weights = boolfn._degree_weights
+    monkeypatch.setattr(boolfn, "_degree_weights",
+                        lambda squares: calls.append(squares.shape) or degree_weights(squares))
+    g = wht(random_pm_one(12, 5))
+    values = [stability(g, rho / 10) for rho in range(1, 10)]
+    # _degree_weights recurses on its partial sums, over fewer columns
+    assert [shape for shape in calls if shape[1] == 1 << 12] == [(1, 1 << 12)]
+    assert values == [float(g.profile @ _powers(rho / 10, 12)) for rho in range(1, 10)]
 
 
 @pytest.mark.parametrize("n", [14, 16, 18])
@@ -149,7 +169,8 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
                (free, other, _ambient(n, free, other, np.zeros(1 << n)).coeffs)]
     for delta in (0.05, 0.3, 1.0):
         assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
-        assert stability(g, 1.0 - delta) == power_stability(coeffs, 1.0 - delta)
+        assert abs(stability(g, 1.0 - delta) - power_stability(coeffs, 1.0 - delta)) <= \
+            FLOAT_TOL * power_stability(coeffs, 1.0 - delta)
         analyze = _analyzer(n, delta, 1e-6)
         for spectrum_free, compact, ambient in spectra:
             [stats] = analyze(free_rows(spectrum_free), compact.reshape(1, -1))
@@ -198,6 +219,14 @@ def test_degree_weights_sum_each_mask_size(m):
 boolean_tables = st.integers(1, 8).flatmap(lambda n: st.sampled_from([PM_ONE, ZERO_ONE]).flatmap(
     lambda kind: arrays(np.float64, 1 << n, elements=st.sampled_from(EXACT_KINDS[kind])).map(
         lambda values: BooleanFunction(n, values, kind))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boolean_tables)
+def test_profile_is_the_exact_degree_weights(f):
+    g = wht(f)
+    assert [w.hex() for w in g.profile] == [float(w).hex() for w in exact_profile(f.values)]
+    assert not g.profile.flags.writeable
 
 
 @settings(max_examples=80, deadline=None)
