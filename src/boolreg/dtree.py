@@ -20,8 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, _degree_profile
-from .noise import INFLUENCE_SLACK, _check_delta, _influences, _profile_stability
+from .boolfn import BooleanFunction, _butterfly, _cube, _degree_profile
+from .noise import LeafStats, _analyzer, _check_delta, _profile_stability
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +112,6 @@ def tree_depth(t: DecisionTree) -> int:
     return max(depth for _, depth in leaves(t))
 
 
-def _cube(out: np.ndarray, n: int, at: dict[int, int]) -> np.ndarray:
-    """The view of a 2^n array whose index bit v equals ``at[v]`` for every
-    variable in ``at``, shaped (2,) * (number of other variables); its
-    index bit k is the k-th other variable in ascending order."""
-    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
-    index = tuple(at[v] if v in at else slice(None) for v in reversed(range(n)))
-    return out.reshape((2,) * n)[index + (...,)]
-
-
 def evaluate(t: DecisionTree, b: int) -> float:
     """Walk the tree by the bits of input index b, then read the leaf's
     table at the free bits of b."""
@@ -202,11 +193,6 @@ def _compact_spectrum(leaf: Leaf) -> np.ndarray:
     return a
 
 
-def _max_influence(leaf: Leaf, delta: float) -> float:
-    """The leaf's largest (1-delta)-noisy influence; 0 with no free variable."""
-    return float(_influences(_compact_spectrum(leaf), delta).max(initial=0.0))
-
-
 def energy(t: DecisionTree, delta: float) -> float:
     """Leaf-mass-weighted average of Stab_{1-delta} over the leaf subfunctions,
     each read from the leaf's degree profile."""
@@ -217,28 +203,47 @@ def energy(t: DecisionTree, delta: float) -> float:
                      for leaf, depth in leaves(t)))
 
 
+def _leaf_stats(t: DecisionTree, eps: float, delta: float) -> dict[int, LeafStats]:
+    """Every leaf's statistics by id, by the drivers' analysis of its
+    compact spectrum: one batch per depth."""
+    by_depth: dict[int, list[Leaf]] = {}
+    for leaf, depth in leaves(t):
+        by_depth.setdefault(depth, []).append(leaf)
+    analyze = _analyzer(t.n, delta, eps)
+    stats: dict[int, LeafStats] = {}
+    for depth, level in by_depth.items():
+        frees = np.array([leaf.free for leaf in level], dtype=np.int64).reshape(len(level), t.n - depth)
+        rows = np.empty((len(level), 1 << (t.n - depth)))
+        for row, leaf in zip(rows, level):
+            row[...] = _compact_spectrum(leaf)
+        stats.update(zip((leaf.id for leaf in level), analyze(frees, rows)))
+    return stats
+
+
 def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     """Total mass of leaves whose subfunction fails the small-influence test
-    (a noisy influence above eps; INFLUENCE_SLACK counts as small)."""
+    (a noisy influence above eps; INFLUENCE_SLACK counts as small), decided
+    as the drivers decide it."""
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    return float(sum(2.0 ** -depth for leaf, depth in leaves(t)
-                     if _max_influence(leaf, delta) > eps + INFLUENCE_SLACK))
+    stats = _leaf_stats(t, eps, delta)
+    return float(sum(2.0 ** -depth for leaf, depth in leaves(t) if stats[leaf.id].bad(eps)))
 
 
-def _dot(node: Node, depth: int, delta: float, lines: list[str], names: Iterator[int]) -> str:
+def _dot(node: Node, depth: int, stats: dict[int, LeafStats], lines: list[str],
+         names: Iterator[int]) -> str:
     """Append the DOT lines of the subtree at ``node`` to ``lines`` and
     return its root's name; node names are drawn from ``names`` in preorder."""
     name = f"n{next(names)}"
     if isinstance(node, Leaf):
         lines.append(f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
                      f'\\nmean={float(np.mean(node.table.reshape(-1))):.6g}'
-                     f'\\nmax_inf={_max_influence(node, delta):.6g}"];')
+                     f'\\nmax_inf={stats[node.id].max_influence:.6g}"];')
         return name
     lines.append(f'  {name} [label="x{node.var + 1}"];')
-    plus = _dot(node.child_plus, depth + 1, delta, lines, names)
-    minus = _dot(node.child_minus, depth + 1, delta, lines, names)
+    plus = _dot(node.child_plus, depth + 1, stats, lines, names)
+    minus = _dot(node.child_minus, depth + 1, stats, lines, names)
     lines.append(f'  {name} -> {plus} [label="+1"];')
     lines.append(f'  {name} -> {minus} [label="-1"];')
     return name
@@ -248,6 +253,6 @@ def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
     lines = ["digraph dtree {"]
-    _dot(t.root, 0, delta, lines, itertools.count())
+    _dot(t.root, 0, _leaf_stats(t, np.inf, delta), lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

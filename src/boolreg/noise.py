@@ -9,6 +9,10 @@ Monte-Carlo estimator over rho-correlated input pairs provides an
 independent sampling cross-check.  The noisy influence of coordinate i is
 the stability of the directional derivative D_i f, equivalently
 sum_{S containing i} rho^(|S|-1) fhat(S)^2 at rho = 1 - delta.
+
+Every influence is summed by ``_fold_sums``, and every argmax variable and
+small-influence decision is taken by ``_analyzer`` under one rule
+(``_TIE_BAND``): the drivers', ``dtree``'s and the predicate's alike.
 """
 
 from __future__ import annotations
@@ -17,11 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, subset_sizes, wht
+from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, subset_sizes, wht
 
 # Influences within this slack of a threshold count as below it, so that
 # round-off at the boundary can never make the regularity loop spin.
 INFLUENCE_SLACK = 1e-12
+
+# The tie and threshold rule.  Fold sums and ambient sums (over the 2^n
+# layout, ``_influence_sums``) of the same m-bit nonnegative terms differ by
+# about m * 2^-53 relative, far inside this band, but those bits decide
+# argmax ties and influences at eps + INFLUENCE_SLACK.  So a leaf whose top
+# fold sum is within the band of that threshold, or above it with several
+# variables within the band of its top, takes its variable and maximum
+# influence from the ambient sums of those candidates, ties to the lowest
+# index: exactly the ambient kernel's decisions.  Other leaves keep their
+# fold argmax, which on a good leaf (never split) may differ on a near-tie.
+_TIE_BAND = 1e-9
 
 _MC_CHUNK = 1 << 16
 
@@ -56,14 +71,12 @@ def _weighted_squares(coeffs: np.ndarray, weights: np.ndarray, out: np.ndarray) 
     return np.multiply(out, coeffs, out=out)
 
 
-def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords=None) -> np.ndarray:
-    """Per coordinate i (all of them, or those in ``coords``), the sum of
-    ``weighted`` (2^n mask layout) over the masks containing i: the
-    [:, 1, :] half of the reshape by 2^i, copied contiguous into ``half``
-    (2^(n-1) entries) so that the pairwise sum runs over the same elements
-    in the same (mask) order as a boolean-mask gather would."""
-    if coords is None:
-        coords = range(weighted.size.bit_length() - 1)
+def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords: list[int]) -> np.ndarray:
+    """Per coordinate i in ``coords``, the sum of ``weighted`` (2^n mask
+    layout) over the masks containing i: the [:, 1, :] half of the reshape
+    by 2^i, copied contiguous into ``half`` (2^(n-1) entries) so that the
+    pairwise sum runs over the same elements in the same (mask) order as a
+    boolean-mask gather would: the ambient sums of ``_TIE_BAND``'s rule."""
     out = np.empty(len(coords))
     for k, i in enumerate(coords):
         np.copyto(half.reshape(-1, 1 << i), weighted.reshape(-1, 2, 1 << i)[:, 1, :])
@@ -71,17 +84,30 @@ def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords=None) -> np.n
     return out
 
 
-def _influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """``expansion_influences`` of a coefficient table over m >= 0 variables
-    (empty when m = 0)."""
-    m = coeffs.size.bit_length() - 1
-    weights = _influence_powers(delta, m)[subset_sizes(m)]
-    return _influence_sums(_weighted_squares(coeffs, weights, weights), np.empty(coeffs.size // 2))
+def _fold_sums(weighted: np.ndarray) -> np.ndarray:
+    """Per row of ``weighted`` (rows in the 2^m mask layout of m variables)
+    and per variable k, the sum over the masks containing k: on weighted
+    squares, the noisy influences.
+
+    Folds in place, destroying ``weighted``: for k = m-1 .. 0 the upper half
+    of each row's first 2^(k+1) entries holds the masks containing k (the
+    higher variables already summed out), so it sums to the k-th value and
+    is then added into the lower half, which sums k out.  That is about
+    2 * 2^m reads per row, against (m + 1) * 2^m for ``_influence_sums``.
+    """
+    rows, size = weighted.shape
+    m = size.bit_length() - 1
+    out = np.empty((rows, m))
+    for k in reversed(range(m)):
+        lower, upper = weighted[:, :1 << k], weighted[:, 1 << k:2 << k]
+        upper.sum(axis=1, out=out[:, k])
+        np.add(lower, upper, out=lower)
+    return out
 
 
-def _profile_stability(profile: np.ndarray, rho: float) -> float:
+def _profile_stability(profile: np.ndarray | tuple[float, ...], rho: float) -> float:
     """sum_k rho^k W^k over a degree profile W^0 .. W^m."""
-    return float(profile @ _powers(rho, profile.size - 1))
+    return float(np.asarray(profile) @ _powers(rho, len(profile) - 1))
 
 
 def stability(g: FourierExpansion, rho: float) -> float:
@@ -126,13 +152,15 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
 
 
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
-    """Vector of (1-delta)-noisy influences computed from a spectrum."""
-    return _influences(g.coeffs, delta)
+    """Vector of (1-delta)-noisy influences computed from a spectrum: its
+    squares weighted by (1-delta)^(|S|-1), folded."""
+    _check_delta(delta)
+    weights = _influence_powers(delta, g.n)[subset_sizes(g.n)]
+    return _fold_sums(_weighted_squares(g.coeffs, weights, weights).reshape(1, -1))[0]
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:
     """Noisy influences of every coordinate, computed from one transform."""
-    _check_delta(delta)
     return expansion_influences(wht(f), delta)
 
 
@@ -140,8 +168,116 @@ def noisy_influence(f: BooleanFunction, i: int, delta: float) -> float:
     """(1-delta)-noisy influence of coordinate i: Stab_{1-delta}[D_i f]."""
     if not 0 <= i < f.n:
         raise IndexError(f"variable index {i} out of range for n={f.n}")
-    _check_delta(delta)
     return float(all_noisy_influences(f, delta)[i])
+
+
+@dataclass(frozen=True)
+class LeafStats:
+    """One leaf's analysis: its mean, Stab_{1-delta}, its argmax noisy
+    influence variable with that influence, and its degree profile: W^k =
+    sum over |S| = k of ghat(S)^2 for k = 0 .. m, so that Stab_rho is
+    sum_k rho^k W^k.  ``var`` and whether the leaf is bad follow the rule
+    at ``_TIE_BAND``.
+    """
+
+    mean: float
+    stab: float
+    var: int
+    max_influence: float
+    profile: tuple[float, ...]
+
+    def bad(self, eps: float) -> bool:
+        """Fails the small-influence test; INFLUENCE_SLACK counts as small."""
+        return self.max_influence > eps + INFLUENCE_SLACK
+
+
+def _spectrum_cube(out: np.ndarray, n: int, free: tuple[int, ...]) -> np.ndarray:
+    """The view of ``out`` (2^n mask layout) at the masks over ``free``."""
+    return _cube(out, n, {v: 0 for v in range(n) if v not in free})
+
+
+def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
+    """Slices of consecutive rows r in which js[r] has one rank k among the
+    free variables frees[r], each with its k: a homogeneous round is one
+    slice.  Slices are views; a gathered copy of the rows would add up to
+    2^n values to the peak."""
+    ranks = (frees < js[:, None]).sum(axis=1)
+    bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(ranks)]
+    return [(slice(a, b), int(ranks[a])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _analyzer(n: int, delta: float, eps: float):
+    """The leaf analysis at rho = 1 - delta and influence threshold eps over
+    the cube of n variables, with its weights and buffers allocated once, so
+    that no leaf costs a 2^n temporary.
+
+    ``analyze(frees, rows)`` analyses the compact spectra (row r over the
+    ascending free variables frees[r], every row over as many) in one batch,
+    in a prefix of the product buffer.  The squares of the rows give each
+    leaf's degree profile (``_degree_weights``), and its Stab is the profile
+    at rho.  The influences are ``_fold_sums`` of the weighted squares,
+    whose weights over m variables are the first 2^m ambient ones
+    (``subset_sizes(n)[:2^m]`` is ``subset_sizes(m)``), so every product has
+    the ambient bits; a leaf that the rule at ``_TIE_BAND`` sends to the
+    ambient sums has its products scattered into the product buffer, zero
+    at every mask with a fixed variable, and its candidates summed by
+    ``_influence_sums``.  The buffer is zero between calls.
+
+    ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
+    influence of js[r], for the drivers' energy identity, in the product
+    buffer (whose pages the analysis has touched already, unlike the half
+    buffer's).
+    """
+    stab_powers = _powers(1.0 - delta, n)
+    influence_weights = _influence_powers(delta, n)[subset_sizes(n)]
+    prod = np.zeros(1 << n)
+    half = np.empty(1 << (n - 1))
+    threshold = eps + INFLUENCE_SLACK
+
+    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int]) -> tuple[int, float]:
+        cube = _spectrum_cube(prod, n, free)
+        _weighted_squares(row.reshape(cube.shape), _spectrum_cube(influence_weights, n, free), cube)
+        sums = _influence_sums(prod, half, candidates)
+        cube[...] = 0.0
+        best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
+        return candidates[best], float(sums[best])
+
+    def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
+        batch = prod[:rows.size].reshape(rows.shape)
+        profiles = _degree_weights(np.multiply(rows, rows, out=batch))
+        stabs = profiles @ stab_powers[:frees.shape[1] + 1]
+        influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
+        batch[...] = 0.0
+        tops = influences.max(axis=1, initial=0.0)
+        variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
+                     else [0] * len(rows))
+        out = []
+        for r, (mean, stab, var, top, profile) in enumerate(zip(
+                rows[:, 0].tolist(), stabs.tolist(), variables, tops.tolist(), profiles.tolist())):
+            if top >= threshold * (1.0 - _TIE_BAND):
+                candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
+                if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
+                    free = frees[r].tolist()
+                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates])
+            out.append(LeafStats(mean, stab, var, top, tuple(profile)))
+        return out
+
+    def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
+        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r];
+        # the masks containing the top variable have those weights, in order
+        half_size = rows.shape[1] // 2
+        weights = influence_weights[half_size:2 * half_size]
+        sums = np.empty(len(rows))
+        for run, k in _runs(frees, js):
+            upper = rows[run].reshape(-1, half_size >> k, 2, 1 << k)[:, :, 1, :]
+            batch = prod[:upper.size].reshape(upper.shape)
+            _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
+            batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
+            batch[...] = 0.0
+        return sums
+
+    analyze.influences = influences
+    return analyze
 
 
 @dataclass(frozen=True)
@@ -157,15 +293,14 @@ def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> 
     """ok iff every coordinate's noisy influence is at most eps.
 
     On failure reports the argmax-influence coordinate (ties go to the
-    lowest index), which the regularity splitter reuses as its split
-    variable.  Values within INFLUENCE_SLACK above eps count as small.
+    lowest index) and its influence, decided by the drivers' rule
+    (``_TIE_BAND``).  Values within INFLUENCE_SLACK above eps count as
+    small.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    influences = all_noisy_influences(f, delta)
-    worst = int(np.argmax(influences))
-    value = float(influences[worst])
-    if value > eps + INFLUENCE_SLACK:
-        return InfluenceVerdict(False, worst, value)
+    [stats] = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1), wht(f).coeffs.reshape(1, -1))
+    if stats.bad(eps):
+        return InfluenceVerdict(False, stats.var, stats.max_influence)
     return InfluenceVerdict(True)

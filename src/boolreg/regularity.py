@@ -28,13 +28,13 @@ Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
 pass is one batch: their spectra are the rows of one array, compact over
 their free variables (at most 2^n values in all), each round splits every
 row, and one analysis of all children ends the pass.  A good leaf keeps
-its statistics and drops its spectrum.  The analysis takes about 3 * 2^m
-operations per leaf with m free variables; the few leaves whose argmax or
-bad/good decision sits within 1e-9 of a tie re-sum their candidates over
-the ambient layout (``_analyzer``), so the trees are exactly those that a
-fresh transform of every leaf table would give.  One product buffer, a
-half-size buffer and the influence weights are allocated once per driver
-call, so no leaf costs a 2^n temporary.
+its statistics and drops its spectrum.  The analysis (``noise._analyzer``,
+the one leaf kernel) takes about 3 * 2^m operations per leaf with m free
+variables and decides ties and thresholds by the rule at
+``noise._TIE_BAND``, so the trees are exactly those that a fresh transform
+of every leaf table would give.  One product buffer, a half-size buffer
+and the influence weights are allocated once per driver call, so no leaf
+costs a 2^n temporary.
 
 Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
 ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho
@@ -53,29 +53,14 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import REAL, BooleanFunction, FourierExpansion, _degree_weights, subset_sizes, wht
-from .dtree import (
-    DecisionTree,
-    EnergyLedger,
-    Leaf,
-    _cube,
-    leaves,
-    singleton,
-    split_leaves,
-    tree_depth,
-)
-from .noise import INFLUENCE_SLACK, _influence_powers, _influence_sums, _powers, _weighted_squares
+from .boolfn import REAL, BooleanFunction, FourierExpansion, wht
+from .dtree import DecisionTree, EnergyLedger, Leaf, leaves, singleton, split_leaves, tree_depth
+from .noise import LeafStats, _analyzer, _runs, _spectrum_cube
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
 # against the gain the restriction identity predicts); the energy is a sum
 # of at most 2^n nonnegative doubles, so anything past this is a logic bug.
 _PHI_GUARD = 1e-9
-
-# Relative band within which two influences count as tied, and an influence
-# as at the threshold.  A compact sum and the ambient sum of the same m-bit
-# nonnegative terms differ by a relative error of about m * 2^-53, far
-# inside it.
-_TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,29 +91,6 @@ class RegularityParams:
         return 1.0 / product if product else math.inf
 
 
-@dataclass(frozen=True)
-class LeafStats:
-    """One leaf's analysis: its mean, Stab_{1-delta}, its argmax noisy
-    influence variable (ties go to the lowest index) with that influence,
-    and its degree profile: W^k = sum over |S| = k of ghat(S)^2 for k = 0
-    .. m, so that Stab_rho is sum_k rho^k W^k.
-
-    On a bad leaf, and on one at the threshold, ``var`` and whether the leaf
-    is bad are exactly those of the ambient kernel; on a good leaf, which is
-    never split, ``var`` may differ from it on a near-tie.
-    """
-
-    mean: float
-    stab: float
-    var: int
-    max_influence: float
-    profile: tuple[float, ...]
-
-    def bad(self, eps: float) -> bool:
-        """Fails the small-influence test; INFLUENCE_SLACK counts as small."""
-        return self.max_influence > eps + INFLUENCE_SLACK
-
-
 @dataclass
 class DecompositionResult:
     tree: DecisionTree
@@ -140,127 +102,12 @@ class DecompositionResult:
     leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
 
 
-def _spectrum_cube(out: np.ndarray, n: int, free: tuple[int, ...]) -> np.ndarray:
-    """The view of ``out`` (2^n mask layout) at the masks over ``free``."""
-    return _cube(out, n, {v: 0 for v in range(n) if v not in free})
-
-
 def _ambient(n: int, free: tuple[int, ...], compact: np.ndarray, out: np.ndarray) -> FourierExpansion:
     """A compact spectrum over ``free`` (ascending) in the 2^n mask layout,
     written into ``out``, which must be zero outside the masks over ``free``."""
     cube = _spectrum_cube(out, n, free)
     cube[...] = compact.reshape(cube.shape)
     return FourierExpansion(n, out)
-
-
-def _fold_sums(weighted: np.ndarray) -> np.ndarray:
-    """Per row of ``weighted`` (rows in the 2^m mask layout of m variables)
-    and per variable k, the sum over the masks containing k.
-
-    Folds in place, destroying ``weighted``: for k = m-1 .. 0 the upper half
-    of each row's first 2^(k+1) entries holds the masks containing k (the
-    higher variables already summed out), so it sums to the k-th value and
-    is then added into the lower half, which sums k out.  That is about
-    2 * 2^m reads per row, against (m + 1) * 2^m for ``noise._influence_sums``.
-    """
-    rows, size = weighted.shape
-    m = size.bit_length() - 1
-    out = np.empty((rows, m))
-    for k in reversed(range(m)):
-        lower, upper = weighted[:, :1 << k], weighted[:, 1 << k:2 << k]
-        upper.sum(axis=1, out=out[:, k])
-        np.add(lower, upper, out=lower)
-    return out
-
-
-def _analyzer(n: int, delta: float, eps: float):
-    """The leaf analysis of one driver call at rho = 1 - delta and influence
-    threshold eps, with its weights and buffers allocated once, so that no
-    leaf costs a 2^n temporary.
-
-    ``analyze(frees, rows)`` analyses the compact spectra (row r over the
-    ascending free variables frees[r]) in one batch, in a prefix of the
-    product buffer.  The squares of the rows give each leaf's degree profile
-    (``_degree_weights``), and its Stab is the profile at rho.  The
-    influences are ``_fold_sums`` of the weighted squares, whose weights over
-    m variables are the first 2^m ambient ones (``subset_sizes(n)[:2^m]`` is
-    ``subset_sizes(m)``), so every product has the ambient kernel's bits.
-    The fold sums differ from the ambient kernel's (``noise._influence_sums``
-    over the 2^n layout) only in the last bits, but those bits decide argmax
-    ties, and influences at the threshold.  So a leaf that is bad, or whose
-    top influence lies within ``_TIE_BAND`` of eps + INFLUENCE_SLACK, takes
-    its variable and maximum influence from the ambient sums of its
-    candidates, the variables within ``_TIE_BAND`` of the top: its products
-    are scattered into the product buffer, zero at every mask with a fixed
-    variable, and summed as ``noise._influence_sums`` sums them.  A single
-    candidate well above the threshold needs no tie-break.  Split variables
-    and bad/good decisions are then exactly the ambient kernel's.  The
-    buffer is zero between calls.
-
-    ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
-    influence of js[r], for the energy identity, in the product buffer
-    (whose pages the analysis has touched already, unlike the half buffer's).
-    """
-    stab_powers = _powers(1.0 - delta, n)
-    influence_weights = _influence_powers(delta, n)[subset_sizes(n)]
-    prod = np.zeros(1 << n)
-    half = np.empty(1 << (n - 1))
-    threshold = eps + INFLUENCE_SLACK
-
-    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int]) -> tuple[int, float]:
-        cube = _spectrum_cube(prod, n, free)
-        _weighted_squares(row.reshape(cube.shape), _spectrum_cube(influence_weights, n, free), cube)
-        sums = _influence_sums(prod, half, candidates)
-        cube[...] = 0.0
-        best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
-        return candidates[best], float(sums[best])
-
-    def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
-        batch = prod[:rows.size].reshape(rows.shape)
-        profiles = _degree_weights(np.multiply(rows, rows, out=batch))
-        stabs = profiles @ stab_powers[:frees.shape[1] + 1]
-        influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
-        batch[...] = 0.0
-        tops = influences.max(axis=1, initial=0.0)
-        variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
-                     else [0] * len(rows))
-        out = []
-        for r, (mean, stab, var, top, profile) in enumerate(zip(
-                rows[:, 0].tolist(), stabs.tolist(), variables, tops.tolist(), profiles.tolist())):
-            if top >= threshold * (1.0 - _TIE_BAND):
-                candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
-                if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
-                    free = frees[r].tolist()
-                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates])
-            out.append(LeafStats(mean, stab, var, top, tuple(profile)))
-        return out
-
-    def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r];
-        # the masks containing the top variable have those weights, in order
-        half_size = rows.shape[1] // 2
-        weights = influence_weights[half_size:2 * half_size]
-        sums = np.empty(len(rows))
-        for run, k in _runs(frees, js):
-            upper = rows[run].reshape(-1, half_size >> k, 2, 1 << k)[:, :, 1, :]
-            batch = prod[:upper.size].reshape(upper.shape)
-            _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
-            batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
-            batch[...] = 0.0
-        return sums
-
-    analyze.influences = influences
-    return analyze
-
-
-def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
-    """Slices of consecutive rows r in which js[r] has one rank k among the
-    free variables frees[r], each with its k: a homogeneous round is one
-    slice.  Slices are views; a gathered copy of the rows would add up to
-    2^n values to the peak."""
-    ranks = (frees < js[:, None]).sum(axis=1)
-    bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(ranks)]
-    return [(slice(a, b), int(ranks[a])) for a, b in zip(bounds, bounds[1:])]
 
 
 def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

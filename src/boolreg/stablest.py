@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
 from .dtree import leaves
 from .errors import PreconditionError
-from .noise import stability
+from .noise import _profile_stability, stability
 from .quasirandom import is_quasirandom
 from .regularity import _PHI_GUARD, RegularityParams, _decompose, _split_bad_leaves
 
@@ -172,7 +172,7 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
         if stats.bad(p.eps):
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
-        leaf_stab = sum(w * rho ** k for k, w in enumerate(stats.profile))
+        leaf_stab = _profile_stability(stats.profile, rho)
         leaf_lam = quadrant_prob(rho, stats.mean)
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift

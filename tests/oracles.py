@@ -178,6 +178,20 @@ def exact_stability(coeffs: np.ndarray, rho: float) -> Fraction:
                Fraction(0))
 
 
+def exact_influences(coeffs: np.ndarray, delta: float) -> list[Fraction]:
+    """sum over S containing i of (1-delta)^(|S|-1) coeff(S)^2, per coordinate
+    i, in exact rationals from the doubles given (0^0 = 1 at delta = 1)."""
+    r = Fraction(1.0 - delta)
+    out = [Fraction(0)] * (coeffs.size.bit_length() - 1)
+    for mask, c in enumerate(coeffs.tolist()):
+        if mask:
+            term = r ** (popcount(mask) - 1) * Fraction(c) ** 2
+            for i in range(len(out)):
+                if (mask >> i) & 1:
+                    out[i] += term
+    return out
+
+
 def exact_max_mean_shift(values: np.ndarray, k: int) -> tuple[dict[int, int], Fraction]:
     """The restriction of at most k coordinates that moves the mean most, in
     exact rationals; exact ties go to the first in (subset size, subset,

@@ -1,10 +1,17 @@
 """Noise stability, noisy influence, and the small-influence predicate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boolreg import (
     PM_ONE,
+    REAL,
+    ZERO_ONE,
     BooleanFunction,
     all_noisy_influences,
     constant,
@@ -15,12 +22,16 @@ from boolreg import (
     noisy_influence,
     norm2,
     parity,
+    random_pm_one,
     stability,
     stability_mc,
     stability_mc_detail,
+    subset_sizes,
+    tribes,
     wht,
 )
-from oracles import brute_noisy_influence, brute_stability
+from boolreg.noise import INFLUENCE_SLACK, expansion_influences
+from oracles import brute_noisy_influence, brute_stability, mask_gather_influences
 
 
 def test_stability_dictator():
@@ -185,3 +196,66 @@ def test_has_small_rejects_nan():
         has_small_noisy_influences(dictator(2, 0), float("nan"), 0.5)
     with pytest.raises(ValueError, match="delta must lie in"):
         has_small_noisy_influences(dictator(2, 0), 0.1, float("nan"))
+
+
+def test_expansion_influences_rejects_delta_outside_0_1():
+    # at delta = 1.5 the weights (-0.5)^(|S|-1) alternate in sign, and at
+    # delta = -0.5 majority(5) got an influence of 1.063
+    g = wht(majority(5))
+    for delta in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"delta must lie in \[0, 1\], got {delta}"):
+            expansion_influences(g, delta)
+
+
+def check_decided_as_the_gather(f: BooleanFunction, eps: float, delta: float) -> None:
+    # the verdict is the threshold decision on the mask-gather influences,
+    # and the violator their argmax, ties to the lowest index
+    influences = mask_gather_influences(wht(f).coeffs, delta)
+    worst = int(influences.argmax())
+    verdict = has_small_noisy_influences(f, eps, delta)
+    assert verdict.ok == (not influences[worst] > eps + INFLUENCE_SLACK)
+    if not verdict.ok:
+        assert verdict.violator == worst
+        assert abs(verdict.value - influences[worst]) <= 1e-12 * influences[worst]
+
+
+@pytest.mark.parametrize("f", [majority(7), majority(9), majority(11), tribes(3, 4), tribes(4, 4)],
+                         ids=["majority_7", "majority_9", "majority_11", "tribes_3_4", "tribes_4_4"])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.3, 1.0])
+def test_has_small_decides_as_the_gather_on_symmetric_functions(f, delta):
+    # symmetric variables tie exactly, so the fold sums alone could name
+    # another violator (on majority(7) at delta = 0.1, variable 2 for 0)
+    top = float(mask_gather_influences(wht(f).coeffs, delta).max())
+    for eps in (0.01, 0.05, 0.2, top * (1.0 - 1e-10), top - INFLUENCE_SLACK, top * (1.0 + 1e-10)):
+        check_decided_as_the_gather(f, eps, delta)
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from([PM_ONE, ZERO_ONE, REAL]))
+    elements = (st.floats(-1.0, 1.0, allow_nan=False) if kind == REAL
+                else st.sampled_from((-1.0, 1.0) if kind == PM_ONE else (0.0, 1.0)))
+    return BooleanFunction(n, draw(arrays(np.float64, 1 << n, elements=elements)), kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables(), st.sampled_from([0.01, 0.05, 0.1, 0.2]), st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+def test_has_small_decides_as_the_gather(f, eps, delta):
+    check_decided_as_the_gather(f, eps, delta)
+
+
+def test_has_small_holds_at_most_four_tables():
+    # the spectrum, the analyzer's product buffer and influence weights
+    # (2^n doubles each) and its half buffer, plus the degree sums'
+    # temporaries: 3.75 tables here, 3.57 at n = 22
+    n = 18
+    f = random_pm_one(n, 5)
+    subset_sizes(n)
+    tracemalloc.start()
+    try:
+        assert not has_small_noisy_influences(f, 1e-6, 0.3).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (1 << n)

@@ -3,6 +3,7 @@ the compact layout and its exact tie-break, and the drivers against the
 earlier per-pass design (the same trees and decisions exactly, floats within
 1e-12); and the compact leaf tables against chains of ``restrict``."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from boolreg import (
     FourierExpansion,
     Internal,
     RegularityParams,
+    bad_leaf_mass,
     check_quasi_mist,
     decompose,
     decompose_homogeneous,
@@ -34,15 +36,24 @@ from boolreg import (
     split_leaves,
     stability,
     subset_sizes,
+    to_dot,
     to_zero_one,
     tribes,
     wht,
 )
 from boolreg import boolfn, regularity, stablest
-from boolreg.noise import INFLUENCE_SLACK, _influence_powers, _powers, expansion_influences
+from boolreg.noise import (
+    INFLUENCE_SLACK,
+    _analyzer,
+    _fold_sums,
+    _influence_powers,
+    _powers,
+    expansion_influences,
+)
 from boolreg.boolfn import _degree_weights
-from boolreg.regularity import _ambient, _analyzer, _fold_sums, _split_rows
+from boolreg.regularity import _ambient, _split_rows
 from oracles import (
+    exact_influences,
     exact_profile,
     exact_stability,
     mask_gather_influences,
@@ -131,7 +142,10 @@ def test_kernel_matches_power_and_mask_gather(coeffs, delta):
     g = FourierExpansion(coeffs.size.bit_length() - 1, coeffs)
     for rho in (1.0 - delta, delta):
         assert exactly_close(stability(g, rho), exact_stability(coeffs, rho))
-    assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
+    influences = expansion_influences(g, delta)
+    assert influences.shape == (g.n,)
+    assert all(exactly_close(value, exact)
+               for value, exact in zip(influences.tolist(), exact_influences(coeffs, delta)))
 
 
 def exactly_close(value: float, exact: Fraction) -> bool:
@@ -154,10 +168,10 @@ def test_stabilities_of_one_spectrum_share_one_profile(monkeypatch):
 
 @pytest.mark.parametrize("n", [14, 16, 18])
 def test_kernel_matches_mask_gather_on_large_tables(n):
-    # summing the strided view without the contiguous copy first agrees
-    # with the gather up to n = 14 here, but not at n = 16; the drivers'
-    # analyzer sums over the compact layout, so it agrees within FLOAT_TOL,
-    # and exactly on the split variable of a bad leaf (eps is tiny here)
+    # the public influences and the drivers' analyzer fold the weighted
+    # squares, so they agree with the gather within FLOAT_TOL (relative for
+    # the influences), and the analyzer exactly on the split variable of a
+    # bad leaf (eps is tiny here)
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(-1.0, 1.0, 1 << n) / 2.0 ** (n / 2)
     g = FourierExpansion(n, coeffs)
@@ -168,7 +182,8 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
     spectra = [(tuple(range(n)), coeffs, coeffs),
                (free, other, _ambient(n, free, other, np.zeros(1 << n)).coeffs)]
     for delta in (0.05, 0.3, 1.0):
-        assert same_bits(expansion_influences(g, delta), mask_gather_influences(coeffs, delta))
+        gathered = mask_gather_influences(coeffs, delta)
+        assert np.all(np.abs(expansion_influences(g, delta) - gathered) <= FLOAT_TOL * gathered)
         assert abs(stability(g, 1.0 - delta) - power_stability(coeffs, 1.0 - delta)) <= \
             FLOAT_TOL * power_stability(coeffs, 1.0 - delta)
         analyze = _analyzer(n, delta, 1e-6)
@@ -241,6 +256,16 @@ def test_leaf_profiles_are_exact_on_boolean_tables(f, p, homogeneous):
         assert [w.hex() for w in stats.profile] == [float(w).hex() for w in want]
         assert sum(stats.profile) == Fraction(int((leaf.table * leaf.table).sum()), leaf.table.size)
         assert close(stats.stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(boolean_tables, params, st.booleans())
+def test_bad_leaf_mass_and_dot_read_the_drivers_leaf_stats(f, p, homogeneous):
+    result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
+    assert bad_leaf_mass(result.tree, p.eps, p.delta) == result.bad_mass
+    labels = re.findall(r'label="L(\d+)\\n[^"]*\\nmax_inf=([^"]*)"', to_dot(result.tree, p.delta))
+    assert dict(labels) == {str(leaf_id): f"{stats.max_influence:.6g}"
+                            for leaf_id, stats in result.leaf_stats.items()}
 
 
 def addressing(n: int) -> BooleanFunction:
