@@ -34,7 +34,8 @@ RANGE_TAGS = (PM_ONE, ZERO_ONE, REAL)
 MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
 
-_TABLE_CHUNK = 1 << 16  # table lines parsed or formatted per batch
+_TABLE_CHUNK = 1 << 16  # table lines formatted per batch
+_TABLE_BLOCK = 1 << 15  # characters of table text read and parsed per batch
 
 # Mask bits whose sizes one matrix product of ``_degree_weights`` sums by.
 _DEGREE_BITS = 8
@@ -348,6 +349,48 @@ def write_table(f: BooleanFunction, fp: IO[str]) -> None:
         fp.write("".join([f"{v:.17g}\n" for v in f.values[start:start + _TABLE_CHUNK].tolist()]))
 
 
+def _parse_lines(text: str, out: np.ndarray, first_line: int) -> tuple[int, list[str]]:
+    """Parse the newline-separated lines of ``text``, at most ``out.size``
+    of them, into ``out``; the number parsed and the lines past them.
+
+    The lines that are exactly 1, -1 or 0 are read by one numpy pass over
+    the UTF-8 bytes of ``text`` (in which a newline byte is always a line
+    end), the others by ``float``.  ``first_line`` numbers the first line
+    in error messages.
+    """
+    # three newlines stand for the line ends before the first line
+    raw = np.frombuffer(("\n\n\n" + text + "\n").encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(raw[3:] == ord("\n")) + 3
+    total, count = ends.size, min(ends.size, out.size)
+    ends = ends[:count]
+    # the last three bytes of each line: 1 and 0 follow the previous line's
+    # end, -1 follows it by one byte
+    last, before, first = raw[ends - 1], raw[ends - 2], raw[ends - 3]
+    one = last == ord("1")
+    negative = one & (before == ord("-")) & (first == ord("\n"))
+    fast = negative | (before == ord("\n")) & (one | (last == ord("0")))
+    out[:count] = np.where(one, np.where(negative, -1.0, 1.0), 0.0)
+    slow = count - int(np.count_nonzero(fast))
+    if not slow and count == total:
+        return count, []
+    lines = text.split("\n")
+    if slow == count:  # no line is 1, -1 or 0, as in a real-valued table
+        at, picked = slice(0, count), lines[:count]
+    else:
+        at = np.flatnonzero(~fast)
+        picked = [lines[i] for i in at.tolist()]
+    try:
+        out[at] = np.fromiter(map(float, picked), np.float64, len(picked))
+    except ValueError:
+        for i, line in enumerate(lines[:count]):
+            try:
+                float(line)
+            except ValueError as exc:
+                raise ValueError(f"bad value on line {first_line + i}: {line.strip()!r}") from exc
+        raise
+    return count, lines[count:]
+
+
 def read_table(fp: IO[str]) -> BooleanFunction:
     header = fp.readline().strip()
     if not header.startswith("n="):
@@ -358,24 +401,15 @@ def read_table(fp: IO[str]) -> BooleanFunction:
         raise ValueError(f"malformed variable count in header {header!r}") from exc
     check_arity(n)
     arr = np.empty(1 << n)
-    done = 0
+    done, after = 0, []
     while done < arr.size:
-        want = min(_TABLE_CHUNK, arr.size - done)
-        lines = list(itertools.islice(fp, want))
-        try:
-            arr[done:done + len(lines)] = np.fromiter(map(float, lines), np.float64, len(lines))
-        except ValueError:
-            for k, line in enumerate(lines):
-                try:
-                    float(line)
-                except ValueError as exc:
-                    raise ValueError(f"bad value on line {done + k + 2}: {line.strip()!r}") from exc
-            raise
-        if len(lines) < want:
-            raise ValueError(f"truth table truncated: expected {arr.size} values, "
-                             f"got {done + len(lines)}")
-        done += want
-    for k, line in enumerate(fp, start=done + 2):
+        text = fp.read(_TABLE_BLOCK)
+        if not text:
+            raise ValueError(f"truth table truncated: expected {arr.size} values, got {done}")
+        # read on to the end of the block's last line
+        count, after = _parse_lines((text + fp.readline()).removesuffix("\n"), arr[done:], done + 2)
+        done += count
+    for k, line in enumerate(itertools.chain(after, fp), start=done + 2):
         if line.strip():
             raise ValueError(f"line {k} follows the last of the {done} values: {line.strip()!r}")
     if not np.all(np.isfinite(arr)):

@@ -5,21 +5,21 @@ two rho-correlated standard Gaussians both land below the mu-quantile:
 
     Lambda_rho(mu) = Pr[z1 <= t and z2 <= t],   Phi(t) = mu.
 
-Computed in closed form, Lambda_rho(mu) = Phi(t) - 2 T(t, sqrt((1 - rho)/(1 +
-rho))), where T is Owen's T function (Owen 1956), to within a few units in
-the last place.  ``scipy.special`` (Owen's T and the quantile ``ndtri``) is
-loaded on the first quadrant or quantile call, not at import: importing it
-takes longer than most CLI commands, and ``import boolreg``, ``analyze`` and
-``decompose`` never need it.  Among [0,1]-valued functions with
-no dominant coordinate, noise stability cannot exceed this quantity by
-much; ``mist_slack`` reports the gap for one function, and
-``check_quasi_mist`` assembles the certified leaf-wise upper bound that the
-regularity decomposition yields for quasirandom functions.
+Computed in closed form, Lambda_rho(mu) = mu - 2 T(t, sqrt((1 - rho)/(1 +
+rho))), where T is Owen's T function (Owen 1956), to within 1e-15.  The
+quantile t (Acklam's rational start refined with ``math.erfc``) and T (a
+40-point Gauss-Legendre rule) are computed with ``math`` alone, so no
+command loads scipy.  Among [0,1]-valued functions with no dominant
+coordinate, noise stability cannot exceed this quantity by much;
+``mist_slack`` reports the gap for one function, and ``check_quasi_mist``
+assembles the certified leaf-wise upper bound that the regularity
+decomposition yields for quasirandom functions.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
@@ -30,18 +30,123 @@ from .quasirandom import is_quasirandom
 from .regularity import _PHI_GUARD, RegularityParams, _decompose, _split_bad_leaves
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+
+# Acklam's rational approximation of the quantile, relative error below
+# 1.15e-9: numerator and denominator coefficients, highest power first, of
+# the central region (in r = (p - 1/2)^2, times p - 1/2) and of the lower
+# tail p < _ACKLAM_TAIL (in q = sqrt(-2 log p)).
+_ACKLAM_CENTRAL = ((-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+                    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00),
+                   (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+                    6.680131188771972e+01, -1.328068155288572e+01, 1.0))
+_ACKLAM_LOWER = ((-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+                  -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00),
+                 (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+                  3.754408661907416e+00, 1.0))
+_ACKLAM_TAIL = 0.02425
+
+# The positive nodes x and weights w of the 40-point Gauss-Legendre rule on
+# [-1, 1] (the others are -x with the same w), rounded from 60-digit values.
+_GAUSS_LEGENDRE = (
+    (0.03877241750605082, 0.0775059479784248),
+    (0.11608407067525521, 0.07703981816424797),
+    (0.1926975807013711, 0.07611036190062624),
+    (0.2681521850072537, 0.07472316905796826),
+    (0.3419940908257585, 0.07288658239580406),
+    (0.413779204371605, 0.07061164739128678),
+    (0.4830758016861787, 0.0679120458152339),
+    (0.5494671250951282, 0.06480401345660104),
+    (0.6125538896679802, 0.06130624249292894),
+    (0.6719566846141796, 0.05743976909939155),
+    (0.7273182551899271, 0.05322784698393682),
+    (0.7783056514265194, 0.04869580763507223),
+    (0.8246122308333117, 0.04387090818567327),
+    (0.8659595032122595, 0.038782167974472016),
+    (0.9020988069688743, 0.033460195282547844),
+    (0.9328128082786765, 0.0279370069800234),
+    (0.9579168192137917, 0.02224584919416696),
+    (0.9772599499837743, 0.01642105838190789),
+    (0.990726238699457, 0.010498284531152813),
+    (0.9982377097105593, 0.004521277098533191),
+)
+
+
+def _ratio(coeffs: tuple[tuple[float, ...], tuple[float, ...]], x: float) -> float:
+    """Numerator over denominator of a rational function, by Horner's rule."""
+    num, den = 0.0, 0.0
+    for c in coeffs[0]:
+        num = num * x + c
+    for c in coeffs[1]:
+        den = den * x + c
+    return num / den
+
+
+def _mills_ratio(z: float) -> float:
+    """(1 - Phi(z)) / phi(z) for z >= 37 by Laplace's continued fraction
+    1/(z + 1/(z + 2/(z + ...))), to full precision there in 12 levels."""
+    s = z
+    for k in range(12, 0, -1):
+        s = z + k / s
+    return 1.0 / s
+
+
+def _lower_quantile(p: float) -> float:
+    """t with Phi(t) = p for 0 <= p <= 1/2: Acklam's start and one refining
+    step.  A normal p takes a Halley step on Phi(t) - p, its residual formed
+    from ``erfc`` in the tail and from ``erf`` and the exact p - 1/2 in the
+    central region, so it keeps its relative accuracy at both ends.  A
+    subnormal p (t < -37.5, where exp(t^2/2) overflows and Phi(t) has lost
+    bits) takes a Newton step on log Phi(t) = log p instead, with log Phi
+    from the Mills ratio."""
+    if p == 0.0:
+        return -math.inf
+    if p < _ACKLAM_TAIL:
+        t = _ratio(_ACKLAM_LOWER, math.sqrt(-2.0 * math.log(p)))
+    else:
+        t = (p - 0.5) * _ratio(_ACKLAM_CENTRAL, (p - 0.5) ** 2)
+    if p < sys.float_info.min:
+        mills = _mills_ratio(-t)
+        return t - (math.log(mills) - 0.5 * t * t - _LOG_SQRT_2PI - math.log(p)) * mills
+    if p < _ACKLAM_TAIL:
+        residual = 0.5 * math.erfc(-t / _SQRT2) - p
+    else:
+        residual = 0.5 * math.erf(t / _SQRT2) - (p - 0.5)
+    u = residual * _SQRT_2PI * math.exp(0.5 * t * t)
+    return t - u / (1.0 + 0.5 * t * u)
 
 
 def gaussian_quantile(mu: float) -> float:
-    """t with Phi(t) = mu (``scipy.special.ndtri``); mu of 0 or 1 gives -/+inf."""
+    """t with Phi(t) = mu, to a few units in the last place, from ``math``
+    alone; mu of 0 or 1 gives -/+inf, and every mu in between, subnormal
+    ones included, gives a finite t.
+
+    The upper half is taken by symmetry, t(mu) = -t(1 - mu), where 1 - mu
+    is exact, so no precision is lost as mu nears 1.
+    """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    from scipy.special import ndtri
-    return float(ndtri(mu))
+    if mu > 0.5:
+        return -_lower_quantile(1.0 - float(mu))
+    return _lower_quantile(float(mu))
+
+
+def _owens_t(h: float, a: float) -> float:
+    """Owen's T(h, a) = (1/2 pi) int_0^a exp(-h^2 (1 + x^2)/2)/(1 + x^2) dx
+    for 0 <= a <= 1, by the 40-point Gauss-Legendre rule on [-a, a] of the
+    even integrand.  The integrand is smooth there (its poles sit at +/-i),
+    and the rule is within 1e-16 of the exact value for every h."""
+    c = -0.5 * h * h
+    total = 0.0
+    for x, w in _GAUSS_LEGENDRE:
+        y = 1.0 + (a * x) ** 2
+        total += w * math.exp(c * y) / y
+    return a * total / (2.0 * math.pi)
 
 
 def quadrant_prob(rho: float, mu: float) -> float:
-    """Lambda_rho(mu) = Phi(t) - 2 T(t, sqrt((1 - rho)/(1 + rho))) with Phi(t) = mu.
+    """Lambda_rho(mu) = mu - 2 T(t, sqrt((1 - rho)/(1 + rho))) with Phi(t) = mu.
 
     rho = 1 is handled as the limit (both Gaussians coincide, answer mu).
     """
@@ -51,9 +156,7 @@ def quadrant_prob(rho: float, mu: float) -> float:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     if mu in (0.0, 1.0) or rho == 1.0:
         return float(mu)
-    from scipy.special import owens_t
-    t = gaussian_quantile(mu)
-    return float(0.5 * math.erfc(-t / _SQRT2) - 2.0 * owens_t(t, math.sqrt((1.0 - rho) / (1.0 + rho))))
+    return float(mu) - 2.0 * _owens_t(gaussian_quantile(mu), math.sqrt((1.0 - rho) / (1.0 + rho)))
 
 
 def to_zero_one(f: BooleanFunction) -> BooleanFunction:

@@ -2,7 +2,8 @@
 
 Everything here avoids the library's fast paths on purpose: transforms by
 the defining sum, stability through the explicit Markov kernel, quadrant
-probabilities by 2-D quadrature, restriction means by direct enumeration.
+probabilities by 2-D quadrature or by scipy's Owen's T, restriction means by
+direct enumeration.
 The exceptions are the earlier designs kept at the end, so that the fast
 paths can be compared with them exactly: the reference decomposition
 drivers keep the per-pass design (a fresh transform of every leaf table,
@@ -13,13 +14,14 @@ restriction search.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.special import ndtri
+from scipy.special import ndtri, owens_t
 
 from boolreg import leaves, mean, singleton, split_all_leaves, split_leaf, wht
 from boolreg.noise import INFLUENCE_SLACK
@@ -118,6 +120,14 @@ def brute_restriction_mean(values: np.ndarray, assignment: dict[int, int]) -> fl
 def phi_oracle(t: float) -> float:
     """Standard normal CDF via the library-independent erf route."""
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
+def quadrant_prob_owens_t(rho: float, mu: float) -> float:
+    """Quadrant probability by scipy's Owen's T and quantile, as
+    Phi(t) - 2 T(t, sqrt((1 - rho)/(1 + rho))) with t = ndtri(mu)."""
+    t = float(ndtri(mu))
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
+    return float(0.5 * math.erfc(-t / math.sqrt(2.0)) - 2.0 * owens_t(t, a))
 
 
 def quadrant_prob_2d(rho: float, mu: float) -> float:
@@ -222,6 +232,27 @@ def sorted_top_masks(coeffs: np.ndarray, k: int = 16) -> list[int]:
 def per_value_table_text(f) -> str:
     """The table file text with one numpy scalar formatted per line."""
     return f"n={f.n}\n" + "".join(f"{v:.17g}\n" for v in f.values)
+
+
+def per_line_table_values(n: int, body: str) -> np.ndarray | str:
+    """The 2^n values of the table text ``body`` (all after the header),
+    read one line at a time by ``float``, or the error message for it."""
+    lines = io.StringIO(body).readlines()
+    size = 1 << n
+    values = []
+    for k, line in enumerate(lines[:size], start=2):
+        try:
+            values.append(float(line))
+        except ValueError:
+            return f"bad value on line {k}: {line.strip()!r}"
+    if len(values) < size:
+        return f"truth table truncated: expected {size} values, got {len(values)}"
+    for k, line in enumerate(lines[size:], start=size + 2):
+        if line.strip():
+            return f"line {k} follows the last of the {size} values: {line.strip()!r}"
+    if not all(math.isfinite(v) for v in values):
+        return "truth table contains non-finite entries"
+    return np.array(values)
 
 
 # --- the earlier leaf kernel and drivers ---------------------------------------

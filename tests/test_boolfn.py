@@ -1,9 +1,12 @@
 """Core representation: transforms, restrictions, derivatives, table IO."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolreg import (
     PM_ONE,
@@ -25,8 +28,9 @@ from boolreg import (
     wht,
     write_table,
 )
+from boolreg import boolfn
 from boolreg.boolfn import mask_of, mask_vars
-from oracles import brute_wht, per_value_table_text
+from oracles import brute_wht, per_line_table_values, per_value_table_text
 
 
 def rand_pm(rng, n):
@@ -319,6 +323,32 @@ def test_table_read_messages(n, lines, message):
     with pytest.raises(ValueError) as info:
         read_table(table_text(n, lines))
     assert str(info.value) == message
+
+
+# lines read in bulk (exactly 1, -1 or 0) and lines that float() reads,
+# accepts or refuses
+BULK_LINES = ["1", "-1", "0"]
+OTHER_LINES = ["-0", " 1", "1 ", "+1", "0.5", "-1.0", "1e0", "\uff11", "1\r", "1_0", "inf", "", "  ", "x",
+               "01", "--1", "-", "10", "-1 x", "\ud800"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.one_of(st.sampled_from(BULK_LINES), st.sampled_from(OTHER_LINES)), max_size=24),
+       st.booleans(), st.integers(1, 40))
+def test_table_read_matches_a_per_line_parse(n, lines, final_newline, block):
+    body = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    expected = per_line_table_values(n, body)
+    # a few characters per block put the block ends on every kind of line
+    with mock.patch.object(boolfn, "_TABLE_BLOCK", block):
+        try:
+            got = read_table(io.StringIO(f"n={n}\n{body}")).values
+        except ValueError as exc:
+            got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == expected.tobytes()
 
 
 def test_table_read_ignores_what_follows_the_table():

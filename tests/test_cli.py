@@ -377,24 +377,41 @@ def imported_modules(args, cwd):
     return result, names
 
 
+MIST_PIPELINE = ["mist", "--fn", "maj:5", "--rho", ".5", "--eps", ".2", "--delta", ".3", "--gamma", ".25",
+                 "--q-eps", ".6", "--q-delta", ".5"]
+
+
 @pytest.mark.parametrize("args", [
     ["-c", "import boolreg"],
     ["-m", "boolreg", "analyze", "--fn", "maj:3"],
     ["-m", "boolreg", "decompose", "--fn", "maj:5", "--eps", ".2", "--delta", ".3", "--gamma", ".25",
      "--hom", "--dot", "tree.dot"],
     ["-m", "boolreg", "analyze", "--fn", "file:table.txt"],
-], ids=["import", "analyze", "decompose", "analyze-file"])
-def test_commands_without_quadrants_do_not_load_scipy(args, tmp_path):
+    ["-m", "boolreg", "mist", "--fn", "maj:3", "--rho", ".5"],
+    ["-m", "boolreg", *MIST_PIPELINE],
+], ids=["import", "analyze", "decompose", "analyze-file", "mist", "mist-pipeline"])
+def test_commands_do_not_load_scipy(args, tmp_path):
     save_table(majority(5), str(tmp_path / "table.txt"))
     _, names = imported_modules(args, tmp_path)
     assert not [name for name in names if name.split(".")[0] == "scipy"]
 
 
-def test_mist_loads_scipy_at_its_quadrant_call(tmp_path):
+def test_mist_loads_no_scipy(tmp_path):
     result, names = imported_modules(["-m", "boolreg", "mist", "--fn", "maj:3", "--rho", ".5"], tmp_path)
-    assert "scipy.special" in names
+    assert not [name for name in names if name.split(".")[0] == "scipy"]
     assert result.stdout == ('{"function": "maj:3", "lambda": 0.33333333333333337, "mean": 0.5, '
                              '"rho": 0.5, "slack": 0.01822916666666663, "stab": 0.3515625}\n')
+
+
+def test_mist_pipeline_runs_where_scipy_cannot_be_imported(capsys):
+    # a None entry in sys.modules makes every import of scipy fail
+    script = ("import sys; sys.modules['scipy'] = None; from boolreg.cli import main; "
+              f"sys.exit(main({MIST_PIPELINE!r}))")
+    path = os.path.dirname(os.path.dirname(boolreg.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == run_json(MIST_PIPELINE, capsys)
 
 
 @st.composite

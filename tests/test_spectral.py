@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -134,24 +134,45 @@ def test_half_butterfly_is_the_restricted_spectrum(case, data):
         np.testing.assert_allclose(derived, fresh, rtol=0.0, atol=1e-12)
 
 
+def spike_table(n: int, value: float, mask: int) -> np.ndarray:
+    """2^n coefficients equal to ``value`` but a 1.0 at ``mask``."""
+    coeffs = np.full(1 << n, value)
+    coeffs[mask] = 1.0
+    return coeffs
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10).flatmap(
            lambda n: arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0, allow_nan=False))),
        st.floats(0.0, 1.0))
+@example(spike_table(8, 0.03235096053373199, 11), 0.0)  # Stab_1 1.27e-15 relative from exact
 def test_kernel_matches_power_and_mask_gather(coeffs, delta):
     g = FourierExpansion(coeffs.size.bit_length() - 1, coeffs)
     for rho in (1.0 - delta, delta):
-        assert exactly_close(stability(g, rho), exact_stability(coeffs, rho))
+        assert exactly_close(stability(g, rho), exact_stability(coeffs, rho), coeffs.size)
     influences = expansion_influences(g, delta)
     assert influences.shape == (g.n,)
-    assert all(exactly_close(value, exact)
+    assert all(exactly_close(value, exact, coeffs.size)
                for value, exact in zip(influences.tolist(), exact_influences(coeffs, delta)))
 
 
-def exactly_close(value: float, exact: Fraction) -> bool:
-    """Within 1e-15 relative of the exact value, beyond what squares that
-    underflow (at most 2^-1075 each, a few thousand of them) can lose."""
-    return abs(Fraction(value) - exact) <= Fraction(1e-15) * exact + Fraction(2.0 ** -1060)
+def exactly_close(value: float, exact: Fraction, terms: int) -> bool:
+    """Within the forward-error bound of a computed sum of ``terms``
+    nonnegative terms, beyond what squares that underflow (at most 2^-1075
+    each, a few thousand of them) can lose.
+
+    The bound is gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, Accuracy
+    and Stability of Numerical Algorithms, Lemma 3.1 and section 4.2): a
+    sum of N terms in any order of pairwise additions of disjoint partial
+    sums takes each term through at most N - 1 roundings, and the kernels
+    form each term rho^|S| coeff(S)^2 with at most four more: two products
+    (the square and the product by the power, or the two products of
+    ``_weighted_squares``) and the power, which is within one ulp (2u), so
+    k = N + 3.
+    """
+    k = terms + 3
+    u = Fraction(1, 2 ** 53)
+    return abs(Fraction(value) - exact) <= k * u / (1 - k * u) * exact + Fraction(2.0 ** -1060)
 
 
 def test_stabilities_of_one_spectrum_share_one_profile(monkeypatch):

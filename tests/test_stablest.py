@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri, owens_t
 
 from boolreg import (
     PreconditionError,
@@ -25,7 +28,7 @@ from boolreg import (
 )
 from boolreg import stablest
 from boolreg.cli import main
-from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d
+from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d, quadrant_prob_owens_t
 
 
 # --- quantile ---------------------------------------------------------------
@@ -119,6 +122,56 @@ def test_quadrant_validation():
         quadrant_prob(-0.1, 0.5)
     with pytest.raises(ValueError):
         quadrant_prob(0.5, 1.5)
+
+
+# --- accuracy against scipy's Owen's T and ndtri ------------------------------
+
+# the smallest subnormal and normal doubles, a deep normal tail, and the
+# largest double below 1
+EXTREME_MUS = (2.0 ** -1074, 2.0 ** -1022, 1e-300, 1.0 - 2.0 ** -53)
+EXTREME_RHOS = (0.0, 1.0 - 2.0 ** -53)
+
+
+def quantile_within(mu: float) -> bool:
+    t, expected = gaussian_quantile(mu), float(ndtri(mu))
+    return abs(t - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("mu", EXTREME_MUS)
+@pytest.mark.parametrize("rho", EXTREME_RHOS)
+def test_quadrant_and_quantile_at_the_extremes(rho, mu):
+    assert abs(quadrant_prob(rho, mu) - quadrant_prob_owens_t(rho, mu)) <= 1e-15
+    assert quantile_within(mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(EXTREME_RHOS), st.floats(0.0, 1.0)),
+       st.one_of(st.sampled_from(EXTREME_MUS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+@example(0.5, 0.5)
+@example(0.3, 0.02425)  # where the quantile's start changes region
+@example(0.3, 1.0 - 0.02425)
+@example(0.3, 2.0 ** -1022 * (1.0 - 2.0 ** -52))  # the largest subnormal
+def test_quadrant_and_quantile_match_scipy(rho, mu):
+    assert abs(quadrant_prob(rho, mu) - quadrant_prob_owens_t(rho, mu)) <= 1e-15
+    assert quantile_within(mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 40.0), st.floats(0.0, 1.0))
+@example(0.0, 1.0)
+@example(40.0, 1.0)
+def test_owens_t_matches_scipy(h, a):
+    assert abs(stablest._owens_t(h, a) - owens_t(h, a)) <= 2e-16
+    assert stablest._owens_t(-h, a) == stablest._owens_t(h, a)
+
+
+def test_gauss_legendre_rule_is_the_40_point_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    half = nodes > 0
+    rule = np.array(stablest._GAUSS_LEGENDRE)
+    np.testing.assert_allclose(rule[:, 0], nodes[half], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(rule[:, 1], weights[half], rtol=0.0, atol=1e-14)
+    assert math.fsum(rule[:, 1]) == pytest.approx(1.0, abs=1e-15)
 
 
 # --- zero-one lift ------------------------------------------------------------
