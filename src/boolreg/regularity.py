@@ -9,15 +9,17 @@ can run.  ``decompose_homogeneous`` additionally forces every level of the
 tree to query one fixed variable, at the price of a tower-type size bound.
 
 Both drivers run one energy-increment loop, ``_decompose``, and differ only
-in their split policy.  A pass is a list of rounds, each mapping every held
-leaf to one split variable: one round in which each bad leaf splits on its
-own argmax variable, or one round per new query variable in which every
-leaf splits on it.  The loop checks every pass at run time: phi <= max(1,
-E[f^2]), the iteration budget, and the exact energy identity, by which a
-split of a leaf at depth d on j gains delta * 2^-d * Inf_j (Inf_j read
-from the half of the spectrum that the split already touches).  The plain
-policy raises past depth min(1/(eps*delta*gamma), n); the homogeneous one
-stops at ``var_cap`` and returns the partial tree.
+in their split policy, which gives a pass as rounds of split variables:
+one round of the bad leaves' own argmax variables, or one round per new
+query variable, on which every leaf splits.  The energy phi is that of the
+good leaves already settled plus that of the level the pass has just
+analysed, the only leaves a pass changes, so no pass walks the tree.  The
+loop checks every pass at run time: phi <= max(1, E[f^2]), the iteration
+budget, and the exact energy identity, by which a split of a leaf at depth
+d on j gains delta * 2^-d * Inf_j (Inf_j read from the half of the
+spectrum that the split already touches).  The plain policy raises past
+depth min(1/(eps*delta*gamma), n); the homogeneous one stops at
+``var_cap`` and returns the partial tree.
 
 Only the root is transformed, and ``stablest.check_quasi_mist`` hands the
 loop the spectrum it already has.  A child's spectrum comes from its
@@ -27,10 +29,10 @@ ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
 pass is one batch: their spectra are the rows of one array, compact over
 their free variables (at most 2^n values in all), each round splits every
-row, and one analysis of all children ends the pass.  A good leaf keeps
-its statistics and drops its spectrum.  The analysis (``noise._analyzer``,
-the one leaf kernel) takes about 3 * 2^m operations per leaf with m free
-variables and decides ties and thresholds by the rule at
+row, and one analysis of all children ends the pass.  A good leaf settles
+with its statistics and drops its spectrum.  The analysis
+(``noise._analyzer``, the one leaf kernel) takes about 3 * 2^m operations
+per leaf with m free variables and decides ties and thresholds by the rule at
 ``noise._TIE_BAND``, so the trees are exactly those that a fresh transform
 of every leaf table would give.  One product buffer, a half-size buffer
 and the influence weights are allocated once per driver call, so no leaf
@@ -54,8 +56,8 @@ from typing import Callable
 import numpy as np
 
 from .boolfn import REAL, BooleanFunction, FourierExpansion, wht
-from .dtree import DecisionTree, EnergyLedger, Leaf, leaves, singleton, split_leaves, tree_depth
-from .noise import LeafStats, _analyzer, _runs, _spectrum_cube
+from .dtree import DecisionTree, EnergyLedger, leaves, singleton, split_leaves, tree_depth
+from .noise import LeafStats, _analyzer, _runs
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
 # against the gain the restriction identity predicts); the energy is a sum
@@ -102,14 +104,6 @@ class DecompositionResult:
     leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
 
 
-def _ambient(n: int, free: tuple[int, ...], compact: np.ndarray, out: np.ndarray) -> FourierExpansion:
-    """A compact spectrum over ``free`` (ascending) in the 2^n mask layout,
-    written into ``out``, which must be zero outside the masks over ``free``."""
-    cube = _spectrum_cube(out, n, free)
-    cube[...] = compact.reshape(cube.shape)
-    return FourierExpansion(n, out)
-
-
 def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-butterfly of every compact spectrum (row r, over the ascending
     free variables frees[r]) on its variable js[r].
@@ -128,35 +122,27 @@ def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np
     return np.repeat(rest, 2, axis=0), out.reshape(2 * len(rows), -1)
 
 
-def _tally(level: list[tuple[Leaf, int]], stats: dict[int, LeafStats],
-           eps: float) -> tuple[float, list[int], float, int]:
-    """Energy, the ids of the bad leaves, bad mass and tree depth."""
-    phi = bad_mass = 0.0
-    bad: list[int] = []
-    for leaf, depth in level:
-        s = stats[leaf.id]
-        phi += 2.0 ** -depth * s.stab
-        if s.bad(eps):
-            bad.append(leaf.id)
-            bad_mass += 2.0 ** -depth
-    return phi, bad, bad_mass, max(depth for _, depth in level)
-
-
 def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool,
                ghat: FourierExpansion | None = None) -> DecompositionResult:
     """The energy-increment loop of both drivers, from f and its spectrum
     ``ghat`` (transformed here if not given): run passes until at most a
     gamma fraction of leaf mass is bad.
 
-    ``plan(stats, bad, depth)`` (leaf statistics by id, the bad leaves' ids,
-    the tree depth) is the split policy: it returns the next pass as a list
-    of rounds, each a function from a held leaf's id to the variable it
-    splits on, or None to stop with ``exhausted`` set.  The held leaves'
-    spectra are the rows of one array in ``leaves`` order, with each row's
-    free variables in a parallel array; a round's children take consecutive
-    ids.  With ``keep_all`` the whole level is held; otherwise only its bad
-    leaves are, in one copy that frees their good siblings.  Only the last
-    round's children are analysed.
+    A pass's state is its level: the leaves it holds, all at one depth, with
+    their spectra as the rows of one array in ``leaves`` order (each row's
+    free variables in a parallel array) and their statistics from one
+    analysis.  Every other leaf is good and final: it settled into
+    ``leaf_stats`` and into a running sum of its energy when it left the
+    level, so phi is that sum plus 2^-depth times the level's Stab, and the
+    bad mass is 2^-depth times the number of the level's bad leaves.
+
+    ``plan(level, bad, depth)`` (the level's statistics, whether each is
+    bad, their depth) is the split policy: it returns the next pass as a
+    list of rounds of split variables, each one variable for every held leaf
+    or one per held leaf, or None to stop with ``exhausted`` set.  A round's
+    children take consecutive ids.  With ``keep_all`` the whole level is
+    held; otherwise only its bad leaves are, in one copy that frees their
+    good siblings.  Only the last round's children are analysed.
 
     Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
     holds, and the restriction identity: a split of a leaf at depth d on j
@@ -170,50 +156,50 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     ids, frees = range(1), np.arange(f.n).reshape(1, -1)
     rows = (wht(f) if ghat is None else ghat).coeffs.reshape(1, -1)
     del ghat  # the root's rows are freed at its split, unless a caller holds them
-    stats: dict[int, LeafStats] = {}
+    stats: dict[int, LeafStats] = {}  # the settled leaves, then the last level
     ledger = EnergyLedger()
-    iterations, phi, predicted = 0, 0.0, 0.0
-    while True:  # a pass: analyse the new leaves and check the tree, then stop or split
-        stats.update(zip(ids, analyze(frees, rows)))
-        previous = phi
-        phi, bad, bad_mass, depth = _tally(leaves(t), stats, p.eps)
+    iterations, depth, phi, settled, predicted = 0, 0, 0.0, 0.0, 0.0
+    while True:  # a pass: analyse the new level and check the tree, then stop or split
+        level = analyze(frees, rows)
+        bad = [s.bad(p.eps) for s in level]
+        mass = 2.0 ** -depth
+        previous, phi, bad_mass = phi, settled + mass * sum(s.stab for s in level), mass * sum(bad)
         if phi > bound + _PHI_GUARD:
             raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
             raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
                                f"the restriction identity predicts {p.delta * predicted}")
         ledger.record(iterations, phi, depth)
-        if bad_mass <= p.gamma:
-            return DecompositionResult(t, iterations, ledger, bad_mass, leaf_stats=stats)
-        rounds = plan(stats, bad, depth)
-        if rounds is None:
-            return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=True, leaf_stats=stats)
-        if not keep_all and len(bad) < len(ids):  # every bad leaf is held, in leaves order
-            keep = [r for r, leaf_id in enumerate(ids) if stats[leaf_id].bad(p.eps)]
-            ids, frees, rows = bad, frees[keep], rows[keep]  # one copy; the good rows are released
+        if bad_mass <= p.gamma or (rounds := plan(level, bad, depth)) is None:
+            break
+        if not keep_all and not all(bad):  # the good leaves settle; the bad ones are held
+            stats.update((leaf_id, s) for leaf_id, s, b in zip(ids, level, bad) if not b)
+            settled += mass * sum(s.stab for s, b in zip(level, bad) if not b)
+            keep = [r for r, b in enumerate(bad) if b]
+            ids, frees, rows = [ids[r] for r in keep], frees[keep], rows[keep]  # one copy
         predicted = 0.0
-        for var_of in rounds:
-            splits = {leaf_id: var_of(leaf_id) for leaf_id in ids}
-            for leaf_id in ids:
-                stats.pop(leaf_id, None)
-            js = np.fromiter(splits.values(), np.int64, len(splits))
-            predicted += 2.0 ** (frees.shape[1] - f.n) * float(analyze.influences(frees, rows, js).sum())
+        for var in rounds:
+            js = np.broadcast_to(var, len(rows))
+            predicted += 2.0 ** -depth * float(analyze.influences(frees, rows, js).sum())
             frees, rows = _split_rows(rows, frees, js)  # releases the parents' rows
-            ids = range(t.next_leaf_id, t.next_leaf_id + len(rows))
-            t = split_leaves(t, splits)
+            t = split_leaves(t, dict(zip(ids, js.tolist())))
+            ids, depth = range(t.next_leaf_id - len(rows), t.next_leaf_id), depth + 1
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
+    stats.update(zip(ids, level))
+    return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=bad_mass > p.gamma,
+                               leaf_stats=stats)
 
 
 def _split_bad_leaves(n: int, p: RegularityParams) -> Callable:
     """The plain split policy: one round in which each bad leaf splits on
     its own argmax variable, up to depth min(budget, n)."""
-    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]]:
+    def plan(level: list[LeafStats], bad: list[bool], depth: int) -> list[list[int]]:
         if depth + 1 > min(p.budget, float(n)):
             raise RuntimeError(f"internal error: split would push depth past min(budget={p.budget}, "
                                f"n={n}); the energy argument forbids this")
-        return [lambda leaf_id: stats[leaf_id].var]  # the held leaves are the bad ones
+        return [[s.var for s, b in zip(level, bad) if b]]  # the held leaves are the bad ones
 
     return plan
 
@@ -246,14 +232,14 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
     query_vars: list[int] = []
 
-    def plan(stats: dict[int, LeafStats], bad: list[int], depth: int) -> list[Callable[[int], int]] | None:
-        new_vars = sorted({stats[leaf_id].var for leaf_id in bad} - set(query_vars))
+    def plan(level: list[LeafStats], bad: list[bool], depth: int) -> list[int] | None:
+        new_vars = sorted({s.var for s, b in zip(level, bad) if b} - set(query_vars))
         if not new_vars:
             raise RuntimeError("internal error: bad leaf with no splittable variable")
         if len(query_vars) + len(new_vars) > var_cap:
             return None
         query_vars.extend(new_vars)
-        return [lambda leaf_id, var=var: var for var in new_vars]
+        return new_vars
 
     return replace(_decompose(f, p, plan, keep_all=True), homogeneous_vars=query_vars)
 

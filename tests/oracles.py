@@ -255,6 +255,19 @@ def per_line_table_values(n: int, body: str) -> np.ndarray | str:
     return np.array(values)
 
 
+def ambient_spectrum(n: int, free, compact: np.ndarray) -> np.ndarray:
+    """A compact spectrum over the ascending variables ``free`` in the 2^n
+    mask layout: bit k of a compact index is variable free[k], and every
+    mask holding a fixed variable is 0."""
+    index = np.arange(len(compact))
+    masks = np.zeros(len(compact), dtype=np.int64)
+    for k, v in enumerate(free):
+        masks |= ((index >> k) & 1) << v
+    out = np.zeros(1 << n)
+    out[masks] = compact
+    return out
+
+
 # --- the earlier leaf kernel and drivers ---------------------------------------
 
 def _int_sizes(size: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from boolreg import (
     subset_sizes,
     to_dot,
     to_zero_one,
+    tree_depth,
     tribes,
     wht,
 )
@@ -51,8 +52,9 @@ from boolreg.noise import (
     expansion_influences,
 )
 from boolreg.boolfn import _degree_weights
-from boolreg.regularity import _ambient, _split_rows
+from boolreg.regularity import _split_rows
 from oracles import (
+    ambient_spectrum,
     exact_influences,
     exact_profile,
     exact_stability,
@@ -126,7 +128,7 @@ def test_half_butterfly_is_the_restricted_spectrum(case, data):
         g = restrict(g, var, v)
     free = tuple(frees[0].tolist())
     assert free == tuple(i for i in range(f.n) if i not in path)
-    derived = _ambient(f.n, free, rows[0], np.zeros(1 << f.n)).coeffs
+    derived = ambient_spectrum(f.n, free, rows[0])
     fresh = wht(g).coeffs
     if exact:
         assert same_bits(derived, fresh)
@@ -201,7 +203,7 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
     free = tuple(v for v in range(n) if v != n // 2)
     other = rng.uniform(-1.0, 1.0, 1 << (n - 1)) / 2.0 ** (n / 2)
     spectra = [(tuple(range(n)), coeffs, coeffs),
-               (free, other, _ambient(n, free, other, np.zeros(1 << n)).coeffs)]
+               (free, other, ambient_spectrum(n, free, other))]
     for delta in (0.05, 0.3, 1.0):
         gathered = mask_gather_influences(coeffs, delta)
         assert np.all(np.abs(expansion_influences(g, delta) - gathered) <= FLOAT_TOL * gathered)
@@ -348,6 +350,47 @@ def test_one_leaf_analysis_per_pass(monkeypatch, run):
     [result] = results
     assert result.iterations > 1
     assert len(calls) == result.iterations + 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: decompose(tribes(4, 4), RegularityParams(0.05, 0.3, 0.05)),
+    lambda: decompose_homogeneous(majority(11), RegularityParams(0.05, 0.3, 0.05), 11),
+    lambda: check_quasi_mist(to_zero_one(tribes(3, 4)), 0.5, RegularityParams(0.02, 0.3, 0.05), 0.6, 0.5),
+], ids=["plain_tribes_4_4", "homogeneous_majority_11", "pipeline_tribes_3_4"])
+def test_no_tree_walk_per_pass(monkeypatch, run):
+    # a pass reads the energy, the bad mass and the depth from its level;
+    # summing them over a walk of the tree took one walk per pass
+    walks, results = [], []
+    walk, loop = regularity.leaves, regularity._decompose
+
+    def recording_loop(*args, **kwargs):
+        monkeypatch.setattr(regularity, "leaves", lambda t: walks.append(t) or walk(t))
+        results.append(loop(*args, **kwargs))
+        monkeypatch.setattr(regularity, "leaves", walk)
+        return results[-1]
+
+    monkeypatch.setattr(regularity, "_decompose", recording_loop)
+    monkeypatch.setattr(stablest, "_decompose", recording_loop)
+    run()
+    [result] = results
+    assert result.iterations > 1
+    assert walks == []
+    assert not hasattr(regularity, "_tally")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(max_n=8, exact=False), params, st.data())
+def test_ledger_depths_are_the_tree_depths(case, p, data):
+    # the loop counts its level's depth instead of walking the tree: a plain
+    # pass adds one level, a homogeneous pass one per new query variable,
+    # and a run stopped by var_cap keeps the depth it reached
+    f, _ = case
+    plain = decompose(f, p)
+    assert plain.ledger.depths == list(range(plain.iterations + 1))
+    assert plain.ledger.depths[-1] == tree_depth(plain.tree)
+    homogeneous = decompose_homogeneous(f, p, data.draw(st.integers(0, f.n)))
+    assert homogeneous.ledger.depths[-1] == tree_depth(homogeneous.tree)
+    assert homogeneous.ledger.depths[-1] == len(homogeneous.homogeneous_vars)
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,7 +577,7 @@ def test_compact_kernel_matches_power_and_mask_gather(n, data):
     analyze = _analyzer(n, delta, eps)
     for _ in range(2):  # the second run would see a stale buffer
         for row, stats in zip(rows, analyze(free_rows(free, r), rows)):
-            ambient = _ambient(n, free, row, np.zeros(1 << n)).coeffs
+            ambient = ambient_spectrum(n, free, row)
             influences = mask_gather_influences(ambient, delta)
             assert stats.mean == row[0]
             assert close(stats.stab, power_stability(ambient, 1.0 - delta))
