@@ -28,7 +28,6 @@ from .boolfn import (
 from .dtree import (
     DecisionTree,
     EnergyLedger,
-    Internal,
     Leaf,
     bad_leaf_mass,
     energy,

@@ -1,9 +1,10 @@
 """Decision trees with subfunction leaves, leaf-mass accounting, and energy.
 
-Trees are persistent: a split returns a new tree sharing every untouched
-branch.  A leaf at depth d carries mass 2^-d, the probability of reaching
-it by uniformly random decisions from the root.  Leaf ids are stable under
-splits of other leaves.
+A tree is its leaves in order, each internal node a run of them (see
+``DecisionTree``).  Trees are persistent: a split returns a new tree sharing
+every untouched leaf.  A leaf at depth d carries mass 2^-d, the probability
+of reaching it by uniformly random decisions from the root.  Leaf ids are
+stable under splits of other leaves.
 
 A leaf's table is a read-only view of the root table at the leaf's fixed
 bits: its sub-cube of 2^(n-d) values (O'Donnell, Analysis of Boolean
@@ -13,10 +14,11 @@ so no split copies a value, and every tree over f holds f's table alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -56,19 +58,16 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class Internal:
-    var: int
-    child_plus: "Node"   # taken when x_var = +1 (input bit var = 0)
-    child_minus: "Node"
-
-
-Node = Union[Leaf, Internal]
-
-
-@dataclass(frozen=True)
 class DecisionTree:
+    """A decision tree on n variables as its leaves in left-to-right order.
+
+    The leaves under an internal node at depth d are consecutive and share
+    the first d entries of ``fixed``: entry d is that node's variable, and
+    its plus-branch leaves (x_var = +1, input bit var = 0) come first.
+    """
+
     n: int
-    root: Node
+    leaves: tuple[Leaf, ...]
     next_leaf_id: int
 
 
@@ -91,36 +90,38 @@ class EnergyLedger:
 
 def singleton(f: BooleanFunction) -> DecisionTree:
     """One leaf holding f itself; the starting point of every decomposition."""
-    return DecisionTree(f.n, Leaf(0, f.values.reshape((2,) * f.n), {}, f.n, f.range_tag), 1)
+    return DecisionTree(f.n, (Leaf(0, f.values.reshape((2,) * f.n), {}, f.n, f.range_tag),), 1)
 
 
 def leaves(t: DecisionTree) -> list[tuple[Leaf, int]]:
     """All (leaf, depth) pairs in left-to-right order (plus branch first)."""
-    out: list[tuple[Leaf, int]] = []
-    stack: list[tuple[Node, int]] = [(t.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            out.append((node, depth))
-        else:  # the plus branch is popped, so walked, first
-            stack.append((node.child_minus, depth + 1))
-            stack.append((node.child_plus, depth + 1))
-    return out
+    return [(leaf, len(leaf.fixed)) for leaf in t.leaves]
 
 
 def tree_depth(t: DecisionTree) -> int:
-    return max(depth for _, depth in leaves(t))
+    return max(len(leaf.fixed) for leaf in t.leaves)
+
+
+def _branch(t: DecisionTree, lo: int, hi: int, depth: int) -> tuple[int, int]:
+    """The variable of the depth-``depth`` internal node whose leaves are
+    t.leaves[lo:hi], and the index where its minus branch starts."""
+    var = next(itertools.islice(t.leaves[lo].fixed, depth, None))
+    return var, bisect.bisect_left(t.leaves, True, lo, hi, key=lambda leaf: leaf.fixed[var] == -1)
 
 
 def evaluate(t: DecisionTree, b: int) -> float:
     """Walk the tree by the bits of input index b, then read the leaf's
     table at the free bits of b."""
+    b = operator.index(b)
     if not 0 <= b < (1 << t.n):
         raise IndexError(f"input index {b} out of range for n={t.n}")
-    node = t.root
-    while isinstance(node, Internal):
-        node = node.child_minus if (b >> node.var) & 1 else node.child_plus
-    return float(node.table[tuple((b >> v) & 1 for v in reversed(node.free))])
+    lo, hi, depth = 0, len(t.leaves), 0
+    while hi - lo > 1:
+        var, mid = _branch(t, lo, hi, depth)
+        lo, hi = (mid, hi) if (b >> var) & 1 else (lo, mid)
+        depth += 1
+    leaf = t.leaves[lo]
+    return float(leaf.table[tuple((b >> v) & 1 for v in reversed(leaf.free))])
 
 
 def evaluate_table(t: DecisionTree) -> np.ndarray:
@@ -133,46 +134,40 @@ def evaluate_table(t: DecisionTree) -> np.ndarray:
     return out
 
 
-def _split_node(leaf: Leaf, j: int, first_id: int) -> Internal:
+def _split_node(leaf: Leaf, j: int, first_id: int) -> tuple[Leaf, Leaf]:
     if j in leaf.fixed:
         raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
     # the axes run down the free variables: the free ones above j come first
     axis = leaf.n - 1 - j - sum(v > j for v in leaf.fixed)
     plus, minus = (leaf.table[(slice(None),) * axis + (bit, ...)] for bit in (0, 1))
-    return Internal(j, Leaf(first_id, plus, {**leaf.fixed, j: 1}, leaf.n, leaf.range_tag),
-                    Leaf(first_id + 1, minus, {**leaf.fixed, j: -1}, leaf.n, leaf.range_tag))
-
-
-def _split_walk(node: Node, splits: dict[int, int], ids: Iterator[int]) -> Node:
-    """``node`` with each leaf ``splits`` names split, its children's ids
-    drawn from ``ids`` in ``leaves`` order; untouched branches are shared."""
-    if isinstance(node, Leaf):
-        return _split_node(node, splits[node.id], next(ids)) if node.id in splits else node
-    plus = _split_walk(node.child_plus, splits, ids)
-    minus = _split_walk(node.child_minus, splits, ids)
-    if plus is node.child_plus and minus is node.child_minus:
-        return node
-    return Internal(node.var, plus, minus)
+    return (Leaf(first_id, plus, {**leaf.fixed, j: 1}, leaf.n, leaf.range_tag),
+            Leaf(first_id + 1, minus, {**leaf.fixed, j: -1}, leaf.n, leaf.range_tag))
 
 
 def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
-    """Replace each leaf ``splits`` names by a query to its variable, in one
-    walk; other leaves are untouched.
+    """Replace each leaf ``splits`` names (id -> variable) by its two
+    children, in one pass over the leaves; other leaves are shared with t.
 
     New ids follow ``leaves`` order: the first split leaf's children get
     next_leaf_id (plus branch) and next_leaf_id + 1, the next split leaf's
     the two ids after those, and so on.
     """
+    splits = {leaf_id: operator.index(j) for leaf_id, j in splits.items()}
     for j in splits.values():
         if not 0 <= j < t.n:
             raise IndexError(f"variable index {j} out of range for n={t.n}")
     ids = itertools.count(t.next_leaf_id, 2)
-    root = _split_walk(t.root, splits, ids)
+    out: list[Leaf] = []
+    for leaf in t.leaves:
+        if leaf.id in splits:
+            out += _split_node(leaf, splits[leaf.id], next(ids))
+        else:
+            out.append(leaf)
     next_id = next(ids)
     if next_id - t.next_leaf_id < 2 * len(splits):
-        present = {leaf.id for leaf, _ in leaves(t)}
+        present = {leaf.id for leaf in t.leaves}
         raise KeyError(f"no leaf with id {min(set(splits) - present)}")
-    return DecisionTree(t.n, root, next_id)
+    return DecisionTree(t.n, tuple(out), next_id)
 
 
 def split_leaf(t: DecisionTree, leaf_id: int, j: int) -> DecisionTree:
@@ -231,19 +226,21 @@ def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     return float(sum(2.0 ** -depth for leaf, depth in leaves(t) if stats[leaf.id].bad(eps)))
 
 
-def _dot(node: Node, depth: int, stats: dict[int, LeafStats], lines: list[str],
-         names: Iterator[int]) -> str:
-    """Append the DOT lines of the subtree at ``node`` to ``lines`` and
-    return its root's name; node names are drawn from ``names`` in preorder."""
+def _dot(t: DecisionTree, lo: int, hi: int, depth: int, stats: dict[int, LeafStats],
+         lines: list[str], names: Iterator[int]) -> str:
+    """Append the DOT lines of the node at ``depth`` over t.leaves[lo:hi]
+    to ``lines`` and return its name, drawn from ``names`` in preorder."""
     name = f"n{next(names)}"
-    if isinstance(node, Leaf):
-        lines.append(f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}'
-                     f'\\nmean={float(np.mean(node.table.reshape(-1))):.6g}'
-                     f'\\nmax_inf={stats[node.id].max_influence:.6g}"];')
+    if hi - lo == 1:
+        leaf = t.leaves[lo]
+        lines.append(f'  {name} [shape=box, label="L{leaf.id}\\ndepth={depth}'
+                     f'\\nmean={float(np.mean(leaf.table.reshape(-1))):.6g}'
+                     f'\\nmax_inf={stats[leaf.id].max_influence:.6g}"];')
         return name
-    lines.append(f'  {name} [label="x{node.var + 1}"];')
-    plus = _dot(node.child_plus, depth + 1, stats, lines, names)
-    minus = _dot(node.child_minus, depth + 1, stats, lines, names)
+    var, mid = _branch(t, lo, hi, depth)
+    lines.append(f'  {name} [label="x{var + 1}"];')
+    plus = _dot(t, lo, mid, depth + 1, stats, lines, names)
+    minus = _dot(t, mid, hi, depth + 1, stats, lines, names)
     lines.append(f'  {name} -> {plus} [label="+1"];')
     lines.append(f'  {name} -> {minus} [label="-1"];')
     return name
@@ -253,6 +250,6 @@ def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
     lines = ["digraph dtree {"]
-    _dot(t.root, 0, _leaf_stats(t, np.inf, delta), lines, itertools.count())
+    _dot(t, 0, len(t.leaves), 0, _leaf_stats(t, np.inf, delta), lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,8 +8,10 @@ The exceptions are the earlier designs kept at the end, so that the fast
 paths can be compared with them exactly: the reference decomposition
 drivers keep the per-pass design (a fresh transform of every leaf table,
 mask-gather influences, one tree walk per split) on the library's tree
-primitives, and ``per_subset_max_mean_shift`` the one-reduction-per-subset
-restriction search.
+primitives, ``per_subset_max_mean_shift`` the one-reduction-per-subset
+restriction search, and ``RefNode`` the node-graph decision tree (one
+object per internal node, a split rebuilding the path above each split
+leaf) that the library's leaf-sequence trees are checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -367,3 +370,62 @@ def per_subset_max_mean_shift(f, k: int) -> tuple[dict[int, int], float]:
                     best_shift = shift
                     best_restriction = by_var
     return best_restriction, best_shift
+
+
+@dataclass(frozen=True)
+class RefLeaf:
+    id: int
+    fixed: dict[int, int]  # root-to-leaf path, variable -> assigned value
+
+
+@dataclass(frozen=True)
+class RefNode:
+    var: int
+    plus: RefLeaf | RefNode  # taken when x_var = +1 (input bit var = 0)
+    minus: RefLeaf | RefNode
+
+
+def ref_split(node, splits: dict[int, int], ids) -> RefLeaf | RefNode:
+    """``node`` with each leaf ``splits`` names (id -> variable) split, the
+    children's ids drawn from ``ids`` in leaf order."""
+    if isinstance(node, RefNode):
+        return RefNode(node.var, ref_split(node.plus, splits, ids), ref_split(node.minus, splits, ids))
+    if node.id not in splits:
+        return node
+    j, first = splits[node.id], next(ids)
+    return RefNode(j, RefLeaf(first, {**node.fixed, j: 1}), RefLeaf(first + 1, {**node.fixed, j: -1}))
+
+
+def ref_leaves(node, depth: int = 0) -> list[tuple[RefLeaf, int]]:
+    """(leaf, depth) pairs, plus branch first."""
+    if isinstance(node, RefLeaf):
+        return [(node, depth)]
+    return ref_leaves(node.plus, depth + 1) + ref_leaves(node.minus, depth + 1)
+
+
+def ref_evaluate(node, values: np.ndarray, b: int) -> float:
+    """Walk by the bits of b, then read f at b with the leaf's path forced."""
+    while isinstance(node, RefNode):
+        node = node.minus if (b >> node.var) & 1 else node.plus
+    for var, x in node.fixed.items():
+        b = b | (1 << var) if x == -1 else b & ~(1 << var)
+    return float(values[b])
+
+
+def ref_dot(root, labels: dict[int, str]) -> str:
+    """The DOT text of the tree at ``root``, nodes named in preorder, each
+    leaf's summary after its depth taken from ``labels`` by id."""
+    lines, names = ["digraph dtree {"], itertools.count()
+
+    def walk(node, depth: int) -> str:
+        name = f"n{next(names)}"
+        if isinstance(node, RefLeaf):
+            lines.append(f'  {name} [shape=box, label="L{node.id}\\ndepth={depth}\\n{labels[node.id]}"];')
+            return name
+        lines.append(f'  {name} [label="x{node.var + 1}"];')
+        plus, minus = walk(node.plus, depth + 1), walk(node.minus, depth + 1)
+        lines.extend([f'  {name} -> {plus} [label="+1"];', f'  {name} -> {minus} [label="-1"];'])
+        return name
+
+    walk(root, 0)
+    return "\n".join(lines + ["}"]) + "\n"

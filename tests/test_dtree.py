@@ -2,11 +2,16 @@
 and walks that leave no reference cycles behind."""
 
 import gc
+import itertools
+import json
+import pathlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolreg import (
     BooleanFunction,
@@ -38,7 +43,18 @@ from boolreg import (
     tribes,
     wht,
 )
-from oracles import random_real_unit
+from boolreg.dtree import _leaf_stats
+from oracles import (
+    RefLeaf,
+    brute_restriction_mean,
+    random_real_unit,
+    ref_dot,
+    ref_evaluate,
+    ref_leaves,
+    ref_split,
+)
+
+DATA = pathlib.Path(__file__).with_name("data")
 
 
 def test_singleton_energy_parity():
@@ -204,9 +220,23 @@ def test_split_leaves_ids_follow_leaf_order():
 def test_split_leaves_shares_untouched_branches():
     t = three_leaf_tree()
     split = split_leaves(t, {3: 2})
-    assert split.root.child_minus is t.root.child_minus
-    assert split.root.child_plus.child_minus is t.root.child_plus.child_minus
-    assert split_leaves(t, {}).root is t.root
+    assert split.leaves[2] is t.leaves[1] and split.leaves[3] is t.leaves[2]
+    assert all(a is b for a, b in zip(split_leaves(t, {}).leaves, t.leaves, strict=True))
+
+
+def test_integer_arguments_become_ints():
+    f = majority(3)
+    t = split_all_leaves(split_leaf(singleton(f), 0, np.int64(1)), np.int32(2))
+    assert all(type(var) is int for leaf, _ in leaves(t) for var in leaf.fixed)
+    assert json.dumps([leaf.fixed for leaf, _ in leaves(t)]) == \
+        '[{"1": 1, "2": 1}, {"1": 1, "2": -1}, {"1": -1, "2": 1}, {"1": -1, "2": -1}]'
+    assert [evaluate(t, np.uint8(b)) for b in range(8)] == list(f.values)
+    with pytest.raises(TypeError, match="integer"):
+        split_leaf(t, 3, np.float64(0))
+    with pytest.raises(TypeError, match="integer"):
+        split_all_leaves(t, 0.0)
+    with pytest.raises(TypeError, match="integer"):
+        evaluate(t, 3.0)
 
 
 def test_split_leaves_errors():
@@ -259,6 +289,17 @@ def test_to_dot():
     assert '"x2"' in dot
     assert '[label="+1"]' in dot and '[label="-1"]' in dot
     assert "depth=1" in dot and "mean=" in dot and "max_inf=" in dot
+
+
+@pytest.mark.parametrize("name, tree", [
+    ("dot_tribes_2_2.txt", lambda: decompose(tribes(2, 2), RegularityParams(0.05, 0.3, 0.05)).tree),
+    ("dot_majority_5_homogeneous.txt",
+     lambda: decompose_homogeneous(majority(5), RegularityParams(0.2, 0.3, 0.25), 5).tree),
+])
+def test_to_dot_text_is_pinned(name, tree):
+    # the whole text, byte for byte: node names in preorder, and each
+    # internal node's edges after both of its subtrees
+    assert to_dot(tree(), 0.3) == (DATA / name).read_text()
 
 
 def test_energy_delta_validation():
@@ -438,3 +479,35 @@ def test_a_replaced_leaf_is_freed_without_the_cycle_collector():
         assert [leaf.id for leaf, _ in leaves(t)] == [1, 3, 4]
     finally:
         gc.enable()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_leaf_sequence_matches_the_node_graph_tree(n, real, seed, data):
+    # whatever the order of the splits, the leaves under each node stay
+    # consecutive with the node's variable at their path step depth: the
+    # tree walks, evaluation and DOT text equal the node-graph reference's
+    rng = np.random.default_rng(seed)
+    values = random_real_unit(rng, n) if real else rng.choice([-1.0, 1.0], 1 << n)
+    t, ref, ref_next = singleton(BooleanFunction(n, values)), RefLeaf(0, {}), 1
+    for _ in range(data.draw(st.integers(1, 6))):
+        splittable = [leaf for leaf, _ in leaves(t) if leaf.free]
+        if not splittable:
+            break
+        chosen = data.draw(st.lists(st.sampled_from(range(len(splittable))), min_size=1, unique=True))
+        splits = {splittable[i].id: data.draw(st.sampled_from(splittable[i].free)) for i in chosen}
+        t = split_leaves(t, splits)
+        ids = itertools.count(ref_next, 2)
+        ref, ref_next = ref_split(ref, splits, ids), next(ids)
+        expected = ref_leaves(ref)
+        assert [(leaf.id, depth, list(leaf.fixed.items())) for leaf, depth in leaves(t)] == \
+            [(leaf.id, depth, list(leaf.fixed.items())) for leaf, depth in expected]
+        assert tree_depth(t) == max(depth for _, depth in expected)
+        assert t.next_leaf_id == ref_next
+        reference = [ref_evaluate(ref, values, b) for b in range(1 << n)]
+        assert [evaluate(t, b) for b in range(1 << n)] == reference
+        np.testing.assert_array_equal(evaluate_table(t), reference)
+        stats = _leaf_stats(t, np.inf, 0.3)
+        labels = {leaf.id: f"mean={brute_restriction_mean(values, leaf.fixed):.6g}"
+                           f"\\nmax_inf={stats[leaf.id].max_influence:.6g}" for leaf, _ in expected}
+        assert to_dot(t, 0.3) == ref_dot(ref, labels)

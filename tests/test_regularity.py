@@ -9,7 +9,6 @@ import pytest
 from boolreg import (
     BooleanFunction,
     DecisionTree,
-    Internal,
     PM_ONE,
     PreconditionError,
     RegularityParams,
@@ -41,16 +40,12 @@ def blend3() -> BooleanFunction:
 
 
 def levels_query_vars(tree: DecisionTree) -> list[set[int]]:
-    """Set of queried variables per level; homogeneous trees have singletons."""
+    """Set of queried variables per level; homogeneous trees have singletons.
+    Step d of a leaf's path is the variable its depth-d ancestor queries."""
     per_level: dict[int, set[int]] = {}
-
-    def walk(node, depth):
-        if isinstance(node, Internal):
-            per_level.setdefault(depth, set()).add(node.var)
-            walk(node.child_plus, depth + 1)
-            walk(node.child_minus, depth + 1)
-
-    walk(tree.root, 0)
+    for leaf, _ in leaves(tree):
+        for depth, var in enumerate(leaf.fixed):
+            per_level.setdefault(depth, set()).add(var)
     return [per_level[d] for d in sorted(per_level)]
 
 

@@ -19,7 +19,6 @@ from boolreg import (
     ZERO_ONE,
     BooleanFunction,
     FourierExpansion,
-    Internal,
     RegularityParams,
     bad_leaf_mass,
     check_quasi_mist,
@@ -588,17 +587,19 @@ def test_compact_kernel_matches_power_and_mask_gather(n, data):
 
 
 def split_points(f, tree):
-    """(depth, variable, subfunction) of every internal node."""
-    out = []
-
-    def walk(node, g, depth):
-        if isinstance(node, Internal):
-            out.append((depth, node.var, g))
-            walk(node.child_plus, restrict(g, node.var, 1), depth + 1)
-            walk(node.child_minus, restrict(g, node.var, -1), depth + 1)
-
-    walk(tree.root, f, 0)
-    return out
+    """(depth, variable, subfunction) of every internal node, in preorder.
+    The node at depth d on a leaf's path is the path's first d steps, and
+    step d is the variable it queries."""
+    subfunctions = {(): f}  # by path prefix
+    nodes = {}
+    for leaf, _ in leaves(tree):
+        path = tuple(leaf.fixed.items())
+        for depth, (var, value) in enumerate(path):
+            g = subfunctions[path[:depth]]
+            nodes.setdefault(path[:depth], (depth, var, g))
+            if path[:depth + 1] not in subfunctions:
+                subfunctions[path[:depth + 1]] = restrict(g, var, value)
+    return list(nodes.values())
 
 
 @pytest.mark.parametrize("f", [tribes(4, 4), majority(9)] +
