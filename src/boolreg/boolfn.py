@@ -34,7 +34,7 @@ RANGE_TAGS = (PM_ONE, ZERO_ONE, REAL)
 MAX_VARS = 24
 MEAN_SQUARE_TOL = 1e-9
 
-_TABLE_CHUNK = 1 << 16  # table lines formatted per batch
+_TABLE_CHUNK = 1 << 16  # table lines formatted, and values scanned, per batch
 _TABLE_BLOCK = 1 << 15  # characters of table text read and parsed per batch
 
 # Mask bits whose sizes one matrix product of ``_degree_weights`` sums by.
@@ -82,6 +82,23 @@ def _handover(arr: np.ndarray) -> np.ndarray:
     """Mark a fresh array read-only, for a constructor to adopt."""
     arr.setflags(write=False)
     return arr
+
+
+# The bits of 1.0 and the mask that clears a double's sign bit.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+_MAGNITUDE = np.uint64((1 << 63) - 1)
+
+
+def _boolean_valued(values: np.ndarray) -> bool:
+    """Whether every value of a 1-D float64 array is exactly -1.0, +0.0 or
+    1.0, read from the bits of a block at a time: -0.0 and every other
+    value fail."""
+    bits = values.view(np.uint64)
+    for start in range(0, bits.size, _TABLE_CHUNK):
+        block = bits[start:start + _TABLE_CHUNK]
+        if not np.all((block == 0) | ((block & _MAGNITUDE) == _ONE_BITS)):
+            return False
+    return True
 
 
 def infer_range_tag(values: np.ndarray) -> str:
@@ -206,6 +223,7 @@ def _degree_profile(coeffs: np.ndarray) -> np.ndarray:
 
 _BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)
 _STRIP_BITS = 12  # the high stages run on strips of 2^12 columns (32 KiB rows)
+_WIDEN_BITS = 12  # wht widens its last 2^12 counts through a 32 KiB temporary
 
 
 def _stages(x: np.ndarray, buf: np.ndarray) -> None:
@@ -228,9 +246,10 @@ def _stages(x: np.ndarray, buf: np.ndarray) -> None:
         np.copyto(x, src)
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, O(n 2^n), into one fresh
-    float64 array: out[S] = sum_b values[b] * (-1)^popcount(b & S).
+def _butterfly(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, O(n 2^n), of ``values`` copied
+    into ``out`` (a fresh float64 array when None), in ``out``'s dtype:
+    out[S] = sum_b values[b] * (-1)^popcount(b & S).
 
     The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS), the
     low b stages (index bits 0 .. b-1) run on each contiguous block of 2^b
@@ -244,14 +263,22 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     same sequence of float64 adds and subtracts as the textbook in-place
     butterfly (h = 1, 2, 4, ...), whatever the blocking: the output is
     bit-identical to it on every input, real tables included.
+
+    An int32 ``out`` is exact on tables of -1, 0 and 1 (``_counts``): every
+    partial sum is then an integer of magnitude at most 2^n <= 2^24, so no
+    order of the adds can round or overflow, and the stages move half the
+    bytes of float64 ones.
     """
-    a = np.array(values, dtype=np.float64)
-    n = a.size.bit_length() - 1
+    if out is None:
+        out = np.array(values, dtype=np.float64)
+    else:
+        out[...] = values
+    n = out.size.bit_length() - 1
     b = min(n, _BLOCK_BITS)
     rows = 1 << (n - b)
     width = 1 << min(b, _STRIP_BITS)
-    scratch = np.empty(max(1 << b, rows * width))
-    grid = a.reshape(rows, 1 << b)
+    scratch = np.empty(max(1 << b, rows * width), out.dtype)
+    grid = out.reshape(rows, 1 << b)
     low = scratch[:1 << b].reshape(-1, 1)
     for block in grid:
         _stages(block.reshape(-1, 1), low)
@@ -259,14 +286,61 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
         high = scratch[:rows * width].reshape(rows, width)
         for c in range(0, 1 << b, width):
             _stages(grid[:, c:c + width], high)
-    return a
+    return out
+
+
+def _counts(f: BooleanFunction, out: np.ndarray | None = None) -> np.ndarray | None:
+    """The int32 counts 2^n * fhat(S) of a table whose values are all exactly
+    -1.0, +0.0 or 1.0, transformed into ``out`` (int32, 2^n entries) or a
+    fresh array; None for any other table, whose spectrum stays float64.
+
+    A pm_one tag needs no scan; any other table is scanned by its bits, so
+    a -0.0 entry (whose float transform can hold -0.0) or a fractional value
+    keeps the float path.  Every double derived from the counts has the
+    bits of the float path's: scaling by a power of two is exact and
+    commutes with every rounding, barring subnormals (``noise._analyzer``).
+    """
+    if f.range_tag != PM_ONE and not _boolean_valued(f.values):
+        return None
+    return _butterfly(f.values, np.empty(f.size, np.int32) if out is None else out)
+
+
+def _widen(out: np.ndarray, scale: float) -> None:
+    """Replace the int32 counts in the first half of the bytes of the
+    float64 array ``out`` by the doubles count * scale, in place.
+
+    Counts [k/2, k) become doubles [k/2, k), whose bytes held counts
+    [k, 2k), already widened; so k halves from out.size, and no copy of the
+    counts is needed until the last 2^_WIDEN_BITS, which widen through one
+    small temporary instead of one numpy call per halving.
+    """
+    counts = out.view(np.int32)
+    k = out.size
+    while k > 1 << _WIDEN_BITS:
+        np.multiply(counts[k // 2:k], scale, out=out[k // 2:k])
+        k //= 2
+    out[:k] = counts[:k] * scale
 
 
 def wht(f: BooleanFunction) -> FourierExpansion:
-    """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S]."""
-    a = _butterfly(f.values)
-    np.divide(a, f.size, out=a)
+    """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S].
+
+    On a table of -1, 0 and 1 it is computed as int32 counts in the first
+    half of the output's bytes (``_counts``) and widened there, exactly."""
+    a = np.empty(f.size)
+    if _counts(f, a.view(np.int32)[:f.size]) is None:
+        _butterfly(f.values, a)
+        np.divide(a, f.size, out=a)
+    else:
+        _widen(a, 2.0 ** -f.n)
     return FourierExpansion(f.n, _handover(a))
+
+
+def _spectrum(f: BooleanFunction) -> np.ndarray:
+    """f's spectrum as the drivers hold it: the int32 counts of ``_counts``
+    (at scale 2^-n), or else the float64 coefficients of ``wht``."""
+    counts = _counts(f)
+    return wht(f).coeffs if counts is None else counts
 
 
 def inverse_wht(g: FourierExpansion) -> BooleanFunction:
@@ -343,10 +417,18 @@ def mask_vars(mask: int) -> list[int]:
 # increasing index order; only blank lines may follow.  Writers emit 17
 # significant digits so tables round-trip exactly.
 
+# The lines of -1.0, 0.0 and 1.0, as f"{v:.17g}" writes them.
+_BOOLEAN_LINES = ("-1\n", "0\n", "1\n")
+
+
 def write_table(f: BooleanFunction, fp: IO[str]) -> None:
     fp.write(f"n={f.n}\n")
     for start in range(0, f.size, _TABLE_CHUNK):
-        fp.write("".join([f"{v:.17g}\n" for v in f.values[start:start + _TABLE_CHUNK].tolist()]))
+        block = f.values[start:start + _TABLE_CHUNK]
+        if _boolean_valued(block):
+            fp.write("".join(map(_BOOLEAN_LINES.__getitem__, (block + 1.0).astype(np.intp).tolist())))
+        else:
+            fp.write("".join([f"{v:.17g}\n" for v in block.tolist()]))
 
 
 def _parse_lines(text: str, out: np.ndarray, first_line: int) -> tuple[int, list[str]]:

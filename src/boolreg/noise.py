@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, subset_sizes, wht
+from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, _spectrum, subset_sizes, wht
 
 # Influences within this slack of a threshold count as below it, so that
 # round-off at the boundary can never make the regularity loop spin.
@@ -223,48 +223,74 @@ def _analyzer(n: int, delta: float, eps: float):
     at every mask with a fixed variable, and its candidates summed by
     ``_influence_sums``.  The buffer is zero between calls.
 
+    Rows are float64 coefficients or int32 counts (``boolfn._counts``),
+    which stand for the coefficients count * 2^-n.  Counts are squared and
+    weighted as they are, in doubles, and the sums scaled by 4^-n: a power
+    of two commutes with every rounding, so each result has the bits of the
+    coefficients' own, unless the coefficients' products fall below the
+    normal range.  Their nonzero ones are at least w * 4^-n for the least
+    nonzero weight w, so that needs w < 2^(2n - 1022): n >= 20 and delta
+    within 2^-42 of 1, closer at smaller n.  There the counts are widened
+    to coefficients first.
+
     ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
     influence of js[r], for the drivers' energy identity, in the product
     buffer (whose pages the analysis has touched already, unlike the half
     buffer's).
     """
     stab_powers = _powers(1.0 - delta, n)
-    influence_weights = _influence_powers(delta, n)[subset_sizes(n)]
+    powers = _influence_powers(delta, n)
+    influence_weights = powers[subset_sizes(n)]
     prod = np.zeros(1 << n)
     half = np.empty(1 << (n - 1))
     threshold = eps + INFLUENCE_SLACK
+    normal = not np.any((0.0 < powers) & (powers < 2.0 ** (2 * n - 1022)))
 
-    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int]) -> tuple[int, float]:
+    def coefficients(rows: np.ndarray) -> tuple[np.ndarray, float]:
+        """The rows to compute with, and the coefficient one of their units
+        stands for."""
+        if rows.dtype == np.float64:
+            return rows, 1.0
+        return (rows, 2.0 ** -n) if normal else (rows * 2.0 ** -n, 1.0)
+
+    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int],
+                       scale: float) -> tuple[int, float]:
         cube = _spectrum_cube(prod, n, free)
         _weighted_squares(row.reshape(cube.shape), _spectrum_cube(influence_weights, n, free), cube)
         sums = _influence_sums(prod, half, candidates)
         cube[...] = 0.0
         best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
-        return candidates[best], float(sums[best])
+        return candidates[best], float(sums[best]) * scale
 
     def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
+        rows, unit = coefficients(rows)
+        scale = unit * unit
         batch = prod[:rows.size].reshape(rows.shape)
-        profiles = _degree_weights(np.multiply(rows, rows, out=batch))
+        profiles = _degree_weights(np.square(rows, out=batch, dtype=np.float64))
+        profiles *= scale
         stabs = profiles @ stab_powers[:frees.shape[1] + 1]
         influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
+        influences *= scale
         batch[...] = 0.0
         tops = influences.max(axis=1, initial=0.0)
         variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
                      else [0] * len(rows))
         out = []
         for r, (mean, stab, var, top, profile) in enumerate(zip(
-                rows[:, 0].tolist(), stabs.tolist(), variables, tops.tolist(), profiles.tolist())):
+                (rows[:, 0] * unit).tolist(), stabs.tolist(), variables, tops.tolist(),
+                profiles.tolist())):
             if top >= threshold * (1.0 - _TIE_BAND):
                 candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
                 if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
                     free = frees[r].tolist()
-                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates])
+                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates], scale)
             out.append(LeafStats(mean, stab, var, top, tuple(profile)))
         return out
 
     def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
         # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r];
         # the masks containing the top variable have those weights, in order
+        rows, unit = coefficients(rows)
         half_size = rows.shape[1] // 2
         weights = influence_weights[half_size:2 * half_size]
         sums = np.empty(len(rows))
@@ -274,7 +300,7 @@ def _analyzer(n: int, delta: float, eps: float):
             _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
             batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
             batch[...] = 0.0
-        return sums
+        return sums * (unit * unit)
 
     analyze.influences = influences
     return analyze
@@ -300,7 +326,7 @@ def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> 
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    [stats] = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1), wht(f).coeffs.reshape(1, -1))
+    [stats] = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1), _spectrum(f).reshape(1, -1))
     if stats.bad(eps):
         return InfluenceVerdict(False, stats.var, stats.max_influence)
     return InfluenceVerdict(True)

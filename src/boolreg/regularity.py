@@ -34,9 +34,21 @@ with its statistics and drops its spectrum.  The analysis
 (``noise._analyzer``, the one leaf kernel) takes about 3 * 2^m operations
 per leaf with m free variables and decides ties and thresholds by the rule at
 ``noise._TIE_BAND``, so the trees are exactly those that a fresh transform
-of every leaf table would give.  One product buffer, a half-size buffer
-and the influence weights are allocated once per driver call, so no leaf
-costs a 2^n temporary.
+of every leaf table would give.
+
+On a table whose values are all exactly -1.0, +0.0 or 1.0 (every pm_one
+table, and {0,1} and {-1,0,1} tables after a scan of their bits) the rows
+are int32 counts at scale 2^-n (``boolfn._counts``): 2^n * ghat(S) is then
+an integer of magnitude at most 2^n, and so is every half-butterfly sum,
+which int32 holds exactly.  The analysis reads the scale from the rows'
+dtype, and every float it derives has the bits that float64 rows give.
+Any other table, -0.0 entries included, keeps float64 rows, and so does
+the float64 spectrum that ``check_quasi_mist`` hands the loop.  A driver call
+holds, besides f: the influence weights and one product buffer (2^n
+doubles each, allocated once, so no leaf costs a 2^n temporary), a
+half-size buffer for the tie rule's ambient sums, and at most two arrays
+of rows, a pass's and its split, 2^n values each (half a table each as
+counts).
 
 Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
 ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho
@@ -55,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boolfn import REAL, BooleanFunction, FourierExpansion, wht
+from .boolfn import REAL, BooleanFunction, FourierExpansion, _spectrum
 from .dtree import DecisionTree, EnergyLedger, leaves, singleton, split_leaves, tree_depth
 from .noise import LeafStats, _analyzer, _runs
 
@@ -112,7 +124,7 @@ def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np
     without js[r], which is the order of the children in the tree.
     """
     half_size = rows.shape[1] // 2
-    out = np.empty((len(rows), 2, half_size))
+    out = np.empty((len(rows), 2, half_size), rows.dtype)
     for run, k in _runs(frees, js):
         h = rows[run].reshape(-1, half_size >> k, 2, 1 << k)
         o = out[run].reshape(len(h), 2, half_size >> k, 1 << k)
@@ -144,9 +156,10 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     held; otherwise only its bad leaves are, in one copy that frees their
     good siblings.  Only the last round's children are analysed.
 
-    Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
-    holds, and the restriction identity: a split of a leaf at depth d on j
-    gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
+    Every pass checks the restriction identity (a split of a leaf at depth d
+    on j gains exactly delta * 2^-d * Inf_j, summed over all rounds of the
+    pass), then that phi <= max(1, E[f^2]) and that the iteration budget
+    holds.
     """
     # E[f^2] <= 1 is checked before f is transformed; on pm_one and zero_one
     # tables it holds in floating point too, as each square is at most 1
@@ -154,7 +167,7 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     t = singleton(f)
     analyze = _analyzer(f.n, p.delta, p.eps)
     ids, frees = range(1), np.arange(f.n).reshape(1, -1)
-    rows = (wht(f) if ghat is None else ghat).coeffs.reshape(1, -1)
+    rows = (_spectrum(f) if ghat is None else ghat.coeffs).reshape(1, -1)
     del ghat  # the root's rows are freed at its split, unless a caller holds them
     stats: dict[int, LeafStats] = {}  # the settled leaves, then the last level
     ledger = EnergyLedger()
@@ -164,11 +177,11 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
         bad = [s.bad(p.eps) for s in level]
         mass = 2.0 ** -depth
         previous, phi, bad_mass = phi, settled + mass * sum(s.stab for s in level), mass * sum(bad)
-        if phi > bound + _PHI_GUARD:
-            raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
             raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
                                f"the restriction identity predicts {p.delta * predicted}")
+        if phi > bound + _PHI_GUARD:
+            raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         ledger.record(iterations, phi, depth)
         if bad_mass <= p.gamma or (rounds := plan(level, bad, depth)) is None:
             break

@@ -289,6 +289,35 @@ def test_table_text_matches_per_value_formatting(tag, n):
     np.testing.assert_array_equal(buf.getvalue().split("\n"), per_value_table_text(f).split("\n"))
 
 
+# Entries of the first and of the second batch of a 2^17-line table: a
+# batch of -1.0, +0.0 and 1.0 only is written from a lookup, any other batch
+# is formatted value by value
+BATCH_ENTRIES = {
+    "pm_one": ([-1.0, 1.0], [-1.0, 1.0]),
+    "zero_one": ([0.0, 1.0], [0.0, 1.0]),
+    "signs": ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
+    "minus_zero": ([0.0, 1.0], [0.0, 1.0, -0.0]),
+    "real": ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.5, -2.5e-7]),
+}
+
+
+@pytest.mark.parametrize("kind", BATCH_ENTRIES)
+def test_boolean_batches_are_written_as_formatted(kind):
+    n = 17
+    rng = np.random.default_rng(7)
+    batches = []
+    for entries in BATCH_ENTRIES[kind]:
+        batch = rng.choice(entries, size=1 << (n - 1))
+        batch[:len(entries)] = entries  # every entry appears
+        batches.append(batch)
+    f = BooleanFunction(n, np.concatenate(batches))
+    buf = io.StringIO()
+    write_table(f, buf)
+    lines = buf.getvalue().split("\n")
+    np.testing.assert_array_equal(lines, per_value_table_text(f).split("\n"))
+    assert ("-0" in lines) == (kind == "minus_zero")
+
+
 def test_table_read_infers_tag():
     buf = io.StringIO("n=1\n1\n-1\n")
     assert read_table(buf).range_tag == PM_ONE

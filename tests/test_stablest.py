@@ -327,9 +327,9 @@ def test_pipeline_transforms_f_once(monkeypatch):
     calls = []
     butterfly = boolreg.boolfn._butterfly
 
-    def counting(values):
+    def counting(values, *out):
         calls.append(values.size)
-        return butterfly(values)
+        return butterfly(values, *out)
 
     monkeypatch.setattr(boolreg.boolfn, "_butterfly", counting)
     monkeypatch.setattr(boolreg.dtree, "_butterfly", counting)
