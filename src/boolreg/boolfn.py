@@ -223,7 +223,6 @@ def _degree_profile(coeffs: np.ndarray) -> np.ndarray:
 
 _BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)
 _STRIP_BITS = 12  # the high stages run on strips of 2^12 columns (32 KiB rows)
-_WIDEN_BITS = 12  # wht widens its last 2^12 counts through a 32 KiB temporary
 
 
 def _stages(x: np.ndarray, buf: np.ndarray) -> None:
@@ -246,10 +245,9 @@ def _stages(x: np.ndarray, buf: np.ndarray) -> None:
         np.copyto(x, src)
 
 
-def _butterfly(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, O(n 2^n), of ``values`` copied
-    into ``out`` (a fresh float64 array when None), in ``out``'s dtype:
-    out[S] = sum_b values[b] * (-1)^popcount(b & S).
+def _butterfly(values: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, O(n 2^n), into one fresh
+    array of ``dtype``: out[S] = sum_b values[b] * (-1)^popcount(b & S).
 
     The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS), the
     low b stages (index bits 0 .. b-1) run on each contiguous block of 2^b
@@ -264,21 +262,18 @@ def _butterfly(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     butterfly (h = 1, 2, 4, ...), whatever the blocking: the output is
     bit-identical to it on every input, real tables included.
 
-    An int32 ``out`` is exact on tables of -1, 0 and 1 (``_counts``): every
-    partial sum is then an integer of magnitude at most 2^n <= 2^24, so no
-    order of the adds can round or overflow, and the stages move half the
-    bytes of float64 ones.
+    int32 is exact on tables of -1, 0 and 1 (``_counts``): every partial
+    sum is then an integer of magnitude at most 2^n <= 2^24, so no order of
+    the adds can round or overflow, and the stages move half the bytes of
+    float64 ones.
     """
-    if out is None:
-        out = np.array(values, dtype=np.float64)
-    else:
-        out[...] = values
-    n = out.size.bit_length() - 1
+    a = np.array(values, dtype=dtype)
+    n = a.size.bit_length() - 1
     b = min(n, _BLOCK_BITS)
     rows = 1 << (n - b)
     width = 1 << min(b, _STRIP_BITS)
-    scratch = np.empty(max(1 << b, rows * width), out.dtype)
-    grid = out.reshape(rows, 1 << b)
+    scratch = np.empty(max(1 << b, rows * width), dtype)
+    grid = a.reshape(rows, 1 << b)
     low = scratch[:1 << b].reshape(-1, 1)
     for block in grid:
         _stages(block.reshape(-1, 1), low)
@@ -286,13 +281,20 @@ def _butterfly(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         high = scratch[:rows * width].reshape(rows, width)
         for c in range(0, 1 << b, width):
             _stages(grid[:, c:c + width], high)
-    return out
+    return a
 
 
-def _counts(f: BooleanFunction, out: np.ndarray | None = None) -> np.ndarray | None:
+def wht(f: BooleanFunction) -> FourierExpansion:
+    """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S]."""
+    a = _butterfly(f.values)
+    np.divide(a, f.size, out=a)
+    return FourierExpansion(f.n, _handover(a))
+
+
+def _counts(f: BooleanFunction) -> np.ndarray | None:
     """The int32 counts 2^n * fhat(S) of a table whose values are all exactly
-    -1.0, +0.0 or 1.0, transformed into ``out`` (int32, 2^n entries) or a
-    fresh array; None for any other table, whose spectrum stays float64.
+    -1.0, +0.0 or 1.0, in a fresh array; None for any other table, whose
+    spectrum stays float64.
 
     A pm_one tag needs no scan; any other table is scanned by its bits, so
     a -0.0 entry (whose float transform can hold -0.0) or a fractional value
@@ -302,38 +304,7 @@ def _counts(f: BooleanFunction, out: np.ndarray | None = None) -> np.ndarray | N
     """
     if f.range_tag != PM_ONE and not _boolean_valued(f.values):
         return None
-    return _butterfly(f.values, np.empty(f.size, np.int32) if out is None else out)
-
-
-def _widen(out: np.ndarray, scale: float) -> None:
-    """Replace the int32 counts in the first half of the bytes of the
-    float64 array ``out`` by the doubles count * scale, in place.
-
-    Counts [k/2, k) become doubles [k/2, k), whose bytes held counts
-    [k, 2k), already widened; so k halves from out.size, and no copy of the
-    counts is needed until the last 2^_WIDEN_BITS, which widen through one
-    small temporary instead of one numpy call per halving.
-    """
-    counts = out.view(np.int32)
-    k = out.size
-    while k > 1 << _WIDEN_BITS:
-        np.multiply(counts[k // 2:k], scale, out=out[k // 2:k])
-        k //= 2
-    out[:k] = counts[:k] * scale
-
-
-def wht(f: BooleanFunction) -> FourierExpansion:
-    """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S].
-
-    On a table of -1, 0 and 1 it is computed as int32 counts in the first
-    half of the output's bytes (``_counts``) and widened there, exactly."""
-    a = np.empty(f.size)
-    if _counts(f, a.view(np.int32)[:f.size]) is None:
-        _butterfly(f.values, a)
-        np.divide(a, f.size, out=a)
-    else:
-        _widen(a, 2.0 ** -f.n)
-    return FourierExpansion(f.n, _handover(a))
+    return _butterfly(f.values, np.int32)
 
 
 def _spectrum(f: BooleanFunction) -> np.ndarray:

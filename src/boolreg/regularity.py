@@ -156,10 +156,9 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     held; otherwise only its bad leaves are, in one copy that frees their
     good siblings.  Only the last round's children are analysed.
 
-    Every pass checks the restriction identity (a split of a leaf at depth d
-    on j gains exactly delta * 2^-d * Inf_j, summed over all rounds of the
-    pass), then that phi <= max(1, E[f^2]) and that the iteration budget
-    holds.
+    Every pass checks that phi <= max(1, E[f^2]), that the iteration budget
+    holds, and the restriction identity: a split of a leaf at depth d on j
+    gains exactly delta * 2^-d * Inf_j, summed over all rounds of the pass.
     """
     # E[f^2] <= 1 is checked before f is transformed; on pm_one and zero_one
     # tables it holds in floating point too, as each square is at most 1
@@ -177,11 +176,11 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
         bad = [s.bad(p.eps) for s in level]
         mass = 2.0 ** -depth
         previous, phi, bad_mass = phi, settled + mass * sum(s.stab for s in level), mass * sum(bad)
+        if phi > bound + _PHI_GUARD:
+            raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
             raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
                                f"the restriction identity predicts {p.delta * predicted}")
-        if phi > bound + _PHI_GUARD:
-            raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         ledger.record(iterations, phi, depth)
         if bad_mass <= p.gamma or (rounds := plan(level, bad, depth)) is None:
             break

@@ -624,12 +624,32 @@ def test_energy_identity_pass_by_pass(f):
 @pytest.mark.parametrize("driver", [decompose, lambda f, p: decompose_homogeneous(f, p, f.n)],
                          ids=["plain", "homogeneous"])
 def test_energy_identity_guard_catches_drift(monkeypatch, driver):
+    # float64 rows, as on tables that are not Boolean-valued: a drift of 0.1%
     split = regularity._split_rows
 
     def drifting(rows, frees, js):
         rest, children = split(rows, frees, js)
         return rest, children * 1.001
 
+    monkeypatch.setattr(boolfn, "_counts", lambda f: None)
     monkeypatch.setattr(regularity, "_split_rows", drifting)
     with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
         driver(majority(5), RegularityParams(0.05, 0.3, 0.05))
+
+
+@pytest.mark.parametrize("driver", [decompose, lambda f, p: decompose_homogeneous(f, p, f.n)],
+                         ids=["plain", "homogeneous"])
+def test_energy_identity_guard_catches_one_count_of_drift(monkeypatch, driver):
+    # int32 counts, as on Boolean-valued tables: one child's top coefficient
+    # is one count (2^-11) off, which moves the energy by about 3e-6
+    split = regularity._split_rows
+
+    def drifting(rows, frees, js):
+        rest, children = split(rows, frees, js)
+        assert children.dtype == np.int32
+        children[:1, -1] += 1  # a round may split no leaf
+        return rest, children
+
+    monkeypatch.setattr(regularity, "_split_rows", drifting)
+    with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
+        driver(majority(11), RegularityParams(0.05, 0.3, 0.05))

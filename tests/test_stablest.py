@@ -327,9 +327,9 @@ def test_pipeline_transforms_f_once(monkeypatch):
     calls = []
     butterfly = boolreg.boolfn._butterfly
 
-    def counting(values, *out):
+    def counting(values, *dtype):
         calls.append(values.size)
-        return butterfly(values, *out)
+        return butterfly(values, *dtype)
 
     monkeypatch.setattr(boolreg.boolfn, "_butterfly", counting)
     monkeypatch.setattr(boolreg.dtree, "_butterfly", counting)
