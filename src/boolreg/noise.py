@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, _spectrum, subset_sizes, wht
+from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, _spectrum, subset_sizes
 
 # Influences within this slack of a threshold count as below it, so that
 # round-off at the boundary can never make the regularity loop spin.
@@ -62,6 +62,33 @@ def _influence_powers(delta: float, k: int) -> np.ndarray:
     """(1-delta)^(j-1) for j = 0 .. k, with the j = 0 entry zeroed out; 0^0 = 1
     handles delta = 1, where only degree-1 weight survives."""
     return np.concatenate(([0.0], _powers(1.0 - delta, k - 1)))
+
+
+def _gather_weights(powers: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """powers[subset_sizes(m)], bit for bit, written into ``out`` (contiguous,
+    2^m entries) with no 2^m temporary.  Above 2^8 masks, a mask is a high
+    part h and a low part l over 8 variables, and |S| = |h| + |l|: h's 2^8
+    weights are row |h| of the m - 7 rows powers[|h| + sizes_8]."""
+    if m <= 8:
+        np.take(powers, subset_sizes(m), out=out.reshape(-1), mode="clip")
+    else:
+        rows = powers[np.arange(m - 7)[:, None] + subset_sizes(8)]
+        np.take(rows, subset_sizes(m - 8), axis=0, out=out.reshape(-1, 1 << 8), mode="clip")
+    return out
+
+
+def _coefficients(rows: np.ndarray, powers: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Rows of float64 coefficients or int32 counts (at scale 2^-n) to weight
+    by ``powers`` and square, and the coefficient one unit stands for.  The
+    sums of counts are scaled by 4^-n, which commutes with every rounding,
+    unless a nonzero weight w < 2^(2n - 1022) lets the coefficients'
+    products fall below the normal range (n >= 20 and delta within 2^-42
+    of 1, closer at smaller n): there the counts are widened first."""
+    if rows.dtype == np.float64:
+        return rows, 1.0
+    if np.any((0.0 < powers) & (powers < 2.0 ** (2 * n - 1022))):
+        return rows * 2.0 ** -n, 1.0
+    return rows, 2.0 ** -n
 
 
 def _weighted_squares(coeffs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -151,17 +178,30 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
     return est, float(np.sqrt(var / samples))
 
 
+def _folded_influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """The noisy influences of a spectrum (``_coefficients``), in one array
+    of 2^n doubles, into which the weights are gathered and multiplied."""
+    n = coeffs.size.bit_length() - 1
+    powers = _influence_powers(delta, n)
+    coeffs, unit = _coefficients(coeffs, powers, n)
+    weights = _gather_weights(powers, n, np.empty(coeffs.size))
+    influences = _fold_sums(_weighted_squares(coeffs, weights, weights).reshape(1, -1))[0]
+    influences *= unit * unit
+    return influences
+
+
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
     """Vector of (1-delta)-noisy influences computed from a spectrum: its
     squares weighted by (1-delta)^(|S|-1), folded."""
     _check_delta(delta)
-    weights = _influence_powers(delta, g.n)[subset_sizes(g.n)]
-    return _fold_sums(_weighted_squares(g.coeffs, weights, weights).reshape(1, -1))[0]
+    return _folded_influences(g.coeffs, delta)
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:
-    """Noisy influences of every coordinate, computed from one transform."""
-    return expansion_influences(wht(f), delta)
+    """Noisy influences of every coordinate, computed from one transform
+    (``boolfn._spectrum``), in 2^n doubles besides the spectrum."""
+    _check_delta(delta)
+    return _folded_influences(_spectrum(f), delta)
 
 
 def noisy_influence(f: BooleanFunction, i: int, delta: float) -> float:
@@ -208,68 +248,55 @@ def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
 
 def _analyzer(n: int, delta: float, eps: float):
     """The leaf analysis at rho = 1 - delta and influence threshold eps over
-    the cube of n variables, with its weights and buffers allocated once, so
-    that no leaf costs a 2^n temporary.
+    the cube of n variables, with its product buffer (2^n doubles) and half
+    buffer allocated once, so that no leaf costs a 2^n temporary.
 
     ``analyze(frees, rows)`` analyses the compact spectra (row r over the
     ascending free variables frees[r], every row over as many) in one batch,
     in a prefix of the product buffer.  The squares of the rows give each
     leaf's degree profile (``_degree_weights``), and its Stab is the profile
     at rho.  The influences are ``_fold_sums`` of the weighted squares,
-    whose weights over m variables are the first 2^m ambient ones
-    (``subset_sizes(n)[:2^m]`` is ``subset_sizes(m)``), so every product has
-    the ambient bits; a leaf that the rule at ``_TIE_BAND`` sends to the
-    ambient sums has its products scattered into the product buffer, zero
-    at every mask with a fixed variable, and its candidates summed by
-    ``_influence_sums``.  The buffer is zero between calls.
-
-    Rows are float64 coefficients or int32 counts (``boolfn._counts``),
-    which stand for the coefficients count * 2^-n.  Counts are squared and
-    weighted as they are, in doubles, and the sums scaled by 4^-n: a power
-    of two commutes with every rounding, so each result has the bits of the
-    coefficients' own, unless the coefficients' products fall below the
-    normal range.  Their nonzero ones are at least w * 4^-n for the least
-    nonzero weight w, so that needs w < 2^(2n - 1022): n >= 20 and delta
-    within 2^-42 of 1, closer at smaller n.  There the counts are widened
-    to coefficients first.
+    whose weights over m variables (``_gather_weights``; |S| is the ambient
+    |S|, so each product has the ambient bits) fill the batch's first row.
+    A leaf that the rule at ``_TIE_BAND`` sends to the ambient sums has its
+    products formed in the half buffer (the product buffer at the root) and
+    copied into the product buffer's masks over its free variables, and its
+    candidates summed by ``_influence_sums``.  The product buffer is zero
+    between calls.  Counts are scaled as ``_coefficients`` says.
 
     ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
     influence of js[r], for the drivers' energy identity, in the product
-    buffer (whose pages the analysis has touched already, unlike the half
-    buffer's).
+    buffer (whose pages the root's analysis has touched already, unlike the
+    half buffer's).
     """
     stab_powers = _powers(1.0 - delta, n)
     powers = _influence_powers(delta, n)
-    influence_weights = powers[subset_sizes(n)]
     prod = np.zeros(1 << n)
     half = np.empty(1 << (n - 1))
     threshold = eps + INFLUENCE_SLACK
-    normal = not np.any((0.0 < powers) & (powers < 2.0 ** (2 * n - 1022)))
-
-    def coefficients(rows: np.ndarray) -> tuple[np.ndarray, float]:
-        """The rows to compute with, and the coefficient one of their units
-        stands for."""
-        if rows.dtype == np.float64:
-            return rows, 1.0
-        return (rows, 2.0 ** -n) if normal else (rows * 2.0 ** -n, 1.0)
 
     def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int],
                        scale: float) -> tuple[int, float]:
         cube = _spectrum_cube(prod, n, free)
-        _weighted_squares(row.reshape(cube.shape), _spectrum_cube(influence_weights, n, free), cube)
+        products = prod if len(free) == n else half[:row.size]
+        _weighted_squares(row, _gather_weights(powers, len(free), products), products)
+        if products is not prod:
+            cube[...] = products.reshape(cube.shape)
         sums = _influence_sums(prod, half, candidates)
         cube[...] = 0.0
         best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
         return candidates[best], float(sums[best]) * scale
 
     def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
-        rows, unit = coefficients(rows)
+        rows, unit = _coefficients(rows, powers, n)
         scale = unit * unit
         batch = prod[:rows.size].reshape(rows.shape)
         profiles = _degree_weights(np.square(rows, out=batch, dtype=np.float64))
         profiles *= scale
         stabs = profiles @ stab_powers[:frees.shape[1] + 1]
-        influences = _fold_sums(_weighted_squares(rows, influence_weights[:rows.shape[1]], batch))
+        _weighted_squares(rows[1:], _gather_weights(powers, frees.shape[1], batch[0]), batch[1:])
+        _weighted_squares(rows[0], batch[0], batch[0])  # the weights' own row last
+        influences = _fold_sums(batch)
         influences *= scale
         batch[...] = 0.0
         tops = influences.max(axis=1, initial=0.0)
@@ -288,11 +315,12 @@ def _analyzer(n: int, delta: float, eps: float):
         return out
 
     def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r];
-        # the masks containing the top variable have those weights, in order
-        rows, unit = coefficients(rows)
+        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r],
+        # whose weights over the other m - 1 free variables are powers[1:]; a run's
+        # upper halves fill at most 2^(n-1) entries, so the weights fit after them
+        rows, unit = _coefficients(rows, powers, n)
         half_size = rows.shape[1] // 2
-        weights = influence_weights[half_size:2 * half_size]
+        weights = _gather_weights(powers[1:], frees.shape[1] - 1, prod[prod.size - half_size:])
         sums = np.empty(len(rows))
         for run, k in _runs(frees, js):
             upper = rows[run].reshape(-1, half_size >> k, 2, 1 << k)[:, :, 1, :]
@@ -300,6 +328,7 @@ def _analyzer(n: int, delta: float, eps: float):
             _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
             batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
             batch[...] = 0.0
+        weights[...] = 0.0
         return sums * (unit * unit)
 
     analyze.influences = influences

@@ -44,11 +44,11 @@ which int32 holds exactly.  The analysis reads the scale from the rows'
 dtype, and every float it derives has the bits that float64 rows give.
 Any other table, -0.0 entries included, keeps float64 rows, and so does
 the float64 spectrum that ``check_quasi_mist`` hands the loop.  A driver call
-holds, besides f: the influence weights and one product buffer (2^n
-doubles each, allocated once, so no leaf costs a 2^n temporary), a
-half-size buffer for the tie rule's ambient sums, and at most two arrays
-of rows, a pass's and its split, 2^n values each (half a table each as
-counts).
+holds, besides f: one product buffer (2^n doubles, allocated once, so no
+leaf costs a 2^n temporary, and no 2^n weight table is held: each batch's
+weights are gathered into it), a half-size buffer for the tie rule's
+ambient sums, and at most two arrays of rows, a pass's and its split, 2^n
+values each (half a table each as counts).
 
 Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
 ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho

@@ -340,7 +340,7 @@ def test_analyze_transforms_once(capsys, monkeypatch):
     calls = []
     transform = boolreg.cli.wht
     monkeypatch.setattr(boolreg.cli, "wht", lambda f: calls.append(f) or transform(f))
-    monkeypatch.setattr(boolreg.noise, "wht", None)  # all_noisy_influences would call it
+    monkeypatch.setattr(boolreg.noise, "_spectrum", None)  # all_noisy_influences would call it
     report = run_json(["analyze", "--fn", "maj:3", "--delta", "0.3"], capsys)
     assert len(calls) == 1
     assert report["noisy_influences"] == pytest.approx([0.25 + 0.7 ** 2 * 0.25] * 3)

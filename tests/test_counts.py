@@ -29,7 +29,13 @@ from boolreg import (
     wht,
 )
 from boolreg import boolfn
-from boolreg.noise import _analyzer, has_small_noisy_influences
+from boolreg.noise import (
+    _analyzer,
+    _coefficients,
+    _influence_powers,
+    expansion_influences,
+    has_small_noisy_influences,
+)
 
 # (range tag, entries); -0.0 and fractions keep the float path
 KINDS = {
@@ -107,6 +113,25 @@ def test_counts_that_could_round_below_the_normal_range_are_widened():
     assert analyze.influences(frees, counts, js).tobytes() == analyze.influences(frees, coeffs, js).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.sampled_from([0.0, 0.3, 0.999, 1.0 - 2.0 ** -45, 1.0]))
+def test_influences_of_the_counts_have_the_coefficients_bits(f, delta):
+    assert all_noisy_influences(f, delta).tobytes() == expansion_influences(wht(f), delta).tobytes()
+
+
+@pytest.mark.parametrize("delta, widened", [(0.0, False), (1.0, False), (1.0 - 2.0 ** -45, False),
+                                            (1.0 - 2.0 ** -53, True)])
+def test_influences_of_the_counts_at_n_20(delta, widened):
+    # at 1 - delta = 2^-53 the degree-20 weight, 2^-1007, is below 2^(2n -
+    # 1022), so the counts are widened to coefficients first (a power of two
+    # as the weight, it leaves every product exact either way)
+    n = 20
+    f = random_pm_one(n, 6)
+    counts = boolfn._counts(f)
+    assert (_coefficients(counts, _influence_powers(delta, n), n)[1] == 1.0) == widened
+    assert all_noisy_influences(f, delta).tobytes() == expansion_influences(wht(f), delta).tobytes()
+
+
 def peak_tables(fn, n: int) -> float:
     """The peak traced allocation of fn(), in tables of 2^n doubles."""
     subset_sizes(n)
@@ -120,17 +145,17 @@ def peak_tables(fn, n: int) -> float:
 
 
 def test_plain_driver_holds_int32_spectra():
-    # the influence weights and the product buffer (a table each), the half
-    # buffer, and the root counts and their split (half a table each): 3.5
-    # tables; float64 spectra took 4.52
+    # the product buffer (a table), the half buffer, and the root counts and
+    # their split (half a table each): 2.5 tables; a 2^n weight table took
+    # one more, and float64 spectra another
     f = dictator(18, 0)
-    assert peak_tables(lambda: decompose(f, RegularityParams(0.05, 0.3, 0.05)), 18) <= 3.6
+    assert peak_tables(lambda: decompose(f, RegularityParams(0.05, 0.3, 0.05)), 18) <= 2.6
 
 
 def test_has_small_analyses_the_counts():
-    # the influence weights and the product buffer, the half buffer and the
-    # counts, plus the degree sums' temporaries: 3.23 tables; the float64
-    # spectrum took 3.75
+    # the product buffer, the half buffer and the counts, plus the degree
+    # sums' temporaries: 2.23 tables; a 2^n weight table took one more, and
+    # the float64 spectrum half another
     f = random_pm_one(18, 5)
-    assert peak_tables(lambda: has_small_noisy_influences(f, 1e-6, 0.3), 18) <= 3.3
+    assert peak_tables(lambda: has_small_noisy_influences(f, 1e-6, 0.3), 18) <= 2.3
 

@@ -46,6 +46,7 @@ from boolreg.noise import (
     INFLUENCE_SLACK,
     _analyzer,
     _fold_sums,
+    _gather_weights,
     _influence_powers,
     _powers,
     expansion_influences,
@@ -225,18 +226,29 @@ def test_power_table_matches_full_power(n):
         assert same_bits(_powers(rho, n)[sizes], np.float64(rho) ** wide)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 13), st.data())
+def test_gathered_weights_are_the_fancy_index(n, data):
+    # every m = 0 .. n, below the gather's row width and above it; the
+    # powers are any doubles, -0.0 and subnormals included
+    powers = data.draw(arrays(np.float64, n + 1, elements=st.floats(allow_nan=False)))
+    for m in range(n + 1):
+        out = np.full(1 << m, np.nan)
+        assert _gather_weights(powers, m, out) is out
+        assert same_bits(out, powers[subset_sizes(m)])
+
+
 @pytest.mark.parametrize("n", [3, 11, 16, 22])
 def test_upper_influence_weights_are_the_stability_powers(n):
     # analyze.influences weights ghat(S)^2, S containing j, over m free
-    # variables by the upper half of the first 2^m influence weights:
-    # (1-delta)^(|S|-1), with the bits of the Stab_{1-delta} power of S - {j}
-    # that the energy identity is stated with
-    sizes = subset_sizes(n)
+    # variables by the influence powers from the first on, gathered over
+    # the other m - 1: (1-delta)^(|S|-1), with the bits of the Stab_{1-delta}
+    # power of S - {j} that the energy identity is stated with
     for delta in (0.0, 0.1, 1.0 / 3.0, 0.3, 0.5, 1.0):
-        weights = _influence_powers(delta, n)[sizes]
+        powers = _influence_powers(delta, n)
         for m in sorted({1, n // 2, n}):
             want = _powers(1.0 - delta, n)[subset_sizes(m - 1)]
-            assert same_bits(weights[1 << (m - 1):1 << m], want)
+            assert same_bits(_gather_weights(powers[1:], m - 1, np.empty(1 << (m - 1))), want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 8, 9, 12, 16, 17, 20])
@@ -297,14 +309,13 @@ def addressing(n: int) -> BooleanFunction:
     return BooleanFunction(n, 1.0 - 2.0 * ((x >> (4 + (x & 15))) & 1), PM_ONE)
 
 
-@pytest.mark.parametrize("build, tables", [(addressing, 4.565), (lambda n: dictator(n, 0), 4.503)],
+@pytest.mark.parametrize("build, tables", [(addressing, 2.552), (lambda n: dictator(n, 0), 2.517)],
                          ids=["addressing", "dictator"])
 def test_plain_driver_peak(build, tables):
-    # f is built untraced.  The root spectrum and its split, the product
-    # buffer and the influence weights are a table of 2^n doubles each, and
-    # the half buffer half of one: 4.5 tables.  Split group by group, the
-    # drivers peaked at 4.565 and 4.503 tables here; gathering a pass's rows
-    # into one copy by a mask raised decompose(tribes(4,5)) from 4.50 to 6.00
+    # f is built untraced.  The product buffer is a table of 2^n doubles,
+    # and the half buffer, the root's int32 counts and their split half of
+    # one each: 2.5 tables.  The drivers peak at 2.552 and 2.517 tables here;
+    # a 2^n weight table took one more, and float64 spectra another
     n = 18
     f = build(n)
     subset_sizes(n)
@@ -420,11 +431,10 @@ def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
         assert close(batch[r].stab, alone.stab)
 
 
-def test_analyzer_holds_three_buffers_of_2_to_the_n():
-    # the product buffer and the influence weights (2^n doubles each) and
-    # the half buffer (2^(n-1)), plus the degree sums' temporaries (about
-    # 2 * 7/64 of 2^n doubles here) and ufunc buffers; a weight table per
-    # rho would be a fourth 2^n
+def test_analyzer_holds_its_product_and_half_buffers():
+    # the product buffer (2^n doubles) and the half buffer (2^(n-1)), plus
+    # the degree sums' temporaries (about 2 * 7/64 of 2^n doubles here) and
+    # ufunc buffers: 1.73 tables; a 2^n weight table would be one more
     n = 18
     subset_sizes(n)
     root = wht(random_pm_one(n, 5)).coeffs.reshape(1, -1)
@@ -437,7 +447,7 @@ def test_analyzer_holds_three_buffers_of_2_to_the_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * (1 << n)
+    assert peak < 1.8 * 8 * (1 << n)
 
 
 @settings(max_examples=150, deadline=None)
