@@ -27,15 +27,18 @@ from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, _
 # round-off at the boundary can never make the regularity loop spin.
 INFLUENCE_SLACK = 1e-12
 
-# The tie and threshold rule.  Fold sums and ambient sums (over the 2^n
-# layout, ``_influence_sums``) of the same m-bit nonnegative terms differ by
-# about m * 2^-53 relative, far inside this band, but those bits decide
-# argmax ties and influences at eps + INFLUENCE_SLACK.  So a leaf whose top
-# fold sum is within the band of that threshold, or above it with several
-# variables within the band of its top, takes its variable and maximum
-# influence from the ambient sums of those candidates, ties to the lowest
-# index: exactly the ambient kernel's decisions.  Other leaves keep their
-# fold argmax, which on a good leaf (never split) may differ on a near-tie.
+# The tie and threshold rule.  Fold sums and ambient sums of the same m-bit
+# nonnegative terms differ by about m * 2^-53 relative, far inside this
+# band, but those bits decide argmax ties and influences at
+# eps + INFLUENCE_SLACK.  The ambient sum of variable i runs over all
+# 2^(n-1) masks containing i, in mask order, with zeros at the leaf's fixed
+# variables, as ``_analyzer`` scatters them into its half buffer.  So a leaf
+# whose top fold sum is within the band of that threshold, or above it with
+# several variables within the band of its top, takes its variable and
+# maximum influence from the ambient sums of those candidates, ties to the
+# lowest index: exactly the ambient kernel's decisions.  Other leaves keep
+# their fold argmax, which on a good leaf (never split) may differ on a
+# near-tie.
 _TIE_BAND = 1e-9
 
 _MC_CHUNK = 1 << 16
@@ -98,19 +101,6 @@ def _weighted_squares(coeffs: np.ndarray, weights: np.ndarray, out: np.ndarray) 
     return np.multiply(out, coeffs, out=out)
 
 
-def _influence_sums(weighted: np.ndarray, half: np.ndarray, coords: list[int]) -> np.ndarray:
-    """Per coordinate i in ``coords``, the sum of ``weighted`` (2^n mask
-    layout) over the masks containing i: the [:, 1, :] half of the reshape
-    by 2^i, copied contiguous into ``half`` (2^(n-1) entries) so that the
-    pairwise sum runs over the same elements in the same (mask) order as a
-    boolean-mask gather would: the ambient sums of ``_TIE_BAND``'s rule."""
-    out = np.empty(len(coords))
-    for k, i in enumerate(coords):
-        np.copyto(half.reshape(-1, 1 << i), weighted.reshape(-1, 2, 1 << i)[:, 1, :])
-        out[k] = half.sum()
-    return out
-
-
 def _fold_sums(weighted: np.ndarray) -> np.ndarray:
     """Per row of ``weighted`` (rows in the 2^m mask layout of m variables)
     and per variable k, the sum over the masks containing k: on weighted
@@ -120,7 +110,8 @@ def _fold_sums(weighted: np.ndarray) -> np.ndarray:
     of each row's first 2^(k+1) entries holds the masks containing k (the
     higher variables already summed out), so it sums to the k-th value and
     is then added into the lower half, which sums k out.  That is about
-    2 * 2^m reads per row, against (m + 1) * 2^m for ``_influence_sums``.
+    2 * 2^m reads per row for all m sums, against 2^(n-1) reads for each
+    ambient sum (``_analyzer``) of a variable of the n-variable cube.
     """
     rows, size = weighted.shape
     m = size.bit_length() - 1
@@ -231,11 +222,6 @@ class LeafStats:
         return self.max_influence > eps + INFLUENCE_SLACK
 
 
-def _spectrum_cube(out: np.ndarray, n: int, free: tuple[int, ...]) -> np.ndarray:
-    """The view of ``out`` (2^n mask layout) at the masks over ``free``."""
-    return _cube(out, n, {v: 0 for v in range(n) if v not in free})
-
-
 def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
     """Slices of consecutive rows r in which js[r] has one rank k among the
     free variables frees[r], each with its k: a homogeneous round is one
@@ -248,8 +234,9 @@ def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
 
 def _analyzer(n: int, delta: float, eps: float):
     """The leaf analysis at rho = 1 - delta and influence threshold eps over
-    the cube of n variables, with its product buffer (2^n doubles) and half
-    buffer allocated once, so that no leaf costs a 2^n temporary.
+    the cube of n variables, with its product buffer (2^n doubles, scratch)
+    and half buffer (2^(n-1) doubles, zero between calls) allocated once, so
+    that no leaf costs a 2^n temporary.
 
     ``analyze(frees, rows)`` analyses the compact spectra (row r over the
     ascending free variables frees[r], every row over as many) in one batch,
@@ -259,10 +246,10 @@ def _analyzer(n: int, delta: float, eps: float):
     whose weights over m variables (``_gather_weights``; |S| is the ambient
     |S|, so each product has the ambient bits) fill the batch's first row.
     A leaf that the rule at ``_TIE_BAND`` sends to the ambient sums has its
-    products formed in the half buffer (the product buffer at the root) and
-    copied into the product buffer's masks over its free variables, and its
-    candidates summed by ``_influence_sums``.  The product buffer is zero
-    between calls.  Counts are scaled as ``_coefficients`` says.
+    products formed once more, compactly, in a prefix of the product buffer.
+    Each candidate's masks are then written into the half buffer (the 2^(n-1)
+    masks without the candidate's bit), summed over the whole buffer in mask
+    order, and zeroed again.  Counts are scaled as ``_coefficients`` says.
 
     ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
     influence of js[r], for the drivers' energy identity, in the product
@@ -271,21 +258,25 @@ def _analyzer(n: int, delta: float, eps: float):
     """
     stab_powers = _powers(1.0 - delta, n)
     powers = _influence_powers(delta, n)
-    prod = np.zeros(1 << n)
-    half = np.empty(1 << (n - 1))
+    prod = np.empty(1 << n)
+    half = np.zeros(1 << (n - 1))
     threshold = eps + INFLUENCE_SLACK
 
-    def ambient_argmax(free: tuple[int, ...], row: np.ndarray, candidates: list[int],
+    def ambient_argmax(free: list[int], ranks: np.ndarray, row: np.ndarray,
                        scale: float) -> tuple[int, float]:
-        cube = _spectrum_cube(prod, n, free)
-        products = prod if len(free) == n else half[:row.size]
+        products = prod[:row.size]
         _weighted_squares(row, _gather_weights(powers, len(free), products), products)
-        if products is not prod:
-            cube[...] = products.reshape(cube.shape)
-        sums = _influence_sums(prod, half, candidates)
-        cube[...] = 0.0
-        best = int(sums.argmax())  # candidates ascend, so ties go to the lowest index
-        return candidates[best], float(sums[best]) * scale
+        cube = products.reshape((2,) * len(free))  # axis a holds free[-1 - a]
+        fixed = set(range(n)).difference(free)
+        sums = np.empty(len(ranks))
+        for c, k in enumerate(ranks.tolist()):
+            # the half buffer's masks drop free[k]'s bit
+            masks = _cube(half, n - 1, {v - (v > free[k]): 0 for v in fixed})
+            masks[...] = cube[(slice(None),) * (cube.ndim - 1 - k) + (1,)]
+            sums[c] = half.sum()
+            masks[...] = 0.0
+        best = int(sums.argmax())  # ranks ascend, so ties go to the lowest index
+        return free[ranks[best]], float(sums[best]) * scale
 
     def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
         rows, unit = _coefficients(rows, powers, n)
@@ -298,7 +289,6 @@ def _analyzer(n: int, delta: float, eps: float):
         _weighted_squares(rows[0], batch[0], batch[0])  # the weights' own row last
         influences = _fold_sums(batch)
         influences *= scale
-        batch[...] = 0.0
         tops = influences.max(axis=1, initial=0.0)
         variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
                      else [0] * len(rows))
@@ -307,10 +297,9 @@ def _analyzer(n: int, delta: float, eps: float):
                 (rows[:, 0] * unit).tolist(), stabs.tolist(), variables, tops.tolist(),
                 profiles.tolist())):
             if top >= threshold * (1.0 - _TIE_BAND):
-                candidates = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
-                if len(candidates) > 1 or top <= threshold * (1.0 + _TIE_BAND):
-                    free = frees[r].tolist()
-                    var, top = ambient_argmax(tuple(free), rows[r], [free[k] for k in candidates], scale)
+                ranks = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
+                if len(ranks) > 1 or top <= threshold * (1.0 + _TIE_BAND):
+                    var, top = ambient_argmax(frees[r].tolist(), ranks, rows[r], scale)
             out.append(LeafStats(mean, stab, var, top, tuple(profile)))
         return out
 
@@ -327,8 +316,6 @@ def _analyzer(n: int, delta: float, eps: float):
             batch = prod[:upper.size].reshape(upper.shape)
             _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
             batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
-            batch[...] = 0.0
-        weights[...] = 0.0
         return sums * (unit * unit)
 
     analyze.influences = influences

@@ -44,9 +44,10 @@ which int32 holds exactly.  The analysis reads the scale from the rows'
 dtype, and every float it derives has the bits that float64 rows give.
 Any other table, -0.0 entries included, keeps float64 rows, and so does
 the float64 spectrum that ``check_quasi_mist`` hands the loop.  A driver call
-holds, besides f: one product buffer (2^n doubles, allocated once, so no
-leaf costs a 2^n temporary, and no 2^n weight table is held: each batch's
-weights are gathered into it), a half-size buffer for the tie rule's
+holds, besides f: one product buffer (2^n doubles of scratch, allocated
+once, so no leaf costs a 2^n temporary, and no 2^n weight table is held:
+each batch's weights are gathered into it), a half-size buffer, the tie
+rule's only state, which is zero between leaves and touched only by the
 ambient sums, and at most two arrays of rows, a pass's and its split, 2^n
 values each (half a table each as counts).
 

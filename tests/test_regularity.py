@@ -1,7 +1,9 @@
 """Decomposition postconditions, homogeneity, order-invariance, tower bound."""
 
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from boolreg import (
     tribes,
 )
 from boolreg.noise import all_noisy_influences
+
+DATA = pathlib.Path(__file__).with_name("data")
 
 
 def blend3() -> BooleanFunction:
@@ -274,3 +278,17 @@ def test_report_reads_leaf_stats_bit_for_bit():
         for row, (leaf, _) in zip(rows, leaves(result.tree)):
             assert row["mean"] == float(leaf.fn.values.mean())
             assert row["max_influence"] == float(all_noisy_influences(leaf.fn, p.delta).max())
+
+
+def test_tribes_4_5_keeps_its_recorded_tree():
+    # n = 20 and tie-heavy: within a tribe the influences are equal, so most
+    # bad leaves take their variable from the ambient sums.  The record holds
+    # each leaf's id, path (variable, value), split variable and maximum
+    # influence (hex), and the ledger's (iteration, phi hex, depth)
+    want = json.loads((DATA / "decompose_tribes_4_5.json").read_text())
+    result = decompose(tribes(4, 5), RegularityParams(0.05, 0.3, 0.05))
+    assert [[leaf.id, [list(step) for step in leaf.fixed.items()], result.leaf_stats[leaf.id].var,
+             result.leaf_stats[leaf.id].max_influence.hex()]
+            for leaf, _ in leaves(result.tree)] == want["leaves"]
+    assert [[i, phi.hex(), depth] for (i, phi), depth
+            in zip(result.ledger.history, result.ledger.depths)] == want["ledger"]

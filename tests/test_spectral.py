@@ -6,6 +6,7 @@ earlier per-pass design (the same trees and decisions exactly, floats within
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from boolreg import (
     leaves,
     majority,
     noisy_influence,
+    parity,
     random_pm_one,
     restrict,
     singleton,
@@ -41,7 +43,7 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg import boolfn, regularity, stablest
+from boolreg import boolfn, noise, regularity, stablest
 from boolreg.noise import (
     INFLUENCE_SLACK,
     _analyzer,
@@ -51,7 +53,7 @@ from boolreg.noise import (
     _powers,
     expansion_influences,
 )
-from boolreg.boolfn import _degree_weights
+from boolreg.boolfn import _butterfly, _cube, _degree_weights
 from boolreg.regularity import _split_rows
 from oracles import (
     ambient_spectrum,
@@ -448,6 +450,61 @@ def test_analyzer_holds_its_product_and_half_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 1.8 * 8 * (1 << n)
+
+
+def stats_bits(stats) -> tuple:
+    """A leaf's statistics, every float as hex."""
+    return (stats.var, *(v.hex() for v in (stats.mean, stats.stab, stats.max_influence, *stats.profile)))
+
+
+def padded(f: BooleanFunction, n: int) -> np.ndarray:
+    """f's table on n >= f.n variables, the low n - f.n of them dummies."""
+    return np.repeat(f.values, 1 << (n - f.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([0.1, 0.3]), st.data())
+def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
+    # one analyzer through interleaved analyses and influence batches of
+    # different widths, each call's results bit for bit a fresh analyzer's:
+    # the product buffer holds nothing between calls, and the half buffer is
+    # zero again after each.  A parity root ties on every variable (at n = 1
+    # its one influence, 1.0, sits at the threshold), so the ambient sums run
+    eps = 1e-6 if n > 1 else eps_at(1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [parity(n).values, padded(majority(n - 1 + n % 2), n), random_pm_one(n, 0).values,
+            rng.integers(-1, 2, 1 << n).astype(float), rng.normal(size=1 << n)]
+    if n >= 4:
+        pool.append(padded(tribes(2, n // 2), n))
+    calls = [("analyze", [(0, {})])]  # the parity root
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(["analyze", "influences"]))
+        depth = data.draw(st.integers(0, n - (kind == "influences")))
+        rows = []
+        for _ in range(data.draw(st.integers(1, min(3, 1 << depth)))):
+            fixed = data.draw(st.permutations(range(n)))[:depth]
+            rows.append((data.draw(st.integers(0, len(pool) - 1)),
+                         {v: data.draw(st.integers(0, 1)) for v in fixed}))
+        calls.insert(data.draw(st.integers(0, len(calls))), (kind, rows))
+    analyze, ambient = _analyzer(n, delta, eps), 0
+    for kind, rows in calls:
+        frees = np.array([[v for v in range(n) if v not in bits] for _, bits in rows],
+                         dtype=np.int64).reshape(len(rows), -1)
+        tables = [_cube(pool[k], n, bits) for k, bits in rows]
+        spectra = np.array([_butterfly(table).reshape(-1) / table.size for table in tables])
+        if all(np.array_equal(table, np.rint(table)) for table in tables):  # as int32 counts
+            spectra = np.rint(spectra * 2.0 ** n).astype(np.int32)
+        if kind == "analyze":
+            with mock.patch.object(noise, "_cube", wraps=_cube) as cube:
+                got = analyze(frees, spectra)
+            ambient += cube.call_count
+            want = _analyzer(n, delta, eps)(frees, spectra)
+            assert list(map(stats_bits, got)) == list(map(stats_bits, want))
+        else:
+            js = np.array([data.draw(st.sampled_from(free)) for free in frees.tolist()])
+            assert same_bits(analyze.influences(frees, spectra, js),
+                             _analyzer(n, delta, eps).influences(frees, spectra, js))
+    assert ambient > 0
 
 
 @settings(max_examples=150, deadline=None)
