@@ -7,8 +7,8 @@ two rho-correlated standard Gaussians both land below the mu-quantile:
 
 Computed in closed form, Lambda_rho(mu) = mu - 2 T(t, sqrt((1 - rho)/(1 +
 rho))), where T is Owen's T function (Owen 1956), to within 1e-15.  The
-quantile t (Acklam's rational start refined with ``math.erfc``) and T (a
-40-point Gauss-Legendre rule) are computed with ``math`` alone, so no
+quantile t is the standard library's (``statistics.NormalDist.inv_cdf``,
+Wichura's AS241) and T a 40-point Gauss-Legendre rule in ``math``, so no
 command loads scipy.  Among [0,1]-valued functions with no dominant
 coordinate, noise stability cannot exceed this quantity by much;
 ``mist_slack`` reports the gap for one function, and ``check_quasi_mist``
@@ -19,8 +19,8 @@ decomposition yields for quasirandom functions.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
 from .dtree import leaves
@@ -29,23 +29,7 @@ from .noise import _profile_stability, stability
 from .quasirandom import is_quasirandom
 from .regularity import _PHI_GUARD, RegularityParams, _decompose, _split_bad_leaves
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = math.log(_SQRT_2PI)
-
-# Acklam's rational approximation of the quantile, relative error below
-# 1.15e-9: numerator and denominator coefficients, highest power first, of
-# the central region (in r = (p - 1/2)^2, times p - 1/2) and of the lower
-# tail p < _ACKLAM_TAIL (in q = sqrt(-2 log p)).
-_ACKLAM_CENTRAL = ((-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-                    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00),
-                   (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-                    6.680131188771972e+01, -1.328068155288572e+01, 1.0))
-_ACKLAM_LOWER = ((-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-                  -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00),
-                 (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-                  3.754408661907416e+00, 1.0))
-_ACKLAM_TAIL = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 # The positive nodes x and weights w of the 40-point Gauss-Legendre rule on
 # [-1, 1] (the others are -x with the same w), rounded from 60-digit values.
@@ -73,63 +57,17 @@ _GAUSS_LEGENDRE = (
 )
 
 
-def _ratio(coeffs: tuple[tuple[float, ...], tuple[float, ...]], x: float) -> float:
-    """Numerator over denominator of a rational function, by Horner's rule."""
-    num, den = 0.0, 0.0
-    for c in coeffs[0]:
-        num = num * x + c
-    for c in coeffs[1]:
-        den = den * x + c
-    return num / den
-
-
-def _mills_ratio(z: float) -> float:
-    """(1 - Phi(z)) / phi(z) for z >= 37 by Laplace's continued fraction
-    1/(z + 1/(z + 2/(z + ...))), to full precision there in 12 levels."""
-    s = z
-    for k in range(12, 0, -1):
-        s = z + k / s
-    return 1.0 / s
-
-
-def _lower_quantile(p: float) -> float:
-    """t with Phi(t) = p for 0 <= p <= 1/2: Acklam's start and one refining
-    step.  A normal p takes a Halley step on Phi(t) - p, its residual formed
-    from ``erfc`` in the tail and from ``erf`` and the exact p - 1/2 in the
-    central region, so it keeps its relative accuracy at both ends.  A
-    subnormal p (t < -37.5, where exp(t^2/2) overflows and Phi(t) has lost
-    bits) takes a Newton step on log Phi(t) = log p instead, with log Phi
-    from the Mills ratio."""
-    if p == 0.0:
-        return -math.inf
-    if p < _ACKLAM_TAIL:
-        t = _ratio(_ACKLAM_LOWER, math.sqrt(-2.0 * math.log(p)))
-    else:
-        t = (p - 0.5) * _ratio(_ACKLAM_CENTRAL, (p - 0.5) ** 2)
-    if p < sys.float_info.min:
-        mills = _mills_ratio(-t)
-        return t - (math.log(mills) - 0.5 * t * t - _LOG_SQRT_2PI - math.log(p)) * mills
-    if p < _ACKLAM_TAIL:
-        residual = 0.5 * math.erfc(-t / _SQRT2) - p
-    else:
-        residual = 0.5 * math.erf(t / _SQRT2) - (p - 0.5)
-    u = residual * _SQRT_2PI * math.exp(0.5 * t * t)
-    return t - u / (1.0 + 0.5 * t * u)
-
-
 def gaussian_quantile(mu: float) -> float:
-    """t with Phi(t) = mu, to a few units in the last place, from ``math``
-    alone; mu of 0 or 1 gives -/+inf, and every mu in between, subnormal
-    ones included, gives a finite t.
-
-    The upper half is taken by symmetry, t(mu) = -t(1 - mu), where 1 - mu
-    is exact, so no precision is lost as mu nears 1.
-    """
+    """t with Phi(t) = mu, within 1e-15 relative, by Wichura's AS241
+    (``statistics.NormalDist``); mu of 0 or 1 gives -/+inf, and every mu in
+    between, subnormal ones included, gives a finite t."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if mu > 0.5:
-        return -_lower_quantile(1.0 - float(mu))
-    return _lower_quantile(float(mu))
+    if mu == 0.0:
+        return -math.inf
+    if mu == 1.0:
+        return math.inf
+    return _STANDARD_NORMAL.inv_cdf(float(mu))
 
 
 def _owens_t(h: float, a: float) -> float:
@@ -276,7 +214,8 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
             bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
             continue
         leaf_stab = _profile_stability(stats.profile, rho)
-        leaf_lam = quadrant_prob(rho, stats.mean)
+        # the exact leaf mean lies in [0, 1]; its rounded half-butterflies may not
+        leaf_lam = quadrant_prob(rho, min(max(stats.mean, 0.0), 1.0))
         good_lambda_term += mass * lam
         lipschitz_term += mass * 2.0 * drift
         leaf_slack_term += mass * (leaf_stab - leaf_lam)

@@ -162,6 +162,16 @@ def test_real_valued_function_rejected_by_mist(capsys, tmp_path):
     assert code == 3
 
 
+def test_mist_pipeline_takes_a_fractional_zero_one_table(capsys, tmp_path):
+    # a leaf mean of 0 that its half-butterflies read as -2.8e-17
+    path = tmp_path / "table.txt"
+    path.write_text("n=3\n0\n0\n1\n0\n0\n1\n0.3\n0\n")
+    report = run_json(["mist", "--fn", f"file:{path}", "--rho", "0.5", "--eps", "0.02", "--delta", "0.3",
+                       "--gamma", "0.05", "--q-eps", "1", "--q-delta", "0.5"], capsys)
+    assert report["quasirandom_ok"]
+    assert report["certified_bound"] >= report["stab"] - 1e-12
+
+
 def test_decompose_norm_precondition_exit_code(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("n=1\n2.5\n-3\n")  # E[f^2] > 1

@@ -23,6 +23,7 @@ from boolreg import (
     decompose_homogeneous,
     decomposition_report,
     dictator,
+    parity,
     random_pm_one,
     subset_sizes,
     to_zero_one,
@@ -130,6 +131,22 @@ def test_influences_of_the_counts_at_n_20(delta, widened):
     counts = boolfn._counts(f)
     assert (_coefficients(counts, _influence_powers(delta, n), n)[1] == 1.0) == widened
     assert all_noisy_influences(f, delta).tobytes() == expansion_influences(wht(f), delta).tobytes()
+
+
+def test_influences_of_high_degree_alone_are_widened():
+    # f = chi_{x1..x20} * g(x21, x22, x23): every set in f's spectrum has
+    # degree >= 20, so the influences of x21..x23 are sums of degree >= 21
+    # terms, each below the normal range, and 1 - delta = 1e-15 has mantissa
+    # bits that unwidened counts would round off there
+    n, delta = 23, 1.0 - 1e-15
+    g = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0])  # over index bits 20..22
+    f = BooleanFunction(n, parity(n, list(range(20))).values * np.repeat(g, 1 << 20), PM_ONE)
+    ghat = wht(f)
+    assert all_noisy_influences(f, delta).tobytes() == expansion_influences(ghat, delta).tobytes()
+    frees, js = np.arange(n).reshape(1, -1), np.array([21])
+    analyze = _analyzer(n, delta, 1e-6)
+    from_counts = analyze.influences(frees, boolfn._counts(f).reshape(1, -1), js)
+    assert from_counts.tobytes() == analyze.influences(frees, ghat.coeffs.reshape(1, -1), js).tobytes()
 
 
 def peak_tables(fn, n: int) -> float:

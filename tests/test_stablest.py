@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri, owens_t
 
 from boolreg import (
+    BooleanFunction,
     PreconditionError,
     RegularityParams,
     ZERO_ONE,
@@ -28,6 +30,7 @@ from boolreg import (
 )
 from boolreg import stablest
 from boolreg.cli import main
+from boolreg.regularity import _PHI_GUARD
 from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d, quadrant_prob_owens_t
 
 
@@ -148,8 +151,12 @@ def test_quadrant_and_quantile_at_the_extremes(rho, mu):
 @given(st.one_of(st.sampled_from(EXTREME_RHOS), st.floats(0.0, 1.0)),
        st.one_of(st.sampled_from(EXTREME_MUS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
 @example(0.5, 0.5)
-@example(0.3, 0.02425)  # where the quantile's start changes region
+@example(0.3, 0.02425)  # the region edges of Acklam's approximation
 @example(0.3, 1.0 - 0.02425)
+@example(0.3, 0.075)  # AS241's central region ends at |mu - 1/2| = 0.425
+@example(0.3, 0.925)
+@example(0.3, math.exp(-25.0))  # and its tails split at sqrt(-log(tail)) = 5
+@example(0.3, 1.0 - math.exp(-25.0))
 @example(0.3, 2.0 ** -1022 * (1.0 - 2.0 ** -52))  # the largest subnormal
 def test_quadrant_and_quantile_match_scipy(rho, mu):
     assert abs(quadrant_prob(rho, mu) - quadrant_prob_owens_t(rho, mu)) <= 1e-15
@@ -290,6 +297,24 @@ def test_pipeline_soundness_corpus():
             rep = check_quasi_mist(g, rho, default_params(), 0.6, 0.5)
             assert rep.quasirandom_ok
             assert rep.certified_bound >= rep.stab - 1e-12
+
+
+@st.composite
+def fractional_tables(draw):
+    n = draw(st.integers(3, 6))
+    values = draw(arrays(np.float64, 1 << n,
+                         elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    return BooleanFunction(n, values, ZERO_ONE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fractional_tables(), st.floats(0.0, 0.99))
+# a leaf mean of 0 whose half-butterflies read -2.8e-17
+@example(BooleanFunction(3, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.3, 0.0]), ZERO_ONE), 0.5)
+def test_pipeline_takes_fractional_zero_one_tables(g, rho):
+    rep = check_quasi_mist(g, rho, RegularityParams(0.02, 0.3, 0.05), 1.0, 0.5)
+    assert rep.quasirandom_ok
+    assert rep.certified_bound >= rep.stab - _PHI_GUARD
 
 
 def test_pipeline_validation():
