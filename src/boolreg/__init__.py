@@ -35,8 +35,6 @@ from .dtree import (
     evaluate_table,
     leaves,
     singleton,
-    split_all_leaves,
-    split_leaf,
     split_leaves,
     to_dot,
     tree_depth,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, _cube, _degree_profile
+from .boolfn import BooleanFunction, _butterfly, _cube, _degree_profile, _handover
 from .noise import LeafStats, _analyzer, _check_delta, _profile_stability
 
 
@@ -54,7 +54,7 @@ class Leaf:
         shape = tuple(1 if v in self.fixed else 2 for v in reversed(range(self.n)))
         values = np.empty(1 << self.n)
         values.reshape((2,) * self.n)[...] = self.table.reshape(shape)
-        return BooleanFunction(self.n, values, self.range_tag)
+        return BooleanFunction(self.n, _handover(values), self.range_tag)
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,6 @@ def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
         present = {leaf.id for leaf in t.leaves}
         raise KeyError(f"no leaf with id {min(set(splits) - present)}")
     return DecisionTree(t.n, tuple(out), next_id)
-
-
-def split_leaf(t: DecisionTree, leaf_id: int, j: int) -> DecisionTree:
-    """Replace one leaf by a query to variable j; other leaves are untouched."""
-    return split_leaves(t, {leaf_id: j})
-
-
-def split_all_leaves(t: DecisionTree, j: int) -> DecisionTree:
-    """Split every leaf on variable j (used by the homogeneous decomposition)."""
-    return split_leaves(t, {leaf.id: j for leaf, _ in leaves(t)})
 
 
 def _compact_spectrum(leaf: Leaf) -> np.ndarray:

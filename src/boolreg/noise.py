@@ -10,9 +10,9 @@ independent sampling cross-check.  The noisy influence of coordinate i is
 the stability of the directional derivative D_i f, equivalently
 sum_{S containing i} rho^(|S|-1) fhat(S)^2 at rho = 1 - delta.
 
-Every influence is summed by ``_fold_sums``, and every argmax variable and
-small-influence decision is taken by ``_analyzer`` under one rule
-(``_TIE_BAND``): the drivers', ``dtree``'s and the predicate's alike.
+Every influence vector is summed by ``_fold_sums``, and every argmax
+variable and small-influence decision is taken by ``_analyzer`` under one
+rule (``_TIE_BAND``): the drivers', ``dtree``'s and the predicate's alike.
 """
 
 from __future__ import annotations
@@ -222,16 +222,6 @@ class LeafStats:
         return self.max_influence > eps + INFLUENCE_SLACK
 
 
-def _runs(frees: np.ndarray, js: np.ndarray) -> list[tuple[slice, int]]:
-    """Slices of consecutive rows r in which js[r] has one rank k among the
-    free variables frees[r], each with its k: a homogeneous round is one
-    slice.  Slices are views; a gathered copy of the rows would add up to
-    2^n values to the peak."""
-    ranks = (frees < js[:, None]).sum(axis=1)
-    bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(ranks)]
-    return [(slice(a, b), int(ranks[a])) for a, b in zip(bounds, bounds[1:])]
-
-
 def _analyzer(n: int, delta: float, eps: float):
     """The leaf analysis at rho = 1 - delta and influence threshold eps over
     the cube of n variables, with its product buffer (2^n doubles, scratch)
@@ -251,10 +241,13 @@ def _analyzer(n: int, delta: float, eps: float):
     masks without the candidate's bit), summed over the whole buffer in mask
     order, and zeroed again.  Counts are scaled as ``_coefficients`` says.
 
-    ``analyze.influences(frees, rows, js)`` gives each row's (1-delta)-noisy
-    influence of js[r], for the drivers' energy identity, in the product
-    buffer (whose pages the root's analysis has touched already, unlike the
-    half buffer's).
+    ``analyze.split(frees, rows, js)`` half-butterflies each row on js[r]
+    into rows 2r (x_j = +1) and 2r + 1 (x_j = -1) over frees[r] without
+    js[r], the children's order in the tree, and gives each row's
+    (1-delta)-noisy influence of js[r], for the drivers' energy identity:
+    both from the row's upper half, the masks containing js[r], which is
+    first weighted and summed in the product buffer (whose pages the root's
+    analysis has touched already, unlike the half buffer's).
     """
     stab_powers = _powers(1.0 - delta, n)
     powers = _influence_powers(delta, n)
@@ -303,22 +296,31 @@ def _analyzer(n: int, delta: float, eps: float):
             out.append(LeafStats(mean, stab, var, top, tuple(profile)))
         return out
 
-    def influences(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        # the sum of (1-delta)^(|S|-1) * ghat(S)^2 over the masks S containing js[r],
-        # whose weights over the other m - 1 free variables are powers[1:]; a run's
-        # upper halves fill at most 2^(n-1) entries, so the weights fit after them
-        rows, unit = _coefficients(rows, powers, n)
+    def split(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, ...]:
+        # runs of rows in which js[r] has one rank k (a homogeneous round is one
+        # run), viewed in place: a gathered copy would add up to 2^n values to the
+        # peak.  A run's upper halves fill at most 2^(n-1) entries of the product
+        # buffer, so the weights over the other m - 1 free variables fit after them
         half_size = rows.shape[1] // 2
         weights = _gather_weights(powers[1:], frees.shape[1] - 1, prod[prod.size - half_size:])
+        children = np.empty((len(rows), 2, half_size), rows.dtype)
         sums = np.empty(len(rows))
-        for run, k in _runs(frees, js):
-            upper = rows[run].reshape(-1, half_size >> k, 2, 1 << k)[:, :, 1, :]
+        ranks = (frees < js[:, None]).sum(axis=1)
+        bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(rows)]
+        for a, b in zip(bounds, bounds[1:]):
+            k = int(ranks[a])
+            h = rows[a:b].reshape(-1, half_size >> k, 2, 1 << k)
+            upper, unit = _coefficients(h[:, :, 1, :], powers, n)
             batch = prod[:upper.size].reshape(upper.shape)
             _weighted_squares(upper, weights.reshape(upper.shape[1:]), batch)
-            batch.reshape(len(upper), -1).sum(axis=1, out=sums[run])
-        return sums * (unit * unit)
+            batch.reshape(b - a, -1).sum(axis=1, out=sums[a:b])
+            o = children[a:b].reshape(b - a, 2, half_size >> k, 1 << k)
+            np.add(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 0])
+            np.subtract(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 1])
+        rest = frees[frees != js[:, None]].reshape(len(rows), -1)
+        return np.repeat(rest, 2, axis=0), children.reshape(2 * len(rows), -1), sums * (unit * unit)
 
-    analyze.influences = influences
+    analyze.split = split
     return analyze
 
 
@@ -334,10 +336,12 @@ class InfluenceVerdict:
 def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> InfluenceVerdict:
     """ok iff every coordinate's noisy influence is at most eps.
 
-    On failure reports the argmax-influence coordinate (ties go to the
-    lowest index) and its influence, decided by the drivers' rule
-    (``_TIE_BAND``).  Values within INFLUENCE_SLACK above eps count as
-    small.
+    On failure reports the argmax-influence coordinate and its influence,
+    decided by the drivers' rule (``_TIE_BAND``): near-ties are re-summed
+    over the ambient 2^n layout, and the lowest index wins among equal
+    ambient sums.  Exact ties can round apart there: on tribes(4, 6), whose
+    24 influences are equal, the violator is 16, not 0 (ROADMAP.md, item 1).
+    Values within INFLUENCE_SLACK above eps count as small.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

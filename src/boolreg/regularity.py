@@ -16,10 +16,9 @@ good leaves already settled plus that of the level the pass has just
 analysed, the only leaves a pass changes, so no pass walks the tree.  The
 loop checks every pass at run time: phi <= max(1, E[f^2]), the iteration
 budget, and the exact energy identity, by which a split of a leaf at depth
-d on j gains delta * 2^-d * Inf_j (Inf_j read from the half of the
-spectrum that the split already touches).  The plain policy raises past
-depth min(1/(eps*delta*gamma), n); the homogeneous one stops at
-``var_cap`` and returns the partial tree.
+d on j gains delta * 2^-d * Inf_j.  The plain policy raises past depth
+min(1/(eps*delta*gamma), n); the homogeneous one stops at ``var_cap`` and
+returns the partial tree.
 
 Only the root is transformed, and ``stablest.check_quasi_mist`` hands the
 loop the spectrum it already has.  A child's spectrum comes from its
@@ -29,12 +28,13 @@ ghat(S+{i}) for S not containing i (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
 pass is one batch: their spectra are the rows of one array, compact over
 their free variables (at most 2^n values in all), each round splits every
-row, and one analysis of all children ends the pass.  A good leaf settles
-with its statistics and drops its spectrum.  The analysis
-(``noise._analyzer``, the one leaf kernel) takes about 3 * 2^m operations
-per leaf with m free variables and decides ties and thresholds by the rule at
-``noise._TIE_BAND``, so the trees are exactly those that a fresh transform
-of every leaf table would give.
+row and reads its Inf_j in one step of the analysis (``analyze.split``),
+and one analysis of all children ends the pass.  A good leaf settles with
+its statistics and drops its spectrum.  The analysis (``noise._analyzer``,
+the one leaf kernel, and the only code that indexes the rows) takes about
+3 * 2^m operations per leaf with m free variables and decides ties and
+thresholds by the rule at ``noise._TIE_BAND``, so the trees are exactly
+those that a fresh transform of every leaf table would give.
 
 On a table whose values are all exactly -1.0, +0.0 or 1.0 (every pm_one
 table, and {0,1} and {-1,0,1} tables after a scan of their bits) the rows
@@ -70,7 +70,7 @@ import numpy as np
 
 from .boolfn import REAL, BooleanFunction, FourierExpansion, _spectrum
 from .dtree import DecisionTree, EnergyLedger, leaves, singleton, split_leaves, tree_depth
-from .noise import LeafStats, _analyzer, _runs
+from .noise import LeafStats, _analyzer
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
 # against the gain the restriction identity predicts); the energy is a sum
@@ -115,24 +115,6 @@ class DecompositionResult:
     homogeneous_vars: list[int] = field(default_factory=list)
     exhausted: bool = False  # homogeneous variant ran out of var_cap
     leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
-
-
-def _split_rows(rows: np.ndarray, frees: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-butterfly of every compact spectrum (row r, over the ascending
-    free variables frees[r]) on its variable js[r].
-
-    Row r becomes rows 2r (x_j = +1) and 2r + 1 (x_j = -1), over frees[r]
-    without js[r], which is the order of the children in the tree.
-    """
-    half_size = rows.shape[1] // 2
-    out = np.empty((len(rows), 2, half_size), rows.dtype)
-    for run, k in _runs(frees, js):
-        h = rows[run].reshape(-1, half_size >> k, 2, 1 << k)
-        o = out[run].reshape(len(h), 2, half_size >> k, 1 << k)
-        np.add(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 0])
-        np.subtract(h[:, :, 0, :], h[:, :, 1, :], out=o[:, 1])
-    rest = frees[frees != js[:, None]].reshape(len(rows), -1)
-    return np.repeat(rest, 2, axis=0), out.reshape(2 * len(rows), -1)
 
 
 def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool,
@@ -193,8 +175,8 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
         predicted = 0.0
         for var in rounds:
             js = np.broadcast_to(var, len(rows))
-            predicted += 2.0 ** -depth * float(analyze.influences(frees, rows, js).sum())
-            frees, rows = _split_rows(rows, frees, js)  # releases the parents' rows
+            frees, rows, influences = analyze.split(frees, rows, js)  # releases the parents' rows
+            predicted += 2.0 ** -depth * float(influences.sum())
             t = split_leaves(t, dict(zip(ids, js.tolist())))
             ids, depth = range(t.next_leaf_id - len(rows), t.next_leaf_id), depth + 1
         iterations += 1

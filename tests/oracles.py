@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.special import ndtri, owens_t
 
-from boolreg import leaves, mean, singleton, split_all_leaves, split_leaf, wht
+from boolreg import leaves, mean, singleton, split_leaves, wht
 from boolreg.noise import INFLUENCE_SLACK
 
 
@@ -316,7 +316,7 @@ def reference_decompose(f, p) -> dict:
     iterations = 0
     while bad_mass > p.gamma:
         for leaf, worst_var in bad:
-            t = split_leaf(t, leaf.id, worst_var)
+            t = split_leaves(t, {leaf.id: worst_var})
         iterations += 1
         phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)
         history.append((iterations, phi))
@@ -338,7 +338,7 @@ def reference_decompose_homogeneous(f, p, var_cap: int) -> dict:
             exhausted = True
             break
         for var in new_vars:
-            t = split_all_leaves(t, var)
+            t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), var))
             query_vars.append(var)
         iterations += 1
         phi, bad, bad_mass = _reference_analyze(t, p.eps, p.delta)

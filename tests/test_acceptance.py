@@ -34,7 +34,7 @@ from boolreg import (
     random_pm_one,
     restrict,
     singleton,
-    split_all_leaves,
+    split_leaves,
     stability,
     stability_mc_detail,
     subset_sizes,
@@ -140,7 +140,7 @@ def test_criterion_3_homogeneous_decomposition():
             for perm in itertools.permutations(subset):
                 t = singleton(f)
                 for var in perm:
-                    t = split_all_leaves(t, var)
+                    t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), var))
                 tables = sorted((tuple(sorted(leaf.fixed.items())), tuple(leaf.fn.values))
                                 for leaf, _ in leaves(t))
                 e = energy(t, 0.3)

@@ -33,8 +33,6 @@ from boolreg import (
     parity,
     random_pm_one,
     singleton,
-    split_all_leaves,
-    split_leaf,
     split_leaves,
     stability,
     to_dot,
@@ -76,7 +74,7 @@ def test_evaluate_singleton():
 
 def test_evaluate_after_split_equals_f():
     f = majority(3)
-    t = split_leaf(singleton(f), 0, 0)
+    t = split_leaves(singleton(f), {0: 0})
     for b in range(8):
         assert evaluate(t, b) == f.values[b]
     np.testing.assert_array_equal(evaluate_table(t), f.values)
@@ -85,9 +83,9 @@ def test_evaluate_after_split_equals_f():
 def test_evaluate_walks_by_bits():
     # two-level tree with constant leaves: query x1 then x2 on the plus side
     f = parity(2, [0, 1])
-    t = split_leaf(singleton(f), 0, 0)
+    t = split_leaves(singleton(f), {0: 0})
     plus_leaf = next(leaf for leaf, _ in leaves(t) if leaf.fixed.get(0) == 1)
-    t = split_leaf(t, plus_leaf.id, 1)
+    t = split_leaves(t, {plus_leaf.id: 1})
     # x1=+1, x2=+1 -> b=0b00: product is +1
     assert evaluate(t, 0b00) == 1.0
     # x1=+1, x2=-1 -> b=0b10
@@ -97,7 +95,7 @@ def test_evaluate_walks_by_bits():
 
 
 def test_split_product_leaves():
-    t = split_leaf(singleton(parity(2, [0, 1])), 0, 0)
+    t = split_leaves(singleton(parity(2, [0, 1])), {0: 0})
     got = sorted((leaf.fixed[0], tuple(leaf.fn.values)) for leaf, depth in leaves(t))
     x2 = dictator(2, 1).values
     assert got == sorted([(1, tuple(x2)), (-1, tuple(-x2))])
@@ -108,7 +106,7 @@ def test_split_energy_increment_identity():
     f = parity(2, [0, 1])
     delta = 0.5
     before = energy(singleton(f), delta)
-    after = energy(split_leaf(singleton(f), 0, 0), delta)
+    after = energy(split_leaves(singleton(f), {0: 0}), delta)
     assert before == pytest.approx(0.25, abs=1e-15)
     assert after == pytest.approx(0.5, abs=1e-15)
     assert after - before == pytest.approx(delta * noisy_influence(f, 0, delta), abs=1e-12)
@@ -117,7 +115,7 @@ def test_split_energy_increment_identity():
 def test_split_irrelevant_variable_keeps_energy():
     f = parity(3, [0, 1])  # x3 irrelevant
     t = singleton(f)
-    assert energy(split_leaf(t, 0, 2), 0.4) == pytest.approx(energy(t, 0.4), abs=1e-12)
+    assert energy(split_leaves(t, {0: 2}), 0.4) == pytest.approx(energy(t, 0.4), abs=1e-12)
 
 
 def test_energy_increment_identity_random_corpus():
@@ -127,7 +125,7 @@ def test_energy_increment_identity_random_corpus():
         f = BooleanFunction(n, random_real_unit(rng, n))
         i = int(rng.integers(n))
         for delta in (0.1, 0.3, 0.5, 0.9):
-            lhs = energy(split_leaf(singleton(f), 0, i), delta)
+            lhs = energy(split_leaves(singleton(f), {0: i}), delta)
             rhs = stability(wht(f), 1.0 - delta) + delta * noisy_influence(f, i, delta)
             assert abs(lhs - rhs) <= 1e-9
 
@@ -138,7 +136,7 @@ def test_complete_tree_energy_is_mean_square():
         f = BooleanFunction(n, rng.normal(size=1 << n))
         t = singleton(f)
         for var in range(n):
-            t = split_all_leaves(t, var)
+            t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), var))
         assert all(np.ptp(leaf.fn.values) == 0.0 for leaf, _ in leaves(t))
         for delta in (0.2, 0.8):
             expected = float((f.values ** 2).mean())
@@ -158,7 +156,7 @@ def test_energy_monotone_under_random_splits():
             options = [v for v in range(n) if v not in leaf.fixed]
             if not options:
                 continue
-            t = split_leaf(t, leaf.id, int(rng.choice(options)))
+            t = split_leaves(t, {leaf.id: int(rng.choice(options))})
             nxt = energy(t, delta)
             assert nxt >= current - 1e-12
             assert nxt <= float((f.values ** 2).mean()) + 1e-9
@@ -176,40 +174,40 @@ def test_evaluate_equals_f_for_random_split_sequences():
         options = [v for v in range(n) if v not in leaf.fixed]
         if not options:
             continue
-        t = split_leaf(t, leaf.id, int(rng.choice(options)))
+        t = split_leaves(t, {leaf.id: int(rng.choice(options))})
         np.testing.assert_array_equal(evaluate_table(t), f.values)
 
 
 def test_leaf_mass_sums_to_one():
     rng = np.random.default_rng(71)
     t = singleton(majority(3))
-    t = split_leaf(t, 0, 1)
-    t = split_leaf(t, leaves(t)[0][0].id, 2)
+    t = split_leaves(t, {0: 1})
+    t = split_leaves(t, {leaves(t)[0][0].id: 2})
     assert sum(2.0 ** -d for _, d in leaves(t)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_no_repeat_split_rejected():
-    t = split_leaf(singleton(majority(3)), 0, 1)
+    t = split_leaves(singleton(majority(3)), {0: 1})
     leaf, _ = leaves(t)[0]
     with pytest.raises(ValueError):
-        split_leaf(t, leaf.id, 1)
+        split_leaves(t, {leaf.id: 1})
 
 
 def test_split_unknown_leaf():
     with pytest.raises(KeyError):
-        split_leaf(singleton(majority(3)), 99, 0)
+        split_leaves(singleton(majority(3)), {99: 0})
 
 
 def three_leaf_tree():
-    t = split_leaf(singleton(majority(5)), 0, 0)
-    return split_leaf(t, leaves(t)[0][0].id, 1)  # leaves 3, 4 under x1=+1, then 2
+    t = split_leaves(singleton(majority(5)), {0: 0})
+    return split_leaves(t, {leaves(t)[0][0].id: 1})  # leaves 3, 4 under x1=+1, then 2
 
 
 def test_split_leaves_ids_follow_leaf_order():
     t = three_leaf_tree()
     assert [leaf.id for leaf, _ in leaves(t)] == [3, 4, 2]
     many = split_leaves(t, {2: 3, 3: 4})  # dict order does not matter
-    one_by_one = split_leaf(split_leaf(t, 3, 4), 2, 3)
+    one_by_one = split_leaves(split_leaves(t, {3: 4}), {2: 3})
     assert [(leaf.id, leaf.fixed) for leaf, _ in leaves(many)] == \
         [(leaf.id, leaf.fixed) for leaf, _ in leaves(one_by_one)]
     assert [leaf.id for leaf, _ in leaves(many)] == [5, 6, 4, 7, 8]
@@ -226,15 +224,16 @@ def test_split_leaves_shares_untouched_branches():
 
 def test_integer_arguments_become_ints():
     f = majority(3)
-    t = split_all_leaves(split_leaf(singleton(f), 0, np.int64(1)), np.int32(2))
+    t = split_leaves(singleton(f), {0: np.int64(1)})
+    t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), np.int32(2)))
     assert all(type(var) is int for leaf, _ in leaves(t) for var in leaf.fixed)
     assert json.dumps([leaf.fixed for leaf, _ in leaves(t)]) == \
         '[{"1": 1, "2": 1}, {"1": 1, "2": -1}, {"1": -1, "2": 1}, {"1": -1, "2": -1}]'
     assert [evaluate(t, np.uint8(b)) for b in range(8)] == list(f.values)
     with pytest.raises(TypeError, match="integer"):
-        split_leaf(t, 3, np.float64(0))
+        split_leaves(t, {3: np.float64(0)})
     with pytest.raises(TypeError, match="integer"):
-        split_all_leaves(t, 0.0)
+        split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), 0.0))
     with pytest.raises(TypeError, match="integer"):
         evaluate(t, 3.0)
 
@@ -251,7 +250,7 @@ def test_split_leaves_errors():
 
 def test_leaf_fixed_matches_restriction():
     f = majority(3)
-    t = split_leaf(singleton(f), 0, 0)
+    t = split_leaves(singleton(f), {0: 0})
     for leaf, depth in leaves(t):
         assert depth == len(leaf.fixed) == 1
         for b in range(8):
@@ -263,7 +262,7 @@ def test_leaf_fixed_matches_restriction():
 
 def test_persistence():
     t0 = singleton(majority(3))
-    t1 = split_leaf(t0, 0, 0)
+    t1 = split_leaves(t0, {0: 0})
     assert len(leaves(t0)) == 1  # original untouched
     assert len(leaves(t1)) == 2
     assert tree_depth(t0) == 0 and tree_depth(t1) == 1
@@ -283,7 +282,7 @@ def test_bad_leaf_mass_maj3_delta_zero():
 
 
 def test_to_dot():
-    t = split_leaf(singleton(majority(3)), 0, 1)
+    t = split_leaves(singleton(majority(3)), {0: 1})
     dot = to_dot(t, 0.3)
     assert dot.startswith("digraph")
     assert '"x2"' in dot
@@ -314,7 +313,7 @@ def random_tree(f, rng, splits):
         if not splittable:
             break
         leaf = splittable[rng.integers(len(splittable))]
-        t = split_leaf(t, leaf.id, leaf.free[rng.integers(len(leaf.free))])
+        t = split_leaves(t, {leaf.id: leaf.free[rng.integers(len(leaf.free))]})
     return t
 
 
@@ -334,7 +333,7 @@ def test_split_axis_from_the_fixed_variables(seed):
         leaf = splittable[rng.integers(len(splittable))]
         j = leaf.free[rng.integers(len(leaf.free))]
         axis = sum(v > j for v in leaf.free)
-        split = split_leaf(t, leaf.id, j)
+        split = split_leaves(t, {leaf.id: j})
         children = [child for child, _ in leaves(split) if child.id >= t.next_leaf_id]
         for child, bit in zip(children, (0, 1)):
             assert np.array_equal(child.table, np.take(leaf.table, bit, axis=axis))
@@ -363,7 +362,7 @@ def test_leaves_without_free_variables():
     f = majority(5)
     t = singleton(f)
     for v in range(5):
-        t = split_all_leaves(t, v)
+        t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), v))
     assert all(leaf.table.size == 1 for leaf, _ in leaves(t))
     assert energy(t, 0.3) == 1.0
     assert bad_leaf_mass(t, 1e-12, 0.3) == 0.0
@@ -390,7 +389,7 @@ def test_a_split_copies_no_table():
     # copies; as views they cost only their leaf objects
     t = singleton(random_pm_one(20, 0))
     for v in range(8):
-        t = split_all_leaves(t, v)
+        t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), v))
     splits = {leaf.id: 8 for leaf, _ in leaves(t)}
     tracemalloc.start()
     try:
@@ -399,6 +398,23 @@ def test_a_split_copies_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_leaf_fn_holds_one_table():
+    # the fresh ambient table is handed over to BooleanFunction, which adopts
+    # it: 1.25 tables at the peak with the pm_one check's temporaries; a
+    # writeable table was copied once more, 2.25 tables
+    n = 20
+    f = random_pm_one(n, 0)
+    leaf = split_leaves(singleton(f), {0: 3}).leaves[1]
+    tracemalloc.start()
+    try:
+        g = leaf.fn
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (1 << n)
+    assert not g.values.flags.writeable
 
 
 def test_bad_leaf_mass_rejects_nan():
@@ -469,7 +485,7 @@ def test_a_replaced_leaf_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        t = split_leaf(singleton(majority(5)), 0, 2)
+        t = split_leaves(singleton(majority(5)), {0: 2})
         walked = leaves(t)
         replaced = weakref.ref(walked[1][0])
         t = split_leaves(t, {replaced().id: 0})  # drops the old tree

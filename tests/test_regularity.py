@@ -26,7 +26,7 @@ from boolreg import (
     parity,
     random_pm_one,
     singleton,
-    split_all_leaves,
+    split_leaves,
     tower,
     tree_depth,
     tribes,
@@ -209,7 +209,7 @@ def test_split_order_invariance():
         for perm in itertools.permutations(subset):
             t = singleton(f)
             for var in perm:
-                t = split_all_leaves(t, var)
+                t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), var))
             tables = sorted((tuple(sorted(leaf.fixed.items())), tuple(leaf.fn.values))
                             for leaf, _ in leaves(t))
             e = energy(t, 0.3)

@@ -54,7 +54,6 @@ from boolreg.noise import (
     expansion_influences,
 )
 from boolreg.boolfn import _butterfly, _cube, _degree_weights
-from boolreg.regularity import _split_rows
 from oracles import (
     ambient_spectrum,
     exact_influences,
@@ -109,8 +108,8 @@ def close(a: float, b: float) -> bool:
 
 
 def free_rows(free, count=1) -> np.ndarray:
-    """``count`` rows of the free variables ``free``, as the analyzer and
-    ``_split_rows`` take them."""
+    """``count`` rows of the free variables ``free``, as the analyzer takes
+    them."""
     return np.tile(np.array(free, dtype=np.int64), (count, 1))
 
 
@@ -121,9 +120,10 @@ def test_half_butterfly_is_the_restricted_spectrum(case, data):
     path = data.draw(st.lists(st.integers(0, f.n - 1), unique=True, max_size=3))
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(path), max_size=len(path)))
     frees, rows = free_rows(range(f.n)), wht(f).coeffs.reshape(1, -1)
+    analyze = _analyzer(f.n, 0.3, 1e-6)
     g = f
     for var, v in zip(path, signs):
-        frees, children = _split_rows(rows, frees, np.array([var]))
+        frees, children, _ = analyze.split(frees, rows, np.array([var]))
         assert children.shape == (2, 1 << frees.shape[1])
         assert np.array_equal(frees[0], frees[1])
         frees, rows = frees[:1], children[0 if v == 1 else 1].reshape(1, -1)
@@ -242,7 +242,7 @@ def test_gathered_weights_are_the_fancy_index(n, data):
 
 @pytest.mark.parametrize("n", [3, 11, 16, 22])
 def test_upper_influence_weights_are_the_stability_powers(n):
-    # analyze.influences weights ghat(S)^2, S containing j, over m free
+    # analyze.split weights ghat(S)^2, S containing j, over m free
     # variables by the influence powers from the first on, gathered over
     # the other m - 1: (1-delta)^(|S|-1), with the bits of the Stab_{1-delta}
     # power of S - {j} that the energy identity is stated with
@@ -348,7 +348,7 @@ def test_one_leaf_analysis_per_pass(monkeypatch, run):
             calls.append(len(rows))
             return analyze(frees, rows)
 
-        counted.influences = analyze.influences
+        counted.split = analyze.split
         return counted
 
     def recording_loop(*args, **kwargs):
@@ -419,14 +419,14 @@ def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
     elements = st.floats(-1.0, 1.0, allow_nan=False)
     rows = data.draw(arrays(np.float64, (count, 1 << m), elements=elements)) / 2.0 ** (m / 2)
     analyze = _analyzer(n, data.draw(st.sampled_from([0.1, 0.3, 1.0])), 1e-6)
-    rest, children = _split_rows(rows, frees, js)
-    sums, batch = analyze.influences(frees, rows, js), analyze(frees, rows)
+    rest, children, sums = analyze.split(frees, rows, js)
+    batch = analyze(frees, rows)
     for r in range(count):
         one = slice(r, r + 1)
-        rest_alone, children_alone = _split_rows(rows[one], frees[one], js[one])
+        rest_alone, children_alone, sums_alone = analyze.split(frees[one], rows[one], js[one])
         assert np.array_equal(rest[2 * r:2 * r + 2], rest_alone)
         assert same_bits(children[2 * r:2 * r + 2], children_alone)
-        assert same_bits(sums[one], analyze.influences(frees[one], rows[one], js[one]))
+        assert same_bits(sums[one], sums_alone)
         [alone] = analyze(frees[one], rows[one])
         assert (batch[r].mean, batch[r].var, batch[r].max_influence) == (alone.mean, alone.var, alone.max_influence)
         np.testing.assert_allclose(batch[r].profile, alone.profile, rtol=0.0, atol=FLOAT_TOL)
@@ -436,7 +436,8 @@ def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
 def test_analyzer_holds_its_product_and_half_buffers():
     # the product buffer (2^n doubles) and the half buffer (2^(n-1)), plus
     # the degree sums' temporaries (about 2 * 7/64 of 2^n doubles here) and
-    # ufunc buffers: 1.73 tables; a 2^n weight table would be one more
+    # ufunc buffers: 1.73 tables; a 2^n weight table would be one more.  The
+    # children that the split returns (a float64 table here) count on top
     n = 18
     subset_sizes(n)
     root = wht(random_pm_one(n, 5)).coeffs.reshape(1, -1)
@@ -445,11 +446,11 @@ def test_analyzer_holds_its_product_and_half_buffers():
     try:
         analyze = _analyzer(n, 0.3, 1e-6)  # a bad root: its tie-break runs too
         assert analyze(frees, root)[0].bad(1e-6)
-        analyze.influences(frees, root, np.array([3]))
+        _, children, _ = analyze.split(frees, root, np.array([3]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.8 * 8 * (1 << n)
+    assert peak < 1.8 * 8 * (1 << n) + children.nbytes
 
 
 def stats_bits(stats) -> tuple:
@@ -465,7 +466,7 @@ def padded(f: BooleanFunction, n: int) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.sampled_from([0.1, 0.3]), st.data())
 def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
-    # one analyzer through interleaved analyses and influence batches of
+    # one analyzer through interleaved analyses and split batches of
     # different widths, each call's results bit for bit a fresh analyzer's:
     # the product buffer holds nothing between calls, and the half buffer is
     # zero again after each.  A parity root ties on every variable (at n = 1
@@ -478,8 +479,8 @@ def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
         pool.append(padded(tribes(2, n // 2), n))
     calls = [("analyze", [(0, {})])]  # the parity root
     for _ in range(data.draw(st.integers(1, 5))):
-        kind = data.draw(st.sampled_from(["analyze", "influences"]))
-        depth = data.draw(st.integers(0, n - (kind == "influences")))
+        kind = data.draw(st.sampled_from(["analyze", "split"]))
+        depth = data.draw(st.integers(0, n - (kind == "split")))
         rows = []
         for _ in range(data.draw(st.integers(1, min(3, 1 << depth)))):
             fixed = data.draw(st.permutations(range(n)))[:depth]
@@ -502,8 +503,10 @@ def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
             assert list(map(stats_bits, got)) == list(map(stats_bits, want))
         else:
             js = np.array([data.draw(st.sampled_from(free)) for free in frees.tolist()])
-            assert same_bits(analyze.influences(frees, spectra, js),
-                             _analyzer(n, delta, eps).influences(frees, spectra, js))
+            got = analyze.split(frees, spectra, js)
+            want = _analyzer(n, delta, eps).split(frees, spectra, js)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in want]
     assert ambient > 0
 
 
@@ -688,18 +691,30 @@ def test_energy_identity_pass_by_pass(f):
         assert gain == pytest.approx(predicted, rel=0.0, abs=1e-12)
 
 
+def drift_splits(monkeypatch, drift):
+    """Make the drivers' analyzers hand each split's children through drift."""
+    analyzer = regularity._analyzer
+
+    def drifting_analyzer(*args):
+        analyze = analyzer(*args)
+        split = analyze.split
+
+        def drifting(frees, rows, js):
+            rest, children, influences = split(frees, rows, js)
+            return rest, drift(children), influences
+
+        analyze.split = drifting
+        return analyze
+
+    monkeypatch.setattr(regularity, "_analyzer", drifting_analyzer)
+
+
 @pytest.mark.parametrize("driver", [decompose, lambda f, p: decompose_homogeneous(f, p, f.n)],
                          ids=["plain", "homogeneous"])
 def test_energy_identity_guard_catches_drift(monkeypatch, driver):
     # float64 rows, as on tables that are not Boolean-valued: a drift of 0.1%
-    split = regularity._split_rows
-
-    def drifting(rows, frees, js):
-        rest, children = split(rows, frees, js)
-        return rest, children * 1.001
-
     monkeypatch.setattr(boolfn, "_counts", lambda f: None)
-    monkeypatch.setattr(regularity, "_split_rows", drifting)
+    drift_splits(monkeypatch, lambda children: children * 1.001)
     with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
         driver(majority(5), RegularityParams(0.05, 0.3, 0.05))
 
@@ -709,14 +724,11 @@ def test_energy_identity_guard_catches_drift(monkeypatch, driver):
 def test_energy_identity_guard_catches_one_count_of_drift(monkeypatch, driver):
     # int32 counts, as on Boolean-valued tables: one child's top coefficient
     # is one count (2^-11) off, which moves the energy by about 3e-6
-    split = regularity._split_rows
-
-    def drifting(rows, frees, js):
-        rest, children = split(rows, frees, js)
+    def drift(children):
         assert children.dtype == np.int32
         children[:1, -1] += 1  # a round may split no leaf
-        return rest, children
+        return children
 
-    monkeypatch.setattr(regularity, "_split_rows", drifting)
+    drift_splits(monkeypatch, drift)
     with pytest.raises(RuntimeError, match="internal error: .*restriction identity"):
         driver(majority(11), RegularityParams(0.05, 0.3, 0.05))
