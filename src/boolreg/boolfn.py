@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import IO, Iterable
@@ -171,7 +172,7 @@ class FourierExpansion:
         k = 0 .. n, computed at the first read and kept: the coefficients
         are read-only, so it cannot go stale.  Exact on the spectra of
         {-1,1}- and {0,1}-valued tables (see ``_degree_weights``)."""
-        return _handover(_degree_profile(self.coeffs))
+        return _handover(_degree_weights(np.square(self.coeffs).reshape(1, -1))[0])
 
 
 def _indicator(values: np.ndarray, width: int) -> np.ndarray:
@@ -213,12 +214,6 @@ def _degree_weights(squares: np.ndarray) -> np.ndarray:
         return low
     by_low = low.reshape(rows, -1, b + 1).transpose(0, 2, 1).reshape(rows * (b + 1), -1)
     return _degree_weights(by_low).reshape(rows, -1) @ _diagonal_matrix(b, m - b)
-
-
-def _degree_profile(coeffs: np.ndarray) -> np.ndarray:
-    """The degree profile of one coefficient table over m >= 0 variables:
-    m + 1 sums of squares by mask size, in a fresh array."""
-    return _degree_weights(np.square(coeffs).reshape(1, -1))[0]
 
 
 _BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)
@@ -325,7 +320,7 @@ def restrict(f: BooleanFunction, i: int, v: int) -> BooleanFunction:
     The result ignores bit i of the input index entirely, so restricting
     again on i is a no-op apart from the recorded value.
     """
-    _check_index(f, i)
+    i = _check_index(f, i)
     if v not in (-1, 1):
         raise ValueError(f"restriction value must be +1 or -1, got {v!r}")
     pairs = f.values.reshape(-1, 2, 1 << i)
@@ -340,7 +335,7 @@ def derivative(f: BooleanFunction, i: int) -> BooleanFunction:
     (D_i f)(x) = (f with x_i := +1  minus  f with x_i := -1) / 2, stored on
     the same ambient cube; the output does not depend on bit i.
     """
-    _check_index(f, i)
+    i = _check_index(f, i)
     pairs = f.values.reshape(-1, 2, 1 << i)
     out = np.empty(f.size)
     # each difference is formed on both halves: copying one half of out to
@@ -360,9 +355,12 @@ def norm2(f: BooleanFunction) -> float:
     return float(np.mean(f.values * f.values))
 
 
-def _check_index(f: BooleanFunction, i: int) -> None:
+def _check_index(f: BooleanFunction, i: int) -> int:
+    """i as an int (a float raises TypeError), checked to be a variable of f."""
+    i = operator.index(i)
     if not 0 <= i < f.n:
         raise IndexError(f"variable index {i} out of range for n={f.n}")
+    return i
 
 
 def mask_of(indices: Iterable[int], n: int) -> int:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, _cube, _degree_profile, _handover
-from .noise import LeafStats, _analyzer, _check_delta, _profile_stability
+from .boolfn import BooleanFunction, _butterfly, _cube, _handover
+from .noise import _analyzer, _bad, _check_delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +170,19 @@ def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     return DecisionTree(t.n, tuple(out), next_id)
 
 
-def _compact_spectrum(leaf: Leaf) -> np.ndarray:
-    """The leaf's spectrum over its free variables, transformed from its
-    compact table (one value when no variable is free)."""
-    a = _butterfly(leaf.table).reshape(-1)
-    np.divide(a, leaf.table.size, out=a)
-    return a
+def _analyses(t: DecisionTree, eps: float, delta: float) -> Iterator[tuple[int, list[Leaf], tuple]]:
+    """Each depth's leaves with the drivers' analysis (``noise._analyzer``)
+    of their compact spectra, all leaves of a depth in one batch."""
+    by_depth: dict[int, list[Leaf]] = {}
+    for leaf in t.leaves:
+        by_depth.setdefault(len(leaf.fixed), []).append(leaf)
+    analyze = _analyzer(t.n, delta, eps)
+    for depth, level in by_depth.items():
+        frees = np.array([leaf.free for leaf in level], dtype=np.int64).reshape(len(level), t.n - depth)
+        rows = np.empty((len(level), 1 << (t.n - depth)))
+        for row, leaf in zip(rows, level):
+            np.divide(_butterfly(leaf.table).reshape(-1), leaf.table.size, out=row)
+        yield depth, level, analyze(frees, rows)
 
 
 def energy(t: DecisionTree, delta: float) -> float:
@@ -183,26 +190,8 @@ def energy(t: DecisionTree, delta: float) -> float:
     each read from the leaf's degree profile."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return float(sum(2.0 ** -depth * _profile_stability(_degree_profile(_compact_spectrum(leaf)),
-                                                        1.0 - delta)
-                     for leaf, depth in leaves(t)))
-
-
-def _leaf_stats(t: DecisionTree, eps: float, delta: float) -> dict[int, LeafStats]:
-    """Every leaf's statistics by id, by the drivers' analysis of its
-    compact spectrum: one batch per depth."""
-    by_depth: dict[int, list[Leaf]] = {}
-    for leaf, depth in leaves(t):
-        by_depth.setdefault(depth, []).append(leaf)
-    analyze = _analyzer(t.n, delta, eps)
-    stats: dict[int, LeafStats] = {}
-    for depth, level in by_depth.items():
-        frees = np.array([leaf.free for leaf in level], dtype=np.int64).reshape(len(level), t.n - depth)
-        rows = np.empty((len(level), 1 << (t.n - depth)))
-        for row, leaf in zip(rows, level):
-            row[...] = _compact_spectrum(leaf)
-        stats.update(zip((leaf.id for leaf in level), analyze(frees, rows)))
-    return stats
+    return float(sum(2.0 ** -depth * sum(stabs.tolist())
+                     for depth, _, (_, stabs, *_) in _analyses(t, np.inf, delta)))
 
 
 def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
@@ -212,25 +201,26 @@ def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    stats = _leaf_stats(t, eps, delta)
-    return float(sum(2.0 ** -depth for leaf, depth in leaves(t) if stats[leaf.id].bad(eps)))
+    return float(sum(2.0 ** -depth * int(np.count_nonzero(_bad(tops, eps)))
+                     for depth, _, (_, _, _, tops, _) in _analyses(t, eps, delta)))
 
 
-def _dot(t: DecisionTree, lo: int, hi: int, depth: int, stats: dict[int, LeafStats],
+def _dot(t: DecisionTree, lo: int, hi: int, depth: int, tops: dict[int, float],
          lines: list[str], names: Iterator[int]) -> str:
     """Append the DOT lines of the node at ``depth`` over t.leaves[lo:hi]
-    to ``lines`` and return its name, drawn from ``names`` in preorder."""
+    to ``lines`` and return its name, drawn from ``names`` in preorder;
+    ``tops`` holds each leaf's maximum noisy influence by id."""
     name = f"n{next(names)}"
     if hi - lo == 1:
         leaf = t.leaves[lo]
         lines.append(f'  {name} [shape=box, label="L{leaf.id}\\ndepth={depth}'
                      f'\\nmean={float(np.mean(leaf.table.reshape(-1))):.6g}'
-                     f'\\nmax_inf={stats[leaf.id].max_influence:.6g}"];')
+                     f'\\nmax_inf={tops[leaf.id]:.6g}"];')
         return name
     var, mid = _branch(t, lo, hi, depth)
     lines.append(f'  {name} [label="x{var + 1}"];')
-    plus = _dot(t, lo, mid, depth + 1, stats, lines, names)
-    minus = _dot(t, mid, hi, depth + 1, stats, lines, names)
+    plus = _dot(t, lo, mid, depth + 1, tops, lines, names)
+    minus = _dot(t, mid, hi, depth + 1, tops, lines, names)
     lines.append(f'  {name} -> {plus} [label="+1"];')
     lines.append(f'  {name} -> {minus} [label="-1"];')
     return name
@@ -240,6 +230,8 @@ def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
     lines = ["digraph dtree {"]
-    _dot(t, 0, len(t.leaves), 0, _leaf_stats(t, np.inf, delta), lines, itertools.count())
+    tops = {leaf.id: top for _, level, (*_, level_tops, _) in _analyses(t, np.inf, delta)
+            for leaf, top in zip(level, level_tops.tolist())}
+    _dot(t, 0, len(t.leaves), 0, tops, lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FourierExpansion, _cube, _degree_weights, _spectrum, subset_sizes
+from .boolfn import (BooleanFunction, FourierExpansion, _check_index, _cube, _degree_weights, _spectrum,
+                     subset_sizes)
 
 # Influences within this slack of a threshold count as below it, so that
 # round-off at the boundary can never make the regularity loop spin.
@@ -69,14 +70,12 @@ def _influence_powers(delta: float, k: int) -> np.ndarray:
 
 def _gather_weights(powers: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     """powers[subset_sizes(m)], bit for bit, written into ``out`` (contiguous,
-    2^m entries) with no 2^m temporary.  Above 2^8 masks, a mask is a high
-    part h and a low part l over 8 variables, and |S| = |h| + |l|: h's 2^8
-    weights are row |h| of the m - 7 rows powers[|h| + sizes_8]."""
-    if m <= 8:
-        np.take(powers, subset_sizes(m), out=out.reshape(-1), mode="clip")
-    else:
-        rows = powers[np.arange(m - 7)[:, None] + subset_sizes(8)]
-        np.take(rows, subset_sizes(m - 8), axis=0, out=out.reshape(-1, 1 << 8), mode="clip")
+    2^m entries) with no 2^m temporary.  A mask is a high part h and a low
+    part l over b = min(m, 8) variables, and |S| = |h| + |l|: h's 2^b
+    weights are row |h| of the m - b + 1 rows powers[|h| + sizes_b]."""
+    b = min(m, 8)
+    rows = powers[np.arange(m - b + 1)[:, None] + subset_sizes(b)]
+    np.take(rows, subset_sizes(m - b), axis=0, out=out.reshape(-1, 1 << b), mode="clip")
     return out
 
 
@@ -197,9 +196,13 @@ def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:
 
 def noisy_influence(f: BooleanFunction, i: int, delta: float) -> float:
     """(1-delta)-noisy influence of coordinate i: Stab_{1-delta}[D_i f]."""
-    if not 0 <= i < f.n:
-        raise IndexError(f"variable index {i} out of range for n={f.n}")
+    i = _check_index(f, i)
     return float(all_noisy_influences(f, delta)[i])
+
+
+def _bad(max_influence: float | np.ndarray, eps: float) -> bool | np.ndarray:
+    """Above eps, on one influence or an array; INFLUENCE_SLACK counts as small."""
+    return max_influence > eps + INFLUENCE_SLACK
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,8 @@ class LeafStats:
     influence variable with that influence, and its degree profile: W^k =
     sum over |S| = k of ghat(S)^2 for k = 0 .. m, so that Stab_rho is
     sum_k rho^k W^k.  ``var`` and whether the leaf is bad follow the rule
-    at ``_TIE_BAND``.
+    at ``_TIE_BAND``.  The analysis itself returns arrays (``_analyzer``);
+    ``rows`` views them as one object per leaf where one is wanted.
     """
 
     mean: float
@@ -218,8 +222,14 @@ class LeafStats:
     profile: tuple[float, ...]
 
     def bad(self, eps: float) -> bool:
-        """Fails the small-influence test; INFLUENCE_SLACK counts as small."""
-        return self.max_influence > eps + INFLUENCE_SLACK
+        """Fails the small-influence test (``_bad``)."""
+        return _bad(self.max_influence, eps)
+
+    @classmethod
+    def rows(cls, batch: tuple[np.ndarray, ...]) -> list[LeafStats]:
+        """One object per row of an analysis batch (``_analyzer``)."""
+        return [cls(mean, stab, var, top, tuple(profile))
+                for mean, stab, var, top, profile in zip(*(a.tolist() for a in batch))]
 
 
 def _analyzer(n: int, delta: float, eps: float):
@@ -230,11 +240,14 @@ def _analyzer(n: int, delta: float, eps: float):
 
     ``analyze(frees, rows)`` analyses the compact spectra (row r over the
     ascending free variables frees[r], every row over as many) in one batch,
-    in a prefix of the product buffer.  The squares of the rows give each
-    leaf's degree profile (``_degree_weights``), and its Stab is the profile
-    at rho.  The influences are ``_fold_sums`` of the weighted squares,
-    whose weights over m variables (``_gather_weights``; |S| is the ambient
-    |S|, so each product has the ambient bits) fill the batch's first row.
+    in a prefix of the product buffer, and returns the batch as five arrays
+    in ``LeafStats`` field order, one entry or row per leaf: the means, the
+    Stabs, the argmax variables, their influences and the degree profiles.
+    The squares of the rows give each leaf's degree profile
+    (``_degree_weights``), and its Stab is the profile at rho.  The
+    influences are ``_fold_sums`` of the weighted squares, whose weights
+    over m variables (``_gather_weights``; |S| is the ambient |S|, so each
+    product has the ambient bits) fill the batch's first row.
     A leaf that the rule at ``_TIE_BAND`` sends to the ambient sums has its
     products formed once more, compactly, in a prefix of the product buffer.
     Each candidate's masks are then written into the half buffer (the 2^(n-1)
@@ -271,7 +284,7 @@ def _analyzer(n: int, delta: float, eps: float):
         best = int(sums.argmax())  # ranks ascend, so ties go to the lowest index
         return free[ranks[best]], float(sums[best]) * scale
 
-    def analyze(frees: np.ndarray, rows: np.ndarray) -> list[LeafStats]:
+    def analyze(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         rows, unit = _coefficients(rows, powers, n)
         scale = unit * unit
         batch = prod[:rows.size].reshape(rows.shape)
@@ -283,18 +296,13 @@ def _analyzer(n: int, delta: float, eps: float):
         influences = _fold_sums(batch)
         influences *= scale
         tops = influences.max(axis=1, initial=0.0)
-        variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)].tolist() if frees.shape[1]
-                     else [0] * len(rows))
-        out = []
-        for r, (mean, stab, var, top, profile) in enumerate(zip(
-                (rows[:, 0] * unit).tolist(), stabs.tolist(), variables, tops.tolist(),
-                profiles.tolist())):
-            if top >= threshold * (1.0 - _TIE_BAND):
-                ranks = np.flatnonzero(influences[r] >= top * (1.0 - _TIE_BAND))
-                if len(ranks) > 1 or top <= threshold * (1.0 + _TIE_BAND):
-                    var, top = ambient_argmax(frees[r].tolist(), ranks, rows[r], scale)
-            out.append(LeafStats(mean, stab, var, top, tuple(profile)))
-        return out
+        variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)] if frees.shape[1]
+                     else np.zeros(len(rows), np.int64))
+        for r in np.flatnonzero(tops >= threshold * (1.0 - _TIE_BAND)).tolist():
+            ranks = np.flatnonzero(influences[r] >= tops[r] * (1.0 - _TIE_BAND))
+            if len(ranks) > 1 or tops[r] <= threshold * (1.0 + _TIE_BAND):
+                variables[r], tops[r] = ambient_argmax(frees[r].tolist(), ranks, rows[r], scale)
+        return rows[:, 0] * unit, stabs, variables, tops, profiles
 
     def split(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, ...]:
         # runs of rows in which js[r] has one rank k (a homogeneous round is one
@@ -346,7 +354,8 @@ def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> 
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    [stats] = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1), _spectrum(f).reshape(1, -1))
-    if stats.bad(eps):
-        return InfluenceVerdict(False, stats.var, stats.max_influence)
+    _, _, variables, tops, _ = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1),
+                                                          _spectrum(f).reshape(1, -1))
+    if _bad(tops[0], eps):
+        return InfluenceVerdict(False, int(variables[0]), float(tops[0]))
     return InfluenceVerdict(True)

@@ -29,12 +29,13 @@ Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
 pass is one batch: their spectra are the rows of one array, compact over
 their free variables (at most 2^n values in all), each round splits every
 row and reads its Inf_j in one step of the analysis (``analyze.split``),
-and one analysis of all children ends the pass.  A good leaf settles with
-its statistics and drops its spectrum.  The analysis (``noise._analyzer``,
-the one leaf kernel, and the only code that indexes the rows) takes about
-3 * 2^m operations per leaf with m free variables and decides ties and
-thresholds by the rule at ``noise._TIE_BAND``, so the trees are exactly
-those that a fresh transform of every leaf table would give.
+and one analysis of all children, as arrays, ends the pass.  A good leaf
+settles as a ``LeafStats`` and drops its spectrum.  The analysis
+(``noise._analyzer``, the one leaf kernel, and the only code that indexes
+the rows) takes about 3 * 2^m operations per leaf with m free variables
+and decides ties and thresholds by the rule at ``noise._TIE_BAND``, so
+the trees are exactly those that a fresh transform of every leaf table
+would give.
 
 On a table whose values are all exactly -1.0, +0.0 or 1.0 (every pm_one
 table, and {0,1} and {-1,0,1} tables after a scan of their bits) the rows
@@ -70,7 +71,7 @@ import numpy as np
 
 from .boolfn import REAL, BooleanFunction, FourierExpansion, _spectrum
 from .dtree import DecisionTree, EnergyLedger, leaves, singleton, split_leaves, tree_depth
-from .noise import LeafStats, _analyzer
+from .noise import LeafStats, _analyzer, _bad
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
 # against the gain the restriction identity predicts); the energy is a sum
@@ -125,14 +126,15 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
 
     A pass's state is its level: the leaves it holds, all at one depth, with
     their spectra as the rows of one array in ``leaves`` order (each row's
-    free variables in a parallel array) and their statistics from one
-    analysis.  Every other leaf is good and final: it settled into
-    ``leaf_stats`` and into a running sum of its energy when it left the
-    level, so phi is that sum plus 2^-depth times the level's Stab, and the
-    bad mass is 2^-depth times the number of the level's bad leaves.
+    free variables in a parallel array) and their statistics as the arrays
+    of one analysis.  Every other leaf is good and final: it settled into
+    ``leaf_stats``, as a ``LeafStats``, and into a running sum of its energy
+    when it left the level, so phi is that sum plus 2^-depth times the
+    level's Stab, and the bad mass is 2^-depth times the number of the
+    level's bad leaves.
 
-    ``plan(level, bad, depth)`` (the level's statistics, whether each is
-    bad, their depth) is the split policy: it returns the next pass as a
+    ``plan(bad_vars, depth)`` (the bad leaves' argmax variables, in order,
+    and their depth) is the split policy: it returns the next pass as a
     list of rounds of split variables, each one variable for every held leaf
     or one per held leaf, or None to stop with ``exhausted`` set.  A round's
     children take consecutive ids.  With ``keep_all`` the whole level is
@@ -148,7 +150,7 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     bound = max(1.0, f.require_unit_mean_square()) if f.range_tag == REAL else 1.0
     t = singleton(f)
     analyze = _analyzer(f.n, p.delta, p.eps)
-    ids, frees = range(1), np.arange(f.n).reshape(1, -1)
+    ids, frees = np.arange(1), np.arange(f.n).reshape(1, -1)
     rows = (_spectrum(f) if ghat is None else ghat.coeffs).reshape(1, -1)
     del ghat  # the root's rows are freed at its split, unless a caller holds them
     stats: dict[int, LeafStats] = {}  # the settled leaves, then the last level
@@ -156,33 +158,33 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     iterations, depth, phi, settled, predicted = 0, 0, 0.0, 0.0, 0.0
     while True:  # a pass: analyse the new level and check the tree, then stop or split
         level = analyze(frees, rows)
-        bad = [s.bad(p.eps) for s in level]
+        _, stabs, variables, tops, _ = level
+        bad = _bad(tops, p.eps)
         mass = 2.0 ** -depth
-        previous, phi, bad_mass = phi, settled + mass * sum(s.stab for s in level), mass * sum(bad)
+        previous, phi, bad_mass = phi, settled + mass * sum(stabs.tolist()), mass * int(bad.sum())
         if phi > bound + _PHI_GUARD:
             raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
             raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
                                f"the restriction identity predicts {p.delta * predicted}")
         ledger.record(iterations, phi, depth)
-        if bad_mass <= p.gamma or (rounds := plan(level, bad, depth)) is None:
+        if bad_mass <= p.gamma or (rounds := plan(variables[bad], depth)) is None:
             break
-        if not keep_all and not all(bad):  # the good leaves settle; the bad ones are held
-            stats.update((leaf_id, s) for leaf_id, s, b in zip(ids, level, bad) if not b)
-            settled += mass * sum(s.stab for s, b in zip(level, bad) if not b)
-            keep = [r for r, b in enumerate(bad) if b]
-            ids, frees, rows = [ids[r] for r in keep], frees[keep], rows[keep]  # one copy
+        if not keep_all and not bad.all():  # the good leaves settle; the bad ones are held
+            stats.update(zip(ids[~bad].tolist(), LeafStats.rows([a[~bad] for a in level])))
+            settled += mass * sum(stabs[~bad].tolist())
+            ids, frees, rows = ids[bad], frees[bad], rows[bad]  # one copy
         predicted = 0.0
         for var in rounds:
             js = np.broadcast_to(var, len(rows))
             frees, rows, influences = analyze.split(frees, rows, js)  # releases the parents' rows
             predicted += 2.0 ** -depth * float(influences.sum())
-            t = split_leaves(t, dict(zip(ids, js.tolist())))
-            ids, depth = range(t.next_leaf_id - len(rows), t.next_leaf_id), depth + 1
+            t = split_leaves(t, dict(zip(ids.tolist(), js.tolist())))
+            ids, depth = np.arange(t.next_leaf_id - len(rows), t.next_leaf_id), depth + 1
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-    stats.update(zip(ids, level))
+    stats.update(zip(ids.tolist(), LeafStats.rows(level)))
     return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=bad_mass > p.gamma,
                                leaf_stats=stats)
 
@@ -190,11 +192,11 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
 def _split_bad_leaves(n: int, p: RegularityParams) -> Callable:
     """The plain split policy: one round in which each bad leaf splits on
     its own argmax variable, up to depth min(budget, n)."""
-    def plan(level: list[LeafStats], bad: list[bool], depth: int) -> list[list[int]]:
+    def plan(bad_vars: np.ndarray, depth: int) -> list[np.ndarray]:
         if depth + 1 > min(p.budget, float(n)):
             raise RuntimeError(f"internal error: split would push depth past min(budget={p.budget}, "
                                f"n={n}); the energy argument forbids this")
-        return [[s.var for s, b in zip(level, bad) if b]]  # the held leaves are the bad ones
+        return [bad_vars]  # the held leaves are the bad ones
 
     return plan
 
@@ -227,8 +229,8 @@ def decompose_homogeneous(f: BooleanFunction, p: RegularityParams, var_cap: int)
         raise ValueError(f"var_cap must lie in [0, n={f.n}], got {var_cap}")
     query_vars: list[int] = []
 
-    def plan(level: list[LeafStats], bad: list[bool], depth: int) -> list[int] | None:
-        new_vars = sorted({s.var for s, b in zip(level, bad) if b} - set(query_vars))
+    def plan(bad_vars: np.ndarray, depth: int) -> list[int] | None:
+        new_vars = sorted(set(bad_vars.tolist()) - set(query_vars))
         if not new_vars:
             raise RuntimeError("internal error: bad leaf with no splittable variable")
         if len(query_vars) + len(new_vars) > var_cap:

@@ -19,7 +19,7 @@ decomposition yields for quasirandom functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
@@ -134,19 +134,9 @@ class MistReport:
     drift_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "rho": self.rho,
-            "mean": self.mean,
-            "stab": self.stab,
-            "lambda": self.lam,
-            "slack": self.slack,
-        }
-        for key in ("bad_mass", "params_used", "certified_bound",
-                    "quasirandom_ok", "witness", "terms", "drift_ok"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The fields in order, ``lam`` as "lambda", unset ones left out."""
+        return {"lambda" if key == "lam" else key: value
+                for key, value in asdict(self).items() if value is not None}
 
 
 def mist_slack(g: BooleanFunction, rho: float) -> MistReport:

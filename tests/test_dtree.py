@@ -27,6 +27,7 @@ from boolreg import (
     evaluate,
     evaluate_table,
     has_small_noisy_influences,
+    infer_range_tag,
     leaves,
     majority,
     noisy_influence,
@@ -41,7 +42,8 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg.dtree import _leaf_stats
+from boolreg.dtree import _analyses
+from boolreg.noise import LeafStats
 from oracles import (
     RefLeaf,
     brute_restriction_mean,
@@ -340,14 +342,9 @@ def test_split_axis_from_the_fixed_variables(seed):
             assert np.shares_memory(child.table, f.values)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_compact_leaf_statistics_match_the_ambient_ones(seed):
-    # energy and bad_leaf_mass transform each leaf's compact table; the
-    # ambient route transforms the 2^n table leaf.fn
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    f = BooleanFunction(n, random_real_unit(rng, n))
-    t = random_tree(f, rng, int(rng.integers(0, 2 * n)))
+def check_compact_leaf_statistics(t):
+    """energy and bad_leaf_mass analyse each depth's compact spectra in one
+    batch; the ambient route transforms the 2^n table leaf.fn."""
     for delta in (0.1, 0.3, 1.0):
         want = sum(2.0 ** -depth * stability(wht(leaf.fn), 1.0 - delta) for leaf, depth in leaves(t))
         assert energy(t, delta) == pytest.approx(want, rel=0.0, abs=1e-12)
@@ -355,6 +352,40 @@ def test_compact_leaf_statistics_match_the_ambient_ones(seed):
             want = sum(2.0 ** -depth for leaf, depth in leaves(t)
                        if not has_small_noisy_influences(leaf.fn, eps, delta).ok)
             assert bad_leaf_mass(t, eps, delta) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compact_leaf_statistics_match_the_ambient_ones(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    f = BooleanFunction(n, random_real_unit(rng, n))
+    check_compact_leaf_statistics(random_tree(f, rng, int(rng.integers(0, 2 * n))))
+
+
+TABLE_KINDS = {
+    "pm_one": lambda rng, n: rng.choice([-1.0, 1.0], 1 << n),
+    "zero_one": lambda rng, n: rng.integers(0, 2, 1 << n).astype(float),
+    "ternary": lambda rng, n: rng.integers(-1, 2, 1 << n).astype(float),
+    "real": random_real_unit,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(sorted(TABLE_KINDS)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["hand", "plain", "homogeneous"]))
+def test_compact_leaf_statistics_match_the_ambient_ones_on_any_tree(n, kind, seed, builder):
+    # Boolean-valued tables too, whose leaf.fn spectra are int32 counts, and
+    # the drivers' trees as well as hand-built ones
+    rng = np.random.default_rng(seed)
+    values = TABLE_KINDS[kind](rng, n)
+    f = BooleanFunction(n, values, infer_range_tag(values))
+    if builder == "hand":
+        t = random_tree(f, rng, int(rng.integers(0, 2 * n)))
+    elif builder == "plain":
+        t = decompose(f, PARAMS).tree
+    else:
+        t = decompose_homogeneous(f, PARAMS, n).tree
+    check_compact_leaf_statistics(t)
 
 
 def test_leaves_without_free_variables():
@@ -523,7 +554,8 @@ def test_leaf_sequence_matches_the_node_graph_tree(n, real, seed, data):
         reference = [ref_evaluate(ref, values, b) for b in range(1 << n)]
         assert [evaluate(t, b) for b in range(1 << n)] == reference
         np.testing.assert_array_equal(evaluate_table(t), reference)
-        stats = _leaf_stats(t, np.inf, 0.3)
+        stats = {leaf.id: s for _, level, batch in _analyses(t, np.inf, 0.3)
+                 for leaf, s in zip(level, LeafStats.rows(batch))}
         labels = {leaf.id: f"mean={brute_restriction_mean(values, leaf.fixed):.6g}"
                            f"\\nmax_inf={stats[leaf.id].max_influence:.6g}" for leaf, _ in expected}
         assert to_dot(t, 0.3) == ref_dot(ref, labels)

@@ -23,6 +23,7 @@ from boolreg import (
     norm2,
     parity,
     random_pm_one,
+    restrict,
     stability,
     stability_mc,
     stability_mc_detail,
@@ -160,6 +161,20 @@ def test_noisy_influence_validation():
         noisy_influence(dictator(2, 0), 2, 0.5)
     with pytest.raises(ValueError):
         noisy_influence(dictator(2, 0), 0, 1.5)
+
+
+def test_variable_indices_are_integers():
+    # a float index is refused as split_leaves and evaluate refuse it, not
+    # by numpy's indexing or by a shift; numpy integers are indices
+    f = majority(5)
+    for call in (lambda i: noisy_influence(f, i, 0.3), lambda i: restrict(f, i, 1),
+                 lambda i: derivative(f, i)):
+        for i in (2.5, 1.0, np.float64(1)):
+            with pytest.raises(TypeError, match="integer"):
+                call(i)
+    assert noisy_influence(f, np.int64(2), 0.3) == noisy_influence(f, 2, 0.3)
+    assert np.array_equal(restrict(f, np.int64(1), -1).values, restrict(f, 1, -1).values)
+    assert np.array_equal(derivative(f, np.int32(4)).values, derivative(f, 4).values)
 
 
 def test_has_small_constant_ok():

@@ -46,6 +46,7 @@ from boolreg import (
 from boolreg import boolfn, noise, regularity, stablest
 from boolreg.noise import (
     INFLUENCE_SLACK,
+    LeafStats,
     _analyzer,
     _fold_sums,
     _gather_weights,
@@ -213,7 +214,7 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
             FLOAT_TOL * power_stability(coeffs, 1.0 - delta)
         analyze = _analyzer(n, delta, 1e-6)
         for spectrum_free, compact, ambient in spectra:
-            [stats] = analyze(free_rows(spectrum_free), compact.reshape(1, -1))
+            [stats] = LeafStats.rows(analyze(free_rows(spectrum_free), compact.reshape(1, -1)))
             influences = mask_gather_influences(ambient, delta)
             assert close(stats.stab, power_stability(ambient, 1.0 - delta))
             assert stats.var == int(influences.argmax())
@@ -420,14 +421,14 @@ def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
     rows = data.draw(arrays(np.float64, (count, 1 << m), elements=elements)) / 2.0 ** (m / 2)
     analyze = _analyzer(n, data.draw(st.sampled_from([0.1, 0.3, 1.0])), 1e-6)
     rest, children, sums = analyze.split(frees, rows, js)
-    batch = analyze(frees, rows)
+    batch = LeafStats.rows(analyze(frees, rows))
     for r in range(count):
         one = slice(r, r + 1)
         rest_alone, children_alone, sums_alone = analyze.split(frees[one], rows[one], js[one])
         assert np.array_equal(rest[2 * r:2 * r + 2], rest_alone)
         assert same_bits(children[2 * r:2 * r + 2], children_alone)
         assert same_bits(sums[one], sums_alone)
-        [alone] = analyze(frees[one], rows[one])
+        [alone] = LeafStats.rows(analyze(frees[one], rows[one]))
         assert (batch[r].mean, batch[r].var, batch[r].max_influence) == (alone.mean, alone.var, alone.max_influence)
         np.testing.assert_allclose(batch[r].profile, alone.profile, rtol=0.0, atol=FLOAT_TOL)
         assert close(batch[r].stab, alone.stab)
@@ -445,7 +446,7 @@ def test_analyzer_holds_its_product_and_half_buffers():
     tracemalloc.start()
     try:
         analyze = _analyzer(n, 0.3, 1e-6)  # a bad root: its tie-break runs too
-        assert analyze(frees, root)[0].bad(1e-6)
+        assert LeafStats.rows(analyze(frees, root))[0].bad(1e-6)
         _, children, _ = analyze.split(frees, root, np.array([3]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -500,7 +501,7 @@ def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
                 got = analyze(frees, spectra)
             ambient += cube.call_count
             want = _analyzer(n, delta, eps)(frees, spectra)
-            assert list(map(stats_bits, got)) == list(map(stats_bits, want))
+            assert list(map(stats_bits, LeafStats.rows(got))) == list(map(stats_bits, LeafStats.rows(want)))
         else:
             js = np.array([data.draw(st.sampled_from(free)) for free in frees.tolist()])
             got = analyze.split(frees, spectra, js)
@@ -620,7 +621,7 @@ def test_threshold_decided_by_the_ambient_sums(f, delta, below, bad):
     weights = _influence_powers(delta, f.n)[subset_sizes(f.n)]
     compact = _fold_sums(((weights * coeffs) * coeffs).reshape(1, -1))
     assert compact.max() != top  # so the band decides this case
-    [stats] = _analyzer(f.n, delta, p.eps)(free_rows(range(f.n)), coeffs.reshape(1, -1))
+    [stats] = LeafStats.rows(_analyzer(f.n, delta, p.eps)(free_rows(range(f.n)), coeffs.reshape(1, -1)))
     assert stats.max_influence == top
     assert stats.bad(p.eps) == bad
     result = decompose(f, p)
@@ -645,7 +646,7 @@ def test_compact_kernel_matches_power_and_mask_gather(n, data):
     eps = data.draw(st.sampled_from([1e-6, 0.01, 0.1]))
     analyze = _analyzer(n, delta, eps)
     for _ in range(2):  # the second run would see a stale buffer
-        for row, stats in zip(rows, analyze(free_rows(free, r), rows)):
+        for row, stats in zip(rows, LeafStats.rows(analyze(free_rows(free, r), rows))):
             ambient = ambient_spectrum(n, free, row)
             influences = mask_gather_influences(ambient, delta)
             assert stats.mean == row[0]
