@@ -240,42 +240,46 @@ def _stages(x: np.ndarray, buf: np.ndarray) -> None:
         np.copyto(x, src)
 
 
-def _butterfly(values: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, O(n 2^n), into one fresh
-    array of ``dtype``: out[S] = sum_b values[b] * (-1)^popcount(b & S).
+    C-ordered array of ``dtype``: out[S] = sum_b values[b] * (-1)^popcount(b
+    & S).  With ``tables`` = t > 1, values is a (2^n, t) array, and each of
+    its columns is transformed, in one batch.
 
-    The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS), the
-    low b stages (index bits 0 .. b-1) run on each contiguous block of 2^b
-    entries in turn; the high n - b stages run on the (2^(n-b), 2^b) view
-    of the table, one strip of columns at a time.  The only other memory is
-    one scratch array of max(2^b, 2^(n-b) * strip width) entries.
+    The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS -
+    ceil(log2 t)), or 0 if that is negative, the low b stages (index bits
+    0 .. b-1) run on each contiguous block of 2^b rows (2^b * t entries) in
+    turn; the high n - b stages run on the (2^(n-b), 2^b * t) view of the
+    array, one strip of columns at a time.  The only other memory is one
+    scratch array of max(2^b * t, 2^(n-b) * strip width) entries.
 
     Radix-2 keeps every bit.  Each stage maps a pair (u, v) of entries that
     differ in one index bit to (u + v, u - v), and the stages run in bit
     order 0 .. n-1 for every entry, so each output is the result of the
     same sequence of float64 adds and subtracts as the textbook in-place
-    butterfly (h = 1, 2, 4, ...), whatever the blocking: the output is
-    bit-identical to it on every input, real tables included.
+    butterfly (h = 1, 2, 4, ...), whatever the blocking and the batch: the
+    output is bit-identical to it on every input, real tables included.
 
     int32 is exact on tables of -1, 0 and 1 (``_counts``): every partial
     sum is then an integer of magnitude at most 2^n <= 2^24, so no order of
     the adds can round or overflow, and the stages move half the bytes of
     float64 ones.
     """
-    a = np.array(values, dtype=dtype)
-    n = a.size.bit_length() - 1
-    b = min(n, _BLOCK_BITS)
-    rows = 1 << (n - b)
-    width = 1 << min(b, _STRIP_BITS)
-    scratch = np.empty(max(1 << b, rows * width), dtype)
-    grid = a.reshape(rows, 1 << b)
-    low = scratch[:1 << b].reshape(-1, 1)
-    for block in grid:
-        _stages(block.reshape(-1, 1), low)
+    a = np.array(values, dtype=dtype, order="C")
+    grid = a.reshape(-1, tables)
+    n = grid.shape[0].bit_length() - 1
+    b = min(n, max(_BLOCK_BITS - (tables - 1).bit_length(), 0))
+    rows, block = 1 << (n - b), tables << b
+    width = min(block, 1 << _STRIP_BITS)
+    scratch = np.empty(max(block, rows * width), dtype)
+    low = scratch[:block].reshape(-1, tables)
+    for part in grid.reshape(rows, 1 << b, tables):
+        _stages(part, low)
     if rows > 1:
-        high = scratch[:rows * width].reshape(rows, width)
-        for c in range(0, 1 << b, width):
-            _stages(grid[:, c:c + width], high)
+        grid = grid.reshape(rows, block)
+        for c in range(0, block, width):
+            strip = grid[:, c:c + width]
+            _stages(strip, scratch[:strip.size].reshape(strip.shape))
     return a
 
 

@@ -25,6 +25,8 @@ import numpy as np
 from .boolfn import BooleanFunction, _butterfly, _cube, _handover
 from .noise import _analyzer, _bad, _check_delta
 
+_BATCH_BITS = 12  # a depth's tables are transformed in batches of 2^12 entries (32 KiB)
+
 
 @dataclass(frozen=True, eq=False)
 class Leaf:
@@ -170,19 +172,34 @@ def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     return DecisionTree(t.n, tuple(out), next_id)
 
 
+def _spectra(level: list[Leaf], m: int) -> np.ndarray:
+    """The compact spectra of leaves over m free variables, one row each.
+    The tables are transformed as the columns of batches of at most
+    max(2^_BATCH_BITS entries, one table), so that beside the rows only one
+    batch and its transform are held: one copy of a level would cost as
+    much as the rows."""
+    rows = np.empty((len(level), 1 << m))
+    group = max(1 << _BATCH_BITS >> m, 1)
+    for g in range(0, len(level), group):
+        tables = [leaf.table for leaf in level[g:g + group]]
+        k = len(tables)
+        batch = np.stack(tables, axis=-1) if k > 1 else tables[0]
+        # unbound, so that a batch's transform is freed before the next one
+        np.divide(_butterfly(batch, tables=k).reshape(-1, k).T, 1 << m, out=rows[g:g + k])
+    return rows
+
+
 def _analyses(t: DecisionTree, eps: float, delta: float) -> Iterator[tuple[int, list[Leaf], tuple]]:
     """Each depth's leaves with the drivers' analysis (``noise._analyzer``)
-    of their compact spectra, all leaves of a depth in one batch."""
+    of their compact spectra (``_spectra``), all leaves of a depth in one
+    batch."""
     by_depth: dict[int, list[Leaf]] = {}
     for leaf in t.leaves:
         by_depth.setdefault(len(leaf.fixed), []).append(leaf)
     analyze = _analyzer(t.n, delta, eps)
     for depth, level in by_depth.items():
         frees = np.array([leaf.free for leaf in level], dtype=np.int64).reshape(len(level), t.n - depth)
-        rows = np.empty((len(level), 1 << (t.n - depth)))
-        for row, leaf in zip(rows, level):
-            np.divide(_butterfly(leaf.table).reshape(-1), leaf.table.size, out=row)
-        yield depth, level, analyze(frees, rows)
+        yield depth, level, analyze(frees, _spectra(level, t.n - depth))
 
 
 def energy(t: DecisionTree, delta: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BooleanFunction, FourierExpansion, _check_index, _cube, _degree_weights, _spectrum,
+from .boolfn import (BooleanFunction, FourierExpansion, _check_index, _degree_weights, _spectrum,
                      subset_sizes)
 
 # Influences within this slack of a threshold count as below it, so that
@@ -31,18 +31,21 @@ INFLUENCE_SLACK = 1e-12
 # The tie and threshold rule.  Fold sums and ambient sums of the same m-bit
 # nonnegative terms differ by about m * 2^-53 relative, far inside this
 # band, but those bits decide argmax ties and influences at
-# eps + INFLUENCE_SLACK.  The ambient sum of variable i runs over all
-# 2^(n-1) masks containing i, in mask order, with zeros at the leaf's fixed
-# variables, as ``_analyzer`` scatters them into its half buffer.  So a leaf
-# whose top fold sum is within the band of that threshold, or above it with
-# several variables within the band of its top, takes its variable and
-# maximum influence from the ambient sums of those candidates, ties to the
-# lowest index: exactly the ambient kernel's decisions.  Other leaves keep
-# their fold argmax, which on a good leaf (never split) may differ on a
-# near-tie.
+# eps + INFLUENCE_SLACK.  The ambient sum of variable i is numpy's sum of
+# the 2^(n-1) masks containing i, in mask order, with zeros at the leaf's
+# fixed variables, which ``_ambient_sums`` gives bit for bit without
+# scanning those zeros.  So a leaf whose top fold sum is within the band of
+# that threshold, or above it with several variables within the band of
+# its top, takes its variable and maximum influence from the ambient sums
+# of those candidates, ties to the lowest index: exactly the ambient
+# kernel's decisions.  Other leaves keep their fold argmax, which on a good
+# leaf (never split) may differ on a near-tie.
 _TIE_BAND = 1e-9
 
 _MC_CHUNK = 1 << 16
+
+# numpy sums a float64 run in blocks of 2^7 doubles (``_ambient_sums``)
+_LANE_BITS = 7
 
 
 def _check_rho(rho: float) -> None:
@@ -232,11 +235,68 @@ class LeafStats:
                 for mean, stab, var, top, profile in zip(*(a.tolist() for a in batch))]
 
 
+def _runs(key: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of equal entries of key."""
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _ambient_sums(n: int, frees: np.ndarray, products: np.ndarray, slots: np.ndarray,
+                  ranks: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per pair i, the ambient sum of the free variable c = frees[s, ranks[i]]
+    of row s = slots[i] of ``products`` (rows over the ascending free
+    variables frees[s]): bit for bit numpy's sum of a zeroed half buffer of
+    2^(n-1) doubles, whose position of variable v is v - (v > c), after the
+    row's masks containing c are written into it without c's bit.
+
+    numpy sums a contiguous float64 run of 2^p >= 256 entries as its two
+    halves, a run of 8 to 128 as eight stride-8 lanes combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), a shorter one in order, and each row
+    of ``sum(axis=1)`` of a C-contiguous array as that row alone (tests pin
+    all three).  The products are nonnegative, so a half of zeros adds +0.0
+    exactly: a fixed position >= _LANE_BITS drops out with its zero half,
+    while positions below it keep their zeros, which the lanes place.  A
+    pair's row is then the 2^(min(_LANE_BITS, n-1) + h) entries over those
+    low positions and its h free positions above them, in ``scratch``:
+    pairs whose free low positions agree share a chunk of rows, summed by
+    one ``sum(axis=1)``.
+    """
+    m = frees.shape[1]
+    low = min(_LANE_BITS, n - 1)
+    cands = frees[slots, ranks]
+    below = (1 << cands) - 1
+    others = (1 << frees).sum(axis=1)[slots] ^ (1 << cands)  # each pair's other free variables
+    # as bits of their half-buffer positions v - (v > c), the low ones alone
+    patterns = ((others & below) | ((others >> 1) & ~below)) & ((1 << low) - 1)
+    order = np.argsort(patterns, kind="stable")
+    patterns, ranks, slots = patterns[order], ranks[order].tolist(), slots[order].tolist()
+    cube = products.reshape((-1,) + (2,) * m)  # axis a of a row holds free[m - 1 - a]
+    sums = np.empty(len(order))
+    for a, b in _runs(patterns):
+        pattern = int(patterns[a])
+        high = m - 1 - pattern.bit_count()
+        # axes: the free high positions, then the low positions, descending
+        into = (slice(None),) * (1 + high) + tuple(slice(None) if pattern >> q & 1 else 0
+                                                   for q in reversed(range(low)))
+        step = scratch.size >> (low + high)
+        if pattern != (1 << low) - 1:  # the pattern's chunks write the same entries
+            scratch[:min(step, b - a) << (low + high)].fill(0.0)
+        for c0 in range(a, b, step):
+            c1 = min(c0 + step, b)
+            chunk = scratch[:(c1 - c0) << (low + high)].reshape(c1 - c0, -1)
+            rows = chunk.reshape((c1 - c0,) + (2,) * (low + high))[into]
+            for i in range(c0, c1):
+                rows[i - c0] = cube[slots[i]][(slice(None),) * (m - 1 - ranks[i]) + (1,)]
+            sums[order[c0:c1]] = chunk.sum(axis=1)
+    return sums
+
+
 def _analyzer(n: int, delta: float, eps: float):
     """The leaf analysis at rho = 1 - delta and influence threshold eps over
     the cube of n variables, with its product buffer (2^n doubles, scratch)
-    and half buffer (2^(n-1) doubles, zero between calls) allocated once, so
-    that no leaf costs a 2^n temporary.
+    allocated once, so that no leaf costs a 2^n temporary, and its tie
+    scratch (2^(n-1) doubles, and at least 2^12 so that a chunk of small
+    rows sums many of them) at the first tie.
 
     ``analyze(frees, rows)`` analyses the compact spectra (row r over the
     ascending free variables frees[r], every row over as many) in one batch,
@@ -244,65 +304,76 @@ def _analyzer(n: int, delta: float, eps: float):
     in ``LeafStats`` field order, one entry or row per leaf: the means, the
     Stabs, the argmax variables, their influences and the degree profiles.
     The squares of the rows give each leaf's degree profile
-    (``_degree_weights``), and its Stab is the profile at rho.  The
-    influences are ``_fold_sums`` of the weighted squares, whose weights
-    over m variables (``_gather_weights``; |S| is the ambient |S|, so each
-    product has the ambient bits) fill the batch's first row.
-    A leaf that the rule at ``_TIE_BAND`` sends to the ambient sums has its
-    products formed once more, compactly, in a prefix of the product buffer.
-    Each candidate's masks are then written into the half buffer (the 2^(n-1)
-    masks without the candidate's bit), summed over the whole buffer in mask
-    order, and zeroed again.  Counts are scaled as ``_coefficients`` says.
+    (``_degree_weights``), and its Stab is the profile at rho.  Counts are
+    scaled as ``_coefficients`` says.
+
+    ``analyze.top(frees, rows)`` gives the argmax variables and their
+    influences alone, as ``analyze`` does.  The influences are ``_fold_sums``
+    of the weighted squares, whose weights over m variables
+    (``_gather_weights``; |S| is the ambient |S|, so each product has the
+    ambient bits) fill the batch's first row.  The rows that the rule at
+    ``_TIE_BAND`` sends to the ambient sums have their products formed once
+    more, in a prefix of the product buffer, and every (row, candidate) pair
+    is summed in one step (``_ambient_sums``); per row the first maximum
+    over ascending ranks wins, so ties go to the lowest index.
 
     ``analyze.split(frees, rows, js)`` half-butterflies each row on js[r]
     into rows 2r (x_j = +1) and 2r + 1 (x_j = -1) over frees[r] without
     js[r], the children's order in the tree, and gives each row's
     (1-delta)-noisy influence of js[r], for the drivers' energy identity:
     both from the row's upper half, the masks containing js[r], which is
-    first weighted and summed in the product buffer (whose pages the root's
-    analysis has touched already, unlike the half buffer's).
+    first weighted and summed in the product buffer.
     """
     stab_powers = _powers(1.0 - delta, n)
     powers = _influence_powers(delta, n)
     prod = np.empty(1 << n)
-    half = np.zeros(1 << (n - 1))
+    scratch = None
     threshold = eps + INFLUENCE_SLACK
 
-    def ambient_argmax(free: list[int], ranks: np.ndarray, row: np.ndarray,
-                       scale: float) -> tuple[int, float]:
-        products = prod[:row.size]
-        _weighted_squares(row, _gather_weights(powers, len(free), products), products)
-        cube = products.reshape((2,) * len(free))  # axis a holds free[-1 - a]
-        fixed = set(range(n)).difference(free)
-        sums = np.empty(len(ranks))
-        for c, k in enumerate(ranks.tolist()):
-            # the half buffer's masks drop free[k]'s bit
-            masks = _cube(half, n - 1, {v - (v > free[k]): 0 for v in fixed})
-            masks[...] = cube[(slice(None),) * (cube.ndim - 1 - k) + (1,)]
-            sums[c] = half.sum()
-            masks[...] = 0.0
-        best = int(sums.argmax())  # ranks ascend, so ties go to the lowest index
-        return free[ranks[best]], float(sums[best]) * scale
+    def ambient_argmax(frees: np.ndarray, coeffs: np.ndarray, tied: np.ndarray,
+                       near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal scratch
+        if scratch is None:
+            scratch = np.empty(1 << max(n - 1, 12))
+        # the tied rows' products, formed from views of runs of consecutive rows
+        products = prod[:len(tied) * coeffs.shape[1]].reshape(len(tied), -1)
+        weights = _gather_weights(powers, frees.shape[1], products[0])
+        for a, b in _runs(tied - np.arange(len(tied))):
+            r, a1 = int(tied[a]) - a, max(a, 1)
+            _weighted_squares(coeffs[r + a1:r + b], weights, products[a1:b])
+        _weighted_squares(coeffs[tied[0]], weights, weights)  # the weights' own row last
+        slots, ranks = np.nonzero(near[tied])
+        sums = _ambient_sums(n, frees[tied], products, slots, ranks, scratch)
+        best = np.lexsort((-sums, slots))[[a for a, _ in _runs(slots)]]
+        return frees[tied[slots[best]], ranks[best]], sums[best]
 
-    def analyze(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        rows, unit = _coefficients(rows, powers, n)
-        scale = unit * unit
+    def scaled_top(frees: np.ndarray, rows: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
         batch = prod[:rows.size].reshape(rows.shape)
-        profiles = _degree_weights(np.square(rows, out=batch, dtype=np.float64))
-        profiles *= scale
-        stabs = profiles @ stab_powers[:frees.shape[1] + 1]
         _weighted_squares(rows[1:], _gather_weights(powers, frees.shape[1], batch[0]), batch[1:])
         _weighted_squares(rows[0], batch[0], batch[0])  # the weights' own row last
         influences = _fold_sums(batch)
-        influences *= scale
+        influences *= unit * unit
         tops = influences.max(axis=1, initial=0.0)
         variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)] if frees.shape[1]
                      else np.zeros(len(rows), np.int64))
-        for r in np.flatnonzero(tops >= threshold * (1.0 - _TIE_BAND)).tolist():
-            ranks = np.flatnonzero(influences[r] >= tops[r] * (1.0 - _TIE_BAND))
-            if len(ranks) > 1 or tops[r] <= threshold * (1.0 + _TIE_BAND):
-                variables[r], tops[r] = ambient_argmax(frees[r].tolist(), ranks, rows[r], scale)
-        return rows[:, 0] * unit, stabs, variables, tops, profiles
+        near = influences >= tops[:, None] * (1.0 - _TIE_BAND)
+        tied = np.flatnonzero((tops >= threshold * (1.0 - _TIE_BAND))
+                              & ((near.sum(axis=1) > 1) | (tops <= threshold * (1.0 + _TIE_BAND))))
+        if len(tied):
+            variables[tied], sums = ambient_argmax(frees, rows, tied, near)
+            tops[tied] = sums * (unit * unit)
+        return variables, tops
+
+    def top(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return scaled_top(frees, *_coefficients(rows, powers, n))
+
+    def analyze(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        rows, unit = _coefficients(rows, powers, n)
+        squares = np.square(rows, out=prod[:rows.size].reshape(rows.shape), dtype=np.float64)
+        profiles = _degree_weights(squares)
+        profiles *= unit * unit
+        stabs = profiles @ stab_powers[:frees.shape[1] + 1]
+        return (rows[:, 0] * unit, stabs, *scaled_top(frees, rows, unit), profiles)
 
     def split(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, ...]:
         # runs of rows in which js[r] has one rank k (a homogeneous round is one
@@ -314,8 +385,7 @@ def _analyzer(n: int, delta: float, eps: float):
         children = np.empty((len(rows), 2, half_size), rows.dtype)
         sums = np.empty(len(rows))
         ranks = (frees < js[:, None]).sum(axis=1)
-        bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(rows)]
-        for a, b in zip(bounds, bounds[1:]):
+        for a, b in _runs(ranks):
             k = int(ranks[a])
             h = rows[a:b].reshape(-1, half_size >> k, 2, 1 << k)
             upper, unit = _coefficients(h[:, :, 1, :], powers, n)
@@ -328,6 +398,7 @@ def _analyzer(n: int, delta: float, eps: float):
         rest = frees[frees != js[:, None]].reshape(len(rows), -1)
         return np.repeat(rest, 2, axis=0), children.reshape(2 * len(rows), -1), sums * (unit * unit)
 
+    analyze.top = top
     analyze.split = split
     return analyze
 
@@ -345,17 +416,20 @@ def has_small_noisy_influences(f: BooleanFunction, eps: float, delta: float) -> 
     """ok iff every coordinate's noisy influence is at most eps.
 
     On failure reports the argmax-influence coordinate and its influence,
-    decided by the drivers' rule (``_TIE_BAND``): near-ties are re-summed
-    over the ambient 2^n layout, and the lowest index wins among equal
-    ambient sums.  Exact ties can round apart there: on tribes(4, 6), whose
-    24 influences are equal, the violator is 16, not 0 (ROADMAP.md, item 1).
-    Values within INFLUENCE_SLACK above eps count as small.
+    decided by the drivers' rule (``_TIE_BAND``) from the same fold sums
+    and tie step (``_analyzer``'s ``top``), with no degree profile:
+    near-ties are re-summed over the ambient 2^n layout, and the lowest
+    index wins among equal ambient sums.  Exact ties can round apart there:
+    on tribes(4, 6), whose 24 influences are equal, the violator is 16, not
+    0 (ROADMAP.md, item 1).  Values within INFLUENCE_SLACK above eps count
+    as small.  It holds the spectrum and one 2^n array of doubles, and a
+    2^(n-1) tie scratch only if a near-tie is re-summed.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    _, _, variables, tops, _ = _analyzer(f.n, delta, eps)(np.arange(f.n).reshape(1, -1),
-                                                          _spectrum(f).reshape(1, -1))
+    spectrum = _spectrum(f).reshape(1, -1)  # before the analyzer's buffer, for a lower peak
+    variables, tops = _analyzer(f.n, delta, eps).top(np.arange(f.n).reshape(1, -1), spectrum)
     if _bad(tops[0], eps):
         return InfluenceVerdict(False, int(variables[0]), float(tops[0]))
     return InfluenceVerdict(True)

@@ -47,10 +47,11 @@ Any other table, -0.0 entries included, keeps float64 rows, and so does
 the float64 spectrum that ``check_quasi_mist`` hands the loop.  A driver call
 holds, besides f: one product buffer (2^n doubles of scratch, allocated
 once, so no leaf costs a 2^n temporary, and no 2^n weight table is held:
-each batch's weights are gathered into it), a half-size buffer, the tie
-rule's only state, which is zero between leaves and touched only by the
-ambient sums, and at most two arrays of rows, a pass's and its split, 2^n
-values each (half a table each as counts).
+each batch's weights are gathered into it), the tie rule's scratch (2^(n-1)
+doubles, allocated at the first leaf that the rule sends to the ambient
+sums, and holding nothing between batches), and at most two arrays of
+rows, a pass's and its split, 2^n values each (half a table each as
+counts).
 
 Each leaf's statistics carry its degree profile W^k = sum over |S| = k of
 ghat(S)^2, k = 0 .. m, from which Stab_rho = sum_k rho^k W^k at any rho

@@ -9,9 +9,12 @@ paths can be compared with them exactly: the reference decomposition
 drivers keep the per-pass design (a fresh transform of every leaf table,
 mask-gather influences, one tree walk per split) on the library's tree
 primitives, ``per_subset_max_mean_shift`` the one-reduction-per-subset
-restriction search, and ``RefNode`` the node-graph decision tree (one
+restriction search, ``RefNode`` the node-graph decision tree (one
 object per internal node, a split rebuilding the path above each split
-leaf) that the library's leaf-sequence trees are checked against.
+leaf) that the library's leaf-sequence trees are checked against, and
+``half_buffer_sum`` the tie rule's scatter of a candidate's masks into a
+zeroed half buffer, next to ``pairwise_sum``, numpy's summation order in
+Python, on which the batched ambient sums rely.
 """
 
 from __future__ import annotations
@@ -280,6 +283,47 @@ def _int_sizes(size: int) -> np.ndarray:
 def power_stability(coeffs: np.ndarray, rho: float) -> float:
     """sum_S rho^|S| coeff(S)^2 with a 2^n-entry power array."""
     return float(np.sum(np.float64(rho) ** _int_sizes(coeffs.size) * coeffs * coeffs))
+
+
+def half_buffer_sum(n: int, free, products: np.ndarray, k: int) -> float:
+    """The ambient sum of variable c = free[k] as the leaf kernel once took
+    it: the compact products over the ascending variables ``free`` whose
+    masks hold c, scattered into a zeroed buffer of 2^(n-1) doubles at their
+    masks without c's bit (position v - (v > c) for variable v), and summed
+    by ``ndarray.sum``."""
+    c = free[k]
+    index = np.arange(len(products))
+    masks = np.zeros(len(products), dtype=np.int64)
+    for j, v in enumerate(free):
+        if j != k:
+            masks |= ((index >> j) & 1) << (v - (v > c))
+    holds = (index >> k) & 1 == 1
+    half = np.zeros(1 << (n - 1))
+    half[masks[holds]] = products[holds]
+    return float(half.sum())
+
+
+def in_order(total: float, values: list[float]) -> float:
+    """total + values[0] + values[1] + ..., one rounded add at a time."""
+    for v in values:
+        total += v
+    return total
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """numpy's float64 summation order on runs of 2^p entries, in Python: a
+    run of 256 or more is the sum of its two halves; a run of 8 to 128 is
+    eight stride-8 lanes, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); a
+    shorter run is added in order.  ``ndarray.sum`` starts from 0.0.  Every
+    add is an explicit ``+``: the builtin ``sum`` of floats compensates its
+    rounding (Neumaier) since Python 3.12, so it would not add in order."""
+    if len(values) < 8:
+        return in_order(0.0, values)
+    if len(values) <= 128:
+        r = [in_order(values[j], values[j + 8::8]) for j in range(8)]
+        return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    half = len(values) // 2
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
 def mask_gather_influences(coeffs: np.ndarray, delta: float) -> np.ndarray:

@@ -163,17 +163,19 @@ def peak_tables(fn, n: int) -> float:
 
 
 def test_plain_driver_holds_int32_spectra():
-    # the product buffer (a table), the half buffer, and the root counts and
-    # their split (half a table each): 2.5 tables; a 2^n weight table took
-    # one more, and float64 spectra another
+    # the product buffer (a table), and the root counts and their split
+    # (half a table each): 2 tables, as no tie allocates the tie scratch
+    # (half a table); a 2^n weight table took one more, and float64 spectra
+    # another
     f = dictator(18, 0)
     assert peak_tables(lambda: decompose(f, RegularityParams(0.05, 0.3, 0.05)), 18) <= 2.6
 
 
 def test_has_small_analyses_the_counts():
-    # the product buffer, the half buffer and the counts, plus the degree
-    # sums' temporaries: 2.23 tables; a 2^n weight table took one more, and
-    # the float64 spectrum half another
+    # the product buffer and the counts, as all_noisy_influences holds
+    # them: 1.54 tables, with no degree sums and, as no tie reaches the
+    # ambient sums, no tie scratch; with those it took 2.23 tables, and a
+    # 2^n weight table and a float64 spectrum took 1.5 more
     f = random_pm_one(18, 5)
-    assert peak_tables(lambda: has_small_noisy_influences(f, 1e-6, 0.3), 18) <= 2.3
+    assert peak_tables(lambda: has_small_noisy_influences(f, 1e-6, 0.3), 18) <= 1.6
 

@@ -36,6 +36,7 @@ from boolreg import (
     singleton,
     split_leaves,
     stability,
+    subset_sizes,
     to_dot,
     to_zero_one,
     tree_depth,
@@ -429,6 +430,28 @@ def test_a_split_copies_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("f, depth, tables", [(dictator(18, 0), 1, 2.753), (random_pm_one(18, 0), 6, 2.247)],
+                         ids=["dictator", "depth-6"])
+def test_energy_holds_the_spectra_and_one_batch(f, depth, tables):
+    # the level's compact spectra and the product buffer are a table each;
+    # the tables are transformed in batches of 32 KiB, or one leaf at a time
+    # if larger: on the dictator tree, whose leaves hold 2^17 entries, the
+    # leaf's transform and its scratch add 0.75 of a table.  A level
+    # transformed as one array peaked at 3.32 tables on both trees, and the
+    # per-leaf transforms beside a half buffer at 3.25 and 2.75
+    t = singleton(f)
+    for v in range(depth):
+        t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), v))
+    subset_sizes(18)
+    tracemalloc.start()
+    try:
+        energy(t, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (tables + 0.05) * 8 * (1 << 18)
 
 
 def test_leaf_fn_holds_one_table():

@@ -71,6 +71,24 @@ def test_blocked_butterfly_is_the_radix2_loop_bit_for_bit(values, block_bits, da
     assert same_bits(out, radix2_butterfly(values))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 9), st.integers(1, 5), st.data())
+def test_a_batch_of_tables_is_transformed_column_by_column(n, tables, block_bits, data):
+    # dtree._analyses transforms a depth's leaf tables as the columns of one
+    # array; each column gets the radix-2 loop's bits, whatever the count of
+    # tables (not a power of two too) and the blocking it leads to
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    columns = np.array([real_table(rng, n) for _ in range(tables)])
+    strip_bits = data.draw(st.integers(0, block_bits))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boolfn, "_BLOCK_BITS", block_bits)
+        mp.setattr(boolfn, "_STRIP_BITS", strip_bits)
+        out = boolfn._butterfly(columns.T, tables=tables)
+    assert out.flags.c_contiguous
+    for column, values in zip(out.T, columns):
+        assert same_bits(np.ascontiguousarray(column), radix2_butterfly(values))
+
+
 @pytest.mark.parametrize("n", [18, 19, 20])
 def test_shipped_blocking_is_the_radix2_loop_bit_for_bit(n):
     values = real_table(np.random.default_rng(n), n)
