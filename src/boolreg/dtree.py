@@ -10,6 +10,9 @@ A leaf's table is a read-only view of the root table at the leaf's fixed
 bits: its sub-cube of 2^(n-d) values (O'Donnell, Analysis of Boolean
 Functions, section 3.3).  A split indexes its parent's view once per child,
 so no split copies a value, and every tree over f holds f's table alone.
+
+The tree statistics read one ``noise.LeafStats`` of every leaf in
+``leaves`` order (``_analysis``), the layout a decomposition's result has.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boolfn import BooleanFunction, _butterfly, _cube, _handover
-from .noise import _analyzer, _bad, _check_delta
+from .noise import LeafStats, _analyzer, _bad, _check_delta
 
 _BATCH_BITS = 12  # a depth's tables are transformed in batches of 2^12 entries (32 KiB)
 
@@ -189,17 +192,45 @@ def _spectra(level: list[Leaf], m: int) -> np.ndarray:
     return rows
 
 
-def _analyses(t: DecisionTree, eps: float, delta: float) -> Iterator[tuple[int, list[Leaf], tuple]]:
-    """Each depth's leaves with the drivers' analysis (``noise._analyzer``)
-    of their compact spectra (``_spectra``), all leaves of a depth in one
-    batch."""
-    by_depth: dict[int, list[Leaf]] = {}
-    for leaf in t.leaves:
-        by_depth.setdefault(len(leaf.fixed), []).append(leaf)
+def _in_leaf_order(t: DecisionTree, parts: list[tuple[np.ndarray, LeafStats]]) -> LeafStats:
+    """The statistics of every leaf of t as one ``LeafStats`` in ``leaves``
+    order, from parts that each give some leaves' ids and their analysis.
+    The profiles are zero-padded to n + 1 columns: W^k = 0 beyond a leaf's
+    m free variables."""
+    count = len(t.leaves)
+    position = np.empty(t.next_leaf_id, np.int64)
+    position[np.fromiter((leaf.id for leaf in t.leaves), np.int64, count)] = np.arange(count)
+    stats = LeafStats(*(np.empty(count, a.dtype) for a in parts[0][1][:-1]), np.zeros((count, t.n + 1)))
+    for ids, part in parts:
+        at = position[ids]
+        for into, values in zip(stats[:-1], part[:-1]):
+            into[at] = values
+        stats.profiles[at, :part.profiles.shape[1]] = part.profiles
+    return stats
+
+
+def _masses(t: DecisionTree) -> np.ndarray:
+    """Each leaf's mass 2^-depth, in ``leaves`` order."""
+    return np.ldexp(1.0, [-len(leaf.fixed) for leaf in t.leaves])
+
+
+def _analysis(t: DecisionTree, eps: float, delta: float) -> LeafStats:
+    """The drivers' analysis (``noise._analyzer``) of every leaf, in
+    ``leaves`` order: a depth's leaves in one batch of compact spectra
+    (``_spectra``), their free variables from one array of the fixed ones."""
+    ids = np.fromiter((leaf.id for leaf in t.leaves), np.int64, len(t.leaves))
+    depths = np.fromiter((len(leaf.fixed) for leaf in t.leaves), np.int64, len(t.leaves))
+    fixed = np.zeros((len(t.leaves), t.n), bool)
+    fixed[np.repeat(np.arange(len(t.leaves)), depths),
+          np.fromiter(itertools.chain.from_iterable(leaf.fixed for leaf in t.leaves), np.int64)] = True
     analyze = _analyzer(t.n, delta, eps)
-    for depth, level in by_depth.items():
-        frees = np.array([leaf.free for leaf in level], dtype=np.int64).reshape(len(level), t.n - depth)
-        yield depth, level, analyze(frees, _spectra(level, t.n - depth))
+    parts = []
+    for depth in dict.fromkeys(depths.tolist()):
+        at = np.flatnonzero(depths == depth)
+        frees = np.nonzero(~fixed[at])[1].reshape(len(at), t.n - depth)  # ascending in each row
+        level = [t.leaves[i] for i in at.tolist()]
+        parts.append((ids[at], analyze(frees, _spectra(level, t.n - depth))))
+    return _in_leaf_order(t, parts)
 
 
 def energy(t: DecisionTree, delta: float) -> float:
@@ -207,8 +238,7 @@ def energy(t: DecisionTree, delta: float) -> float:
     each read from the leaf's degree profile."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return float(sum(2.0 ** -depth * sum(stabs.tolist())
-                     for depth, _, (_, stabs, *_) in _analyses(t, np.inf, delta)))
+    return float(_masses(t) @ _analysis(t, np.inf, delta).stabs)
 
 
 def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
@@ -218,26 +248,23 @@ def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    return float(sum(2.0 ** -depth * int(np.count_nonzero(_bad(tops, eps)))
-                     for depth, _, (_, _, _, tops, _) in _analyses(t, eps, delta)))
+    return float(_masses(t)[_bad(_analysis(t, eps, delta).max_influences, eps)].sum())
 
 
-def _dot(t: DecisionTree, lo: int, hi: int, depth: int, tops: dict[int, float],
+def _dot(t: DecisionTree, lo: int, hi: int, depth: int, stats: LeafStats,
          lines: list[str], names: Iterator[int]) -> str:
     """Append the DOT lines of the node at ``depth`` over t.leaves[lo:hi]
     to ``lines`` and return its name, drawn from ``names`` in preorder;
-    ``tops`` holds each leaf's maximum noisy influence by id."""
+    ``stats`` holds the leaves' analysis in ``leaves`` order."""
     name = f"n{next(names)}"
     if hi - lo == 1:
-        leaf = t.leaves[lo]
-        lines.append(f'  {name} [shape=box, label="L{leaf.id}\\ndepth={depth}'
-                     f'\\nmean={float(np.mean(leaf.table.reshape(-1))):.6g}'
-                     f'\\nmax_inf={tops[leaf.id]:.6g}"];')
+        lines.append(f'  {name} [shape=box, label="L{t.leaves[lo].id}\\ndepth={depth}'
+                     f'\\nmean={stats.means[lo]:.6g}\\nmax_inf={stats.max_influences[lo]:.6g}"];')
         return name
     var, mid = _branch(t, lo, hi, depth)
     lines.append(f'  {name} [label="x{var + 1}"];')
-    plus = _dot(t, lo, mid, depth + 1, tops, lines, names)
-    minus = _dot(t, mid, hi, depth + 1, tops, lines, names)
+    plus = _dot(t, lo, mid, depth + 1, stats, lines, names)
+    minus = _dot(t, mid, hi, depth + 1, stats, lines, names)
     lines.append(f'  {name} -> {plus} [label="+1"];')
     lines.append(f'  {name} -> {minus} [label="-1"];')
     return name
@@ -247,8 +274,6 @@ def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
     lines = ["digraph dtree {"]
-    tops = {leaf.id: top for _, level, (*_, level_tops, _) in _analyses(t, np.inf, delta)
-            for leaf, top in zip(level, level_tops.tolist())}
-    _dot(t, 0, len(t.leaves), 0, tops, lines, itertools.count())
+    _dot(t, 0, len(t.leaves), 0, _analysis(t, np.inf, delta), lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,14 +10,17 @@ independent sampling cross-check.  The noisy influence of coordinate i is
 the stability of the directional derivative D_i f, equivalently
 sum_{S containing i} rho^(|S|-1) fhat(S)^2 at rho = 1 - delta.
 
-Every influence vector is summed by ``_fold_sums``, and every argmax
-variable and small-influence decision is taken by ``_analyzer`` under one
-rule (``_TIE_BAND``): the drivers', ``dtree``'s and the predicate's alike.
+Every influence vector is summed by the one fold of ``_analyzer``
+(``_fold_sums``), and every argmax variable and small-influence decision is
+taken by it under one rule (``_TIE_BAND``): the public influences', the
+drivers', ``dtree``'s and the predicate's alike.  It returns a batch of
+leaves as one ``LeafStats`` of arrays, the layout every consumer reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,16 +128,11 @@ def _fold_sums(weighted: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_stability(profile: np.ndarray | tuple[float, ...], rho: float) -> float:
-    """sum_k rho^k W^k over a degree profile W^0 .. W^m."""
-    return float(np.asarray(profile) @ _powers(rho, len(profile) - 1))
-
-
 def stability(g: FourierExpansion, rho: float) -> float:
     """sum over masks S of rho^|S| * coeff(S)^2, read as sum_k rho^k W^k from
     the spectrum's degree profile; lies in [0, E[f^2]]."""
     _check_rho(rho)
-    return _profile_stability(g.profile, rho)
+    return float(g.profile @ _powers(rho, g.n))
 
 
 def stability_mc(f: BooleanFunction, rho: float, samples: int, seed: int) -> float:
@@ -171,30 +169,19 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
     return est, float(np.sqrt(var / samples))
 
 
-def _folded_influences(coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """The noisy influences of a spectrum (``_coefficients``), in one array
-    of 2^n doubles, into which the weights are gathered and multiplied."""
-    n = coeffs.size.bit_length() - 1
-    powers = _influence_powers(delta, n)
-    coeffs, unit = _coefficients(coeffs, powers, n)
-    weights = _gather_weights(powers, n, np.empty(coeffs.size))
-    influences = _fold_sums(_weighted_squares(coeffs, weights, weights).reshape(1, -1))[0]
-    influences *= unit * unit
-    return influences
-
-
 def expansion_influences(g: FourierExpansion, delta: float) -> np.ndarray:
     """Vector of (1-delta)-noisy influences computed from a spectrum: its
     squares weighted by (1-delta)^(|S|-1), folded."""
     _check_delta(delta)
-    return _folded_influences(g.coeffs, delta)
+    return _analyzer(g.n, delta, np.inf).influences(g.coeffs.reshape(1, -1))[0]
 
 
 def all_noisy_influences(f: BooleanFunction, delta: float) -> np.ndarray:
     """Noisy influences of every coordinate, computed from one transform
     (``boolfn._spectrum``), in 2^n doubles besides the spectrum."""
     _check_delta(delta)
-    return _folded_influences(_spectrum(f), delta)
+    spectrum = _spectrum(f).reshape(1, -1)  # before the analyzer's buffer, for a lower peak
+    return _analyzer(f.n, delta, np.inf).influences(spectrum)[0]
 
 
 def noisy_influence(f: BooleanFunction, i: int, delta: float) -> float:
@@ -208,31 +195,21 @@ def _bad(max_influence: float | np.ndarray, eps: float) -> bool | np.ndarray:
     return max_influence > eps + INFLUENCE_SLACK
 
 
-@dataclass(frozen=True)
-class LeafStats:
-    """One leaf's analysis: its mean, Stab_{1-delta}, its argmax noisy
-    influence variable with that influence, and its degree profile: W^k =
-    sum over |S| = k of ghat(S)^2 for k = 0 .. m, so that Stab_rho is
-    sum_k rho^k W^k.  ``var`` and whether the leaf is bad follow the rule
-    at ``_TIE_BAND``.  The analysis itself returns arrays (``_analyzer``);
-    ``rows`` views them as one object per leaf where one is wanted.
+class LeafStats(NamedTuple):
+    """The analysis of a batch of leaves, one entry or row per leaf: their
+    means, their Stab_{1-delta}, their argmax noisy influence variables with
+    those influences, and their degree profiles, W^k = sum over |S| = k of
+    ghat(S)^2 for k = 0 .. m, so that Stab_rho is sum_k rho^k W^k (zero
+    beyond a leaf's own m where leaves of several depths are padded to one
+    width).  The variables and which leaves are bad (``_bad``) follow the
+    rule at ``_TIE_BAND``.
     """
 
-    mean: float
-    stab: float
-    var: int
-    max_influence: float
-    profile: tuple[float, ...]
-
-    def bad(self, eps: float) -> bool:
-        """Fails the small-influence test (``_bad``)."""
-        return _bad(self.max_influence, eps)
-
-    @classmethod
-    def rows(cls, batch: tuple[np.ndarray, ...]) -> list[LeafStats]:
-        """One object per row of an analysis batch (``_analyzer``)."""
-        return [cls(mean, stab, var, top, tuple(profile))
-                for mean, stab, var, top, profile in zip(*(a.tolist() for a in batch))]
+    means: np.ndarray
+    stabs: np.ndarray
+    variables: np.ndarray
+    max_influences: np.ndarray
+    profiles: np.ndarray
 
 
 def _runs(key: np.ndarray) -> list[tuple[int, int]]:
@@ -300,18 +277,17 @@ def _analyzer(n: int, delta: float, eps: float):
 
     ``analyze(frees, rows)`` analyses the compact spectra (row r over the
     ascending free variables frees[r], every row over as many) in one batch,
-    in a prefix of the product buffer, and returns the batch as five arrays
-    in ``LeafStats`` field order, one entry or row per leaf: the means, the
-    Stabs, the argmax variables, their influences and the degree profiles.
-    The squares of the rows give each leaf's degree profile
+    in a prefix of the product buffer, and returns the batch as a
+    ``LeafStats``.  The squares of the rows give each leaf's degree profile
     (``_degree_weights``), and its Stab is the profile at rho.  Counts are
     scaled as ``_coefficients`` says.
 
-    ``analyze.top(frees, rows)`` gives the argmax variables and their
-    influences alone, as ``analyze`` does.  The influences are ``_fold_sums``
-    of the weighted squares, whose weights over m variables
+    ``analyze.influences(rows)`` gives each row's noisy influences:
+    ``_fold_sums`` of the weighted squares, whose weights over m variables
     (``_gather_weights``; |S| is the ambient |S|, so each product has the
-    ambient bits) fill the batch's first row.  The rows that the rule at
+    ambient bits) fill the batch's first row.  ``analyze.top(frees, rows)``
+    gives the argmax variables and their influences alone, as ``analyze``
+    does, from the same fold sums.  The rows that the rule at
     ``_TIE_BAND`` sends to the ambient sums have their products formed once
     more, in a prefix of the product buffer, and every (row, candidate) pair
     is summed in one step (``_ambient_sums``); per row the first maximum
@@ -347,12 +323,16 @@ def _analyzer(n: int, delta: float, eps: float):
         best = np.lexsort((-sums, slots))[[a for a, _ in _runs(slots)]]
         return frees[tied[slots[best]], ranks[best]], sums[best]
 
-    def scaled_top(frees: np.ndarray, rows: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
-        batch = prod[:rows.size].reshape(rows.shape)
-        _weighted_squares(rows[1:], _gather_weights(powers, frees.shape[1], batch[0]), batch[1:])
+    def fold(rows: np.ndarray, unit: float) -> np.ndarray:
+        batch = prod[:rows.size].reshape(rows.shape)  # over m = log2(width) variables
+        _weighted_squares(rows[1:], _gather_weights(powers, rows.shape[1].bit_length() - 1, batch[0]), batch[1:])
         _weighted_squares(rows[0], batch[0], batch[0])  # the weights' own row last
         influences = _fold_sums(batch)
         influences *= unit * unit
+        return influences
+
+    def scaled_top(frees: np.ndarray, rows: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
+        influences = fold(rows, unit)
         tops = influences.max(axis=1, initial=0.0)
         variables = (frees[np.arange(len(rows)), influences.argmax(axis=1)] if frees.shape[1]
                      else np.zeros(len(rows), np.int64))
@@ -364,16 +344,19 @@ def _analyzer(n: int, delta: float, eps: float):
             tops[tied] = sums * (unit * unit)
         return variables, tops
 
+    def influences(rows: np.ndarray) -> np.ndarray:
+        return fold(*_coefficients(rows, powers, n))
+
     def top(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return scaled_top(frees, *_coefficients(rows, powers, n))
 
-    def analyze(frees: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    def analyze(frees: np.ndarray, rows: np.ndarray) -> LeafStats:
         rows, unit = _coefficients(rows, powers, n)
         squares = np.square(rows, out=prod[:rows.size].reshape(rows.shape), dtype=np.float64)
         profiles = _degree_weights(squares)
         profiles *= unit * unit
         stabs = profiles @ stab_powers[:frees.shape[1] + 1]
-        return (rows[:, 0] * unit, stabs, *scaled_top(frees, rows, unit), profiles)
+        return LeafStats(rows[:, 0] * unit, stabs, *scaled_top(frees, rows, unit), profiles)
 
     def split(frees: np.ndarray, rows: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, ...]:
         # runs of rows in which js[r] has one rank k (a homogeneous round is one
@@ -398,6 +381,7 @@ def _analyzer(n: int, delta: float, eps: float):
         rest = frees[frees != js[:, None]].reshape(len(rows), -1)
         return np.repeat(rest, 2, axis=0), children.reshape(2 * len(rows), -1), sums * (unit * unit)
 
+    analyze.influences = influences
     analyze.top = top
     analyze.split = split
     return analyze

@@ -29,13 +29,13 @@ Functions, section 3.3).  The leaves held in a pass sit at one depth, so a
 pass is one batch: their spectra are the rows of one array, compact over
 their free variables (at most 2^n values in all), each round splits every
 row and reads its Inf_j in one step of the analysis (``analyze.split``),
-and one analysis of all children, as arrays, ends the pass.  A good leaf
-settles as a ``LeafStats`` and drops its spectrum.  The analysis
-(``noise._analyzer``, the one leaf kernel, and the only code that indexes
-the rows) takes about 3 * 2^m operations per leaf with m free variables
-and decides ties and thresholds by the rule at ``noise._TIE_BAND``, so
-the trees are exactly those that a fresh transform of every leaf table
-would give.
+and one analysis of all children, a ``LeafStats`` of arrays, ends the
+pass.  A good leaf settles its entries of it and drops its spectrum.  The
+analysis (``noise._analyzer``, the one leaf kernel, and the only code that
+indexes the rows) takes about 3 * 2^m operations per leaf with m free
+variables and decides ties and thresholds by the rule at
+``noise._TIE_BAND``, so the trees are exactly those that a fresh transform
+of every leaf table would give.
 
 On a table whose values are all exactly -1.0, +0.0 or 1.0 (every pm_one
 table, and {0,1} and {-1,0,1} tables after a scan of their bits) the rows
@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 from .boolfn import REAL, BooleanFunction, FourierExpansion, _spectrum
-from .dtree import DecisionTree, EnergyLedger, leaves, singleton, split_leaves, tree_depth
+from .dtree import DecisionTree, EnergyLedger, _in_leaf_order, leaves, singleton, split_leaves, tree_depth
 from .noise import LeafStats, _analyzer, _bad
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
@@ -114,9 +114,9 @@ class DecompositionResult:
     iterations: int
     ledger: EnergyLedger
     bad_mass: float
+    leaf_stats: LeafStats  # of the final leaves, in ``leaves`` order
     homogeneous_vars: list[int] = field(default_factory=list)
     exhausted: bool = False  # homogeneous variant ran out of var_cap
-    leaf_stats: dict[int, LeafStats] = field(default_factory=dict)  # by final leaf id
 
 
 def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all: bool,
@@ -128,11 +128,11 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     A pass's state is its level: the leaves it holds, all at one depth, with
     their spectra as the rows of one array in ``leaves`` order (each row's
     free variables in a parallel array) and their statistics as the arrays
-    of one analysis.  Every other leaf is good and final: it settled into
-    ``leaf_stats``, as a ``LeafStats``, and into a running sum of its energy
-    when it left the level, so phi is that sum plus 2^-depth times the
-    level's Stab, and the bad mass is 2^-depth times the number of the
-    level's bad leaves.
+    of one analysis.  Every other leaf is good and final: when it left the
+    level, its id and statistics settled, to be put in ``leaves`` order with
+    the last level's at the end, and its energy went into a running sum, so
+    phi is that sum plus 2^-depth times the level's Stab, and the bad mass
+    is 2^-depth times the number of the level's bad leaves.
 
     ``plan(bad_vars, depth)`` (the bad leaves' argmax variables, in order,
     and their depth) is the split policy: it returns the next pass as a
@@ -154,26 +154,26 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
     ids, frees = np.arange(1), np.arange(f.n).reshape(1, -1)
     rows = (_spectrum(f) if ghat is None else ghat.coeffs).reshape(1, -1)
     del ghat  # the root's rows are freed at its split, unless a caller holds them
-    stats: dict[int, LeafStats] = {}  # the settled leaves, then the last level
+    parts: list[tuple[np.ndarray, LeafStats]] = []  # (ids, stats): the settled leaves, then the last level
     ledger = EnergyLedger()
     iterations, depth, phi, settled, predicted = 0, 0, 0.0, 0.0, 0.0
     while True:  # a pass: analyse the new level and check the tree, then stop or split
         level = analyze(frees, rows)
-        _, stabs, variables, tops, _ = level
-        bad = _bad(tops, p.eps)
+        bad = _bad(level.max_influences, p.eps)
         mass = 2.0 ** -depth
-        previous, phi, bad_mass = phi, settled + mass * sum(stabs.tolist()), mass * int(bad.sum())
+        # Stabs add left to right, as cumsum defines: the builtin sum compensates from Python 3.12 on
+        previous, phi, bad_mass = phi, settled + mass * float(np.cumsum(level.stabs)[-1]), mass * int(bad.sum())
         if phi > bound + _PHI_GUARD:
             raise RuntimeError(f"internal error: energy {phi} exceeds bound {bound}")
         if iterations and abs(phi - previous - p.delta * predicted) > _PHI_GUARD:
             raise RuntimeError(f"internal error: pass {iterations} gained {phi - previous}, but "
                                f"the restriction identity predicts {p.delta * predicted}")
         ledger.record(iterations, phi, depth)
-        if bad_mass <= p.gamma or (rounds := plan(variables[bad], depth)) is None:
+        if bad_mass <= p.gamma or (rounds := plan(level.variables[bad], depth)) is None:
             break
         if not keep_all and not bad.all():  # the good leaves settle; the bad ones are held
-            stats.update(zip(ids[~bad].tolist(), LeafStats.rows([a[~bad] for a in level])))
-            settled += mass * sum(stabs[~bad].tolist())
+            parts.append((ids[~bad], LeafStats(*(a[~bad] for a in level))))
+            settled += mass * float(np.cumsum(level.stabs[~bad])[-1])
             ids, frees, rows = ids[bad], frees[bad], rows[bad]  # one copy
         predicted = 0.0
         for var in rounds:
@@ -185,9 +185,9 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
         iterations += 1
         if iterations > p.budget:
             raise RuntimeError(f"internal error: iteration count passed budget {p.budget}")
-    stats.update(zip(ids.tolist(), LeafStats.rows(level)))
-    return DecompositionResult(t, iterations, ledger, bad_mass, exhausted=bad_mass > p.gamma,
-                               leaf_stats=stats)
+    parts.append((ids, level))
+    return DecompositionResult(t, iterations, ledger, bad_mass, _in_leaf_order(t, parts),
+                               exhausted=bad_mass > p.gamma)
 
 
 def _split_bad_leaves(n: int, p: RegularityParams) -> Callable:
@@ -257,16 +257,10 @@ def tower(k: int) -> int | float:
 def decomposition_report(result: DecompositionResult, p: RegularityParams,
                          homogeneous: bool) -> dict:
     """JSON-ready summary: params, energy trace, and per-leaf statistics."""
-    leaf_rows = []
-    for leaf, depth in leaves(result.tree):
-        stats = result.leaf_stats[leaf.id]
-        leaf_rows.append({
-            "id": leaf.id,
-            "depth": depth,
-            "mass": 2.0 ** -depth,
-            "mean": stats.mean,
-            "max_influence": stats.max_influence,
-        })
+    stats = result.leaf_stats
+    leaf_rows = [{"id": leaf.id, "depth": depth, "mass": 2.0 ** -depth, "mean": mean, "max_influence": top}
+                 for (leaf, depth), mean, top
+                 in zip(leaves(result.tree), stats.means.tolist(), stats.max_influences.tolist())]
     return {
         "params": {"eps": p.eps, "delta": p.delta, "gamma": p.gamma, "budget": p.budget},
         "homogeneous": homogeneous,

@@ -22,10 +22,12 @@ import math
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
+import numpy as np
+
 from .boolfn import PM_ONE, ZERO_ONE, BooleanFunction, _handover, mask_vars, wht
-from .dtree import leaves
+from .dtree import _masses
 from .errors import PreconditionError
-from .noise import _profile_stability, stability
+from .noise import _bad, _powers, stability
 from .quasirandom import is_quasirandom
 from .regularity import _PHI_GUARD, RegularityParams, _decompose, _split_bad_leaves
 
@@ -189,26 +191,17 @@ def check_quasi_mist(f: BooleanFunction, rho: float, p: RegularityParams,
 
     # decompose(f, p) from the spectrum at hand
     result = _decompose(f, p, _split_bad_leaves(f.n, p), keep_all=False, ghat=ghat)
-    bad_term = 0.0
-    good_lambda_term = 0.0
-    lipschitz_term = 0.0
-    leaf_slack_term = 0.0
-    drift_ok = True
-    for leaf, depth in leaves(result.tree):
-        mass = 2.0 ** -depth
-        stats = result.leaf_stats[leaf.id]
-        drift = abs(stats.mean - mu)
-        if drift > 2.0 ** depth * q_eps + 1e-12:
-            drift_ok = False
-        if stats.bad(p.eps):
-            bad_term += mass  # stability of a [0,1]-valued leaf is at most 1
-            continue
-        leaf_stab = _profile_stability(stats.profile, rho)
-        # the exact leaf mean lies in [0, 1]; its rounded half-butterflies may not
-        leaf_lam = quadrant_prob(rho, min(max(stats.mean, 0.0), 1.0))
-        good_lambda_term += mass * lam
-        lipschitz_term += mass * 2.0 * drift
-        leaf_slack_term += mass * (leaf_stab - leaf_lam)
+    stats, masses = result.leaf_stats, _masses(result.tree)
+    drifts = np.abs(stats.means - mu)
+    drift_ok = not np.any(drifts > q_eps / masses + 1e-12)  # q_eps / mass = 2^depth * q_eps
+    good = ~_bad(stats.max_influences, p.eps)
+    leaf_stabs = stats.profiles[good] @ _powers(rho, f.n)
+    # the exact leaf means lie in [0, 1]; their rounded half-butterflies may not
+    leaf_lams = np.array([quadrant_prob(rho, mean) for mean in np.clip(stats.means[good], 0.0, 1.0).tolist()])
+    bad_term = float(masses[~good].sum())  # stability of a [0,1]-valued leaf is at most 1
+    good_lambda_term = float(masses[good].sum() * lam)
+    lipschitz_term = float(masses[good] @ (2.0 * drifts[good]))
+    leaf_slack_term = float(masses[good] @ (leaf_stabs - leaf_lams))
     certified = bad_term + good_lambda_term + lipschitz_term + leaf_slack_term
     if certified < stab - _PHI_GUARD:
         raise RuntimeError(f"internal error: certified bound {certified} is below the stability {stab}")

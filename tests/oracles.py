@@ -14,7 +14,10 @@ object per internal node, a split rebuilding the path above each split
 leaf) that the library's leaf-sequence trees are checked against, and
 ``half_buffer_sum`` the tie rule's scatter of a candidate's masks into a
 zeroed half buffer, next to ``pairwise_sum``, numpy's summation order in
-Python, on which the batched ambient sums rely.
+Python, on which the batched ambient sums rely, and ``reference_mist_terms``
+the per-leaf loop of ``check_quasi_mist`` over fresh leaf transforms.
+``compensated_sum`` is the builtin ``sum`` of Python 3.12 and later, which
+the energies must not depend on.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.special import ndtri, owens_t
 
-from boolreg import leaves, mean, singleton, split_leaves, wht
+from boolreg import all_noisy_influences, leaves, mean, quadrant_prob, singleton, split_leaves, wht
 from boolreg.noise import INFLUENCE_SLACK
 
 
@@ -310,6 +313,21 @@ def in_order(total: float, values: list[float]) -> float:
     return total
 
 
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` as Python 3.12 and later compute it: ints exactly,
+    floats by Neumaier's compensated summation, the compensation added at
+    the end."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in values):
+        return in_order(start, values)
+    total, compensation = float(start), 0.0
+    for v in map(float, values):
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
+
+
 def pairwise_sum(values: list[float]) -> float:
     """numpy's float64 summation order on runs of 2^p entries, in Python: a
     run of 256 or more is the sum of its two halves; a run of 8 to 128 is
@@ -350,6 +368,31 @@ def _reference_analyze(t, eps: float, delta: float):
             bad.append((leaf, worst))
             bad_mass += 2.0 ** -depth
     return phi, bad, bad_mass
+
+
+def reference_mist_terms(f, tree, rho: float, p, q_eps: float) -> tuple[dict, bool]:
+    """``check_quasi_mist``'s four terms and drift verdict for f's tree, as
+    its per-leaf loop took them: each leaf's mean, profile and influences
+    from a fresh transform of its ambient table."""
+    mu = float(wht(f).coeffs[0])
+    lam = quadrant_prob(rho, mu)
+    terms = dict.fromkeys(["bad_leaves", "good_leaves_lambda", "lipschitz_drift", "good_leaves_slack"], 0.0)
+    drift_ok = True
+    for leaf, depth in leaves(tree):
+        mass = 2.0 ** -depth
+        g = wht(leaf.fn)
+        leaf_mean = float(g.coeffs[0])
+        drift = abs(leaf_mean - mu)
+        if drift > 2.0 ** depth * q_eps + 1e-12:
+            drift_ok = False
+        if all_noisy_influences(leaf.fn, p.delta).max() > p.eps + INFLUENCE_SLACK:
+            terms["bad_leaves"] += mass
+            continue
+        terms["good_leaves_lambda"] += mass * lam
+        terms["lipschitz_drift"] += mass * 2.0 * drift
+        leaf_lam = quadrant_prob(rho, min(max(leaf_mean, 0.0), 1.0))
+        terms["good_leaves_slack"] += mass * (float(g.profile @ rho ** np.arange(f.n + 1)) - leaf_lam)
+    return terms, drift_ok
 
 
 def reference_decompose(f, p) -> dict:

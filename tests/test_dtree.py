@@ -43,8 +43,7 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg.dtree import _analyses
-from boolreg.noise import LeafStats
+from boolreg.dtree import _analysis
 from oracles import (
     RefLeaf,
     brute_restriction_mean,
@@ -577,8 +576,7 @@ def test_leaf_sequence_matches_the_node_graph_tree(n, real, seed, data):
         reference = [ref_evaluate(ref, values, b) for b in range(1 << n)]
         assert [evaluate(t, b) for b in range(1 << n)] == reference
         np.testing.assert_array_equal(evaluate_table(t), reference)
-        stats = {leaf.id: s for _, level, batch in _analyses(t, np.inf, 0.3)
-                 for leaf, s in zip(level, LeafStats.rows(batch))}
-        labels = {leaf.id: f"mean={brute_restriction_mean(values, leaf.fixed):.6g}"
-                           f"\\nmax_inf={stats[leaf.id].max_influence:.6g}" for leaf, _ in expected}
+        tops = _analysis(t, np.inf, 0.3).max_influences.tolist()
+        labels = {leaf.id: f"mean={brute_restriction_mean(values, leaf.fixed):.6g}\\nmax_inf={top:.6g}"
+                  for (leaf, _), top in zip(expected, tops)}
         assert to_dot(t, 0.3) == ref_dot(ref, labels)

@@ -74,7 +74,7 @@ def test_blocked_butterfly_is_the_radix2_loop_bit_for_bit(values, block_bits, da
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 8), st.integers(1, 9), st.integers(1, 5), st.data())
 def test_a_batch_of_tables_is_transformed_column_by_column(n, tables, block_bits, data):
-    # dtree._analyses transforms a depth's leaf tables as the columns of one
+    # dtree._spectra transforms a depth's leaf tables as the columns of one
     # array; each column gets the radix-2 loop's bits, whatever the count of
     # tables (not a power of two too) and the blocking it leads to
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))

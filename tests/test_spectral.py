@@ -44,11 +44,12 @@ from boolreg import (
     wht,
 )
 from boolreg import boolfn, noise, regularity, stablest
+from boolreg.dtree import _analysis
 from boolreg.noise import (
     INFLUENCE_SLACK,
-    LeafStats,
     _ambient_sums,
     _analyzer,
+    _bad,
     _fold_sums,
     _gather_weights,
     _influence_powers,
@@ -218,11 +219,11 @@ def test_kernel_matches_mask_gather_on_large_tables(n):
             FLOAT_TOL * power_stability(coeffs, 1.0 - delta)
         analyze = _analyzer(n, delta, 1e-6)
         for spectrum_free, compact, ambient in spectra:
-            [stats] = LeafStats.rows(analyze(free_rows(spectrum_free), compact.reshape(1, -1)))
+            stats = analyze(free_rows(spectrum_free), compact.reshape(1, -1))
             influences = mask_gather_influences(ambient, delta)
-            assert close(stats.stab, power_stability(ambient, 1.0 - delta))
-            assert stats.var == int(influences.argmax())
-            assert close(stats.max_influence, influences.max())
+            assert close(stats.stabs[0], power_stability(ambient, 1.0 - delta))
+            assert stats.variables[0] == int(influences.argmax())
+            assert close(stats.max_influences[0], influences.max())
 
 
 @pytest.mark.parametrize("n", [3, 11, 16, 22])
@@ -289,24 +290,33 @@ def test_profile_is_the_exact_degree_weights(f):
 @given(boolean_tables, params, st.booleans())
 def test_leaf_profiles_are_exact_on_boolean_tables(f, p, homogeneous):
     # every partial sum of ghat^2 is an integer over 4^n below 2^53 of them
+    # the profiles are padded to n + 1 columns: W^k = 0 past a leaf's m
     result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
-    for leaf, depth in leaves(result.tree):
-        stats = result.leaf_stats[leaf.id]
+    stats = result.leaf_stats
+    for (leaf, depth), padded_profile, stab in zip(leaves(result.tree), stats.profiles.tolist(), stats.stabs):
         want = exact_profile(leaf.table.ravel())
-        assert len(stats.profile) == f.n - depth + 1
-        assert [w.hex() for w in stats.profile] == [float(w).hex() for w in want]
-        assert sum(stats.profile) == Fraction(int((leaf.table * leaf.table).sum()), leaf.table.size)
-        assert close(stats.stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
+        profile = padded_profile[:f.n - depth + 1]
+        assert len(padded_profile) == f.n + 1 and padded_profile[len(profile):] == [0.0] * depth
+        assert [w.hex() for w in profile] == [float(w).hex() for w in want]
+        assert sum(profile) == Fraction(int((leaf.table * leaf.table).sum()), leaf.table.size)
+        assert close(stab, float(sum(w * Fraction(1.0 - p.delta) ** k for k, w in enumerate(want))))
 
 
 @settings(max_examples=80, deadline=None)
 @given(boolean_tables, params, st.booleans())
 def test_bad_leaf_mass_and_dot_read_the_drivers_leaf_stats(f, p, homogeneous):
+    # the driver's statistics are, field by field, a fresh analysis of its
+    # tree, bit for bit but for the Stabs: a matrix-vector product whose
+    # kernel blocks rows, so that their last bits depend on the batch a leaf
+    # is analysed in (a level in the driver, a depth's final leaves here)
     result = decompose_homogeneous(f, p, f.n) if homogeneous else decompose(f, p)
+    fresh = _analysis(result.tree, p.eps, p.delta)
+    assert batch_bits(result.leaf_stats._replace(stabs=fresh.stabs)) == batch_bits(fresh)
+    np.testing.assert_allclose(result.leaf_stats.stabs, fresh.stabs, rtol=0.0, atol=FLOAT_TOL)
     assert bad_leaf_mass(result.tree, p.eps, p.delta) == result.bad_mass
     labels = re.findall(r'label="L(\d+)\\n[^"]*\\nmax_inf=([^"]*)"', to_dot(result.tree, p.delta))
-    assert dict(labels) == {str(leaf_id): f"{stats.max_influence:.6g}"
-                            for leaf_id, stats in result.leaf_stats.items()}
+    assert dict(labels) == {str(leaf.id): f"{top:.6g}"
+                            for leaf, top in zip(result.tree.leaves, result.leaf_stats.max_influences)}
 
 
 def addressing(n: int) -> BooleanFunction:
@@ -427,17 +437,18 @@ def test_a_batch_over_different_free_sets_gives_each_rows_results(n, data):
     rows = data.draw(arrays(np.float64, (count, 1 << m), elements=elements)) / 2.0 ** (m / 2)
     analyze = _analyzer(n, data.draw(st.sampled_from([0.1, 0.3, 1.0])), 1e-6)
     rest, children, sums = analyze.split(frees, rows, js)
-    batch = LeafStats.rows(analyze(frees, rows))
+    batch = analyze(frees, rows)
     for r in range(count):
         one = slice(r, r + 1)
         rest_alone, children_alone, sums_alone = analyze.split(frees[one], rows[one], js[one])
         assert np.array_equal(rest[2 * r:2 * r + 2], rest_alone)
         assert same_bits(children[2 * r:2 * r + 2], children_alone)
         assert same_bits(sums[one], sums_alone)
-        [alone] = LeafStats.rows(analyze(frees[one], rows[one]))
-        assert (batch[r].mean, batch[r].var, batch[r].max_influence) == (alone.mean, alone.var, alone.max_influence)
-        np.testing.assert_allclose(batch[r].profile, alone.profile, rtol=0.0, atol=FLOAT_TOL)
-        assert close(batch[r].stab, alone.stab)
+        alone = analyze(frees[one], rows[one])
+        assert (batch.means[r], batch.variables[r], batch.max_influences[r]) == \
+            (alone.means[0], alone.variables[0], alone.max_influences[0])
+        np.testing.assert_allclose(batch.profiles[r], alone.profiles[0], rtol=0.0, atol=FLOAT_TOL)
+        assert close(batch.stabs[r], alone.stabs[0])
 
 
 def test_analyzer_holds_its_product_and_half_buffers():
@@ -452,7 +463,7 @@ def test_analyzer_holds_its_product_and_half_buffers():
     tracemalloc.start()
     try:
         analyze = _analyzer(n, 0.3, 1e-6)  # a bad root whose variables all tie: its tie-break runs too
-        assert LeafStats.rows(analyze(frees, root))[0].bad(1e-6)
+        assert _bad(analyze(frees, root).max_influences[0], 1e-6)
         _, children, _ = analyze.split(frees, root, np.array([3]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -460,9 +471,9 @@ def test_analyzer_holds_its_product_and_half_buffers():
     assert peak < 1.8 * 8 * (1 << n) + children.nbytes
 
 
-def stats_bits(stats) -> tuple:
-    """A leaf's statistics, every float as hex."""
-    return (stats.var, *(v.hex() for v in (stats.mean, stats.stab, stats.max_influence, *stats.profile)))
+def batch_bits(batch) -> list:
+    """Each array of an analysis or split batch as its dtype, shape and bytes."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in batch]
 
 
 def padded(f: BooleanFunction, n: int) -> np.ndarray:
@@ -508,13 +519,12 @@ def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
                 got = analyze(frees, spectra)
             ambient += sums.call_count
             want = _analyzer(n, delta, eps)(frees, spectra)
-            assert list(map(stats_bits, LeafStats.rows(got))) == list(map(stats_bits, LeafStats.rows(want)))
+            assert batch_bits(got) == batch_bits(want)
         else:
             js = np.array([data.draw(st.sampled_from(free)) for free in frees.tolist()])
             got = analyze.split(frees, spectra, js)
             want = _analyzer(n, delta, eps).split(frees, spectra, js)
-            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
-                [(a.dtype, a.shape, a.tobytes()) for a in want]
+            assert batch_bits(got) == batch_bits(want)
     assert ambient > 0
 
 
@@ -619,16 +629,16 @@ def check_against_reference(result, want, p):
     assert result.iterations == want["iterations"]
     assert result.homogeneous_vars == want["query_vars"]
     assert result.exhausted == want["exhausted"]
-    assert set(result.leaf_stats) == {leaf.id for leaf, _ in leaves(result.tree)}
-    for leaf, _ in leaves(result.tree):
+    stats = result.leaf_stats
+    assert {len(a) for a in stats} == {len(result.tree.leaves)}
+    for leaf, mean, var, top in zip(result.tree.leaves, stats.means, stats.variables, stats.max_influences):
         coeffs = wht(leaf.fn).coeffs
-        stats = result.leaf_stats[leaf.id]
         influences = mask_gather_influences(coeffs, p.delta)
-        assert stats.mean == float(coeffs[0])
-        assert close(stats.max_influence, float(influences.max()))
-        assert stats.bad(p.eps) == (influences.max() > p.eps + INFLUENCE_SLACK)
-        if stats.bad(p.eps):
-            assert stats.var == int(influences.argmax())
+        assert mean == float(coeffs[0])
+        assert close(top, float(influences.max()))
+        assert _bad(top, p.eps) == (influences.max() > p.eps + INFLUENCE_SLACK)
+        if _bad(top, p.eps):
+            assert var == int(influences.argmax())
 
 
 @settings(max_examples=80, deadline=None)
@@ -684,9 +694,9 @@ def test_threshold_decided_by_the_ambient_sums(f, delta, below, bad):
     weights = _influence_powers(delta, f.n)[subset_sizes(f.n)]
     compact = _fold_sums(((weights * coeffs) * coeffs).reshape(1, -1))
     assert compact.max() != top  # so the band decides this case
-    [stats] = LeafStats.rows(_analyzer(f.n, delta, p.eps)(free_rows(range(f.n)), coeffs.reshape(1, -1)))
-    assert stats.max_influence == top
-    assert stats.bad(p.eps) == bad
+    stats = _analyzer(f.n, delta, p.eps)(free_rows(range(f.n)), coeffs.reshape(1, -1))
+    assert stats.max_influences[0] == top
+    assert _bad(stats.max_influences[0], p.eps) == bad
     result = decompose(f, p)
     assert (result.iterations > 0) == bad
     check_against_reference(result, reference_decompose(f, p), p)
@@ -709,15 +719,16 @@ def test_compact_kernel_matches_power_and_mask_gather(n, data):
     eps = data.draw(st.sampled_from([1e-6, 0.01, 0.1]))
     analyze = _analyzer(n, delta, eps)
     for _ in range(2):  # the second run would see a stale buffer
-        for row, stats in zip(rows, LeafStats.rows(analyze(free_rows(free, r), rows))):
+        stats = analyze(free_rows(free, r), rows)
+        for row, mean, stab, var, top in zip(rows, stats.means, stats.stabs, stats.variables, stats.max_influences):
             ambient = ambient_spectrum(n, free, row)
             influences = mask_gather_influences(ambient, delta)
-            assert stats.mean == row[0]
-            assert close(stats.stab, power_stability(ambient, 1.0 - delta))
-            assert close(stats.max_influence, influences.max())
-            assert stats.bad(eps) == (influences.max() > eps + INFLUENCE_SLACK)
-            if stats.bad(eps):
-                assert stats.var == int(influences.argmax())
+            assert mean == row[0]
+            assert close(stab, power_stability(ambient, 1.0 - delta))
+            assert close(top, influences.max())
+            assert _bad(top, eps) == (influences.max() > eps + INFLUENCE_SLACK)
+            if _bad(top, eps):
+                assert var == int(influences.argmax())
 
 
 def split_points(f, tree):

@@ -28,10 +28,10 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg import stablest
+from boolreg import decompose, stablest
 from boolreg.cli import main
 from boolreg.regularity import _PHI_GUARD
-from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d, quadrant_prob_owens_t
+from oracles import arcsine_quadrant, phi_oracle, quadrant_prob_2d, quadrant_prob_owens_t, reference_mist_terms
 
 
 # --- quantile ---------------------------------------------------------------
@@ -315,6 +315,34 @@ def test_pipeline_takes_fractional_zero_one_tables(g, rho):
     rep = check_quasi_mist(g, rho, RegularityParams(0.02, 0.3, 0.05), 1.0, 0.5)
     assert rep.quasirandom_ok
     assert rep.certified_bound >= rep.stab - _PHI_GUARD
+
+
+@st.composite
+def zero_one_tables(draw):
+    """{0,1} tables, or fractional ones of eighths."""
+    n = draw(st.integers(1, 7))
+    entries = draw(st.sampled_from([(0.0, 1.0), tuple(k / 8 for k in range(9))]))
+    return BooleanFunction(n, draw(arrays(np.float64, 1 << n, elements=st.sampled_from(entries))), ZERO_ONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_tables(), st.sampled_from([0.0, 0.3, 0.9]),
+       st.builds(RegularityParams, eps=st.sampled_from([0.01, 0.05, 0.1]), delta=st.sampled_from([0.1, 0.3, 1.0]),
+                 gamma=st.sampled_from([0.05, 0.25])),
+       st.sampled_from([0.05, 0.3, 0.6, 1.0]))
+def test_pipeline_terms_are_the_per_leaf_loops(g, rho, p, q_eps):
+    # the terms, summed over arrays of the driver's leaf statistics, against
+    # the loop over fresh transforms of every leaf table that they replace
+    rep = check_quasi_mist(g, rho, p, q_eps, 0.5)
+    if not rep.quasirandom_ok:
+        assert rep.terms is None
+        return
+    terms, drift_ok = reference_mist_terms(g, decompose(g, p).tree, rho, p, q_eps)
+    assert rep.terms.keys() == terms.keys()
+    for key, value in terms.items():
+        assert abs(rep.terms[key] - value) <= 1e-12, key
+    assert abs(rep.certified_bound - sum(terms.values())) <= 1e-12
+    assert rep.drift_ok == drift_ok
 
 
 def test_pipeline_validation():
