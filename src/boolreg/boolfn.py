@@ -16,9 +16,12 @@ Variable indices are 0-based throughout the library.  User-facing output
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import IO, Iterable
@@ -216,6 +219,54 @@ def _degree_weights(squares: np.ndarray) -> np.ndarray:
     return _degree_weights(by_low).reshape(rows, -1) @ _diagonal_matrix(b, m - b)
 
 
+# The CPUs this process may run on, read once: the butterfly gives each one
+# a share of a table of at least _PARALLEL_ENTRIES entries.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_PARALLEL_ENTRIES = 1 << 21
+
+
+def _in_parallel(task, parts: int, workers: int) -> None:
+    """task(w, start, stop) for the w-th of min(workers, parts) contiguous
+    shares [start, stop) of range(parts): share 0 in the caller, the others
+    on threads, each under a copy of the caller's context (so numpy's error
+    state holds in them too).  A share whose thread cannot start runs in the
+    caller.  Every thread is joined before the first share's error, if any,
+    is raised.  A task calls only numpy and its own module's functions: the
+    benchmark's tracer (bench/spans.py) wraps cross-module bindings with one
+    span stack, which threads must not share.
+    """
+    shares = min(workers, parts)
+    if shares <= 1:
+        task(0, 0, parts)
+        return
+    bounds = [parts * w // shares for w in range(shares + 1)]
+    errors: list[BaseException | None] = [None] * shares
+
+    def run(w: int) -> None:
+        try:
+            task(w, bounds[w], bounds[w + 1])
+        except BaseException as exc:  # raised in the caller, after the joins
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, shares):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, w))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had
+                run(w)
+            else:
+                threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 _BLOCK_BITS = 16  # the low stages run on contiguous blocks of 2^16 doubles (512 KiB)
 _STRIP_BITS = 12  # the high stages run on strips of 2^12 columns (32 KiB rows)
 
@@ -250,15 +301,25 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
     ceil(log2 t)), or 0 if that is negative, the low b stages (index bits
     0 .. b-1) run on each contiguous block of 2^b rows (2^b * t entries) in
     turn; the high n - b stages run on the (2^(n-b), 2^b * t) view of the
-    array, one strip of columns at a time.  The only other memory is one
-    scratch array of max(2^b * t, 2^(n-b) * strip width) entries.
+    array, one strip of columns (at most 2^_STRIP_BITS) at a time.  The
+    only other memory is one scratch array of max(2^b * t, 2^(n-b) * strip
+    width) entries.
+
+    An array of _PARALLEL_ENTRIES entries or more is shared among k =
+    ``_WORKERS`` workers (``_in_parallel``): the blocks, and then the
+    strips, are independent, so each worker takes a contiguous share of
+    them, in its own slot of the same scratch array.  The strips are
+    narrowed to a power of two until k of them fit in it, so the scratch
+    keeps its size, whatever k; as many workers run the blocks as blocks
+    fit in it.
 
     Radix-2 keeps every bit.  Each stage maps a pair (u, v) of entries that
     differ in one index bit to (u + v, u - v), and the stages run in bit
     order 0 .. n-1 for every entry, so each output is the result of the
     same sequence of float64 adds and subtracts as the textbook in-place
-    butterfly (h = 1, 2, 4, ...), whatever the blocking and the batch: the
-    output is bit-identical to it on every input, real tables included.
+    butterfly (h = 1, 2, 4, ...), whatever the blocking, the batch and the
+    number of workers: the output is bit-identical to it on every input,
+    real tables included.
 
     int32 is exact on tables of -1, 0 and 1 (``_counts``): every partial
     sum is then an integer of magnitude at most 2^n <= 2^24, so no order of
@@ -272,14 +333,29 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
     rows, block = 1 << (n - b), tables << b
     width = min(block, 1 << _STRIP_BITS)
     scratch = np.empty(max(block, rows * width), dtype)
-    low = scratch[:block].reshape(-1, tables)
-    for part in grid.reshape(rows, 1 << b, tables):
-        _stages(part, low)
+    k = _WORKERS if a.size >= _PARALLEL_ENTRIES else 1
+    # the strips narrow to a power of two until k of them fit in the scratch
+    width = min(width, 1 << max((scratch.size // (k * rows)).bit_length() - 1, 0))
+
+    def low_stages(w: int, start: int, stop: int) -> None:
+        low = scratch[w * block:(w + 1) * block].reshape(-1, tables)
+        for part in grid[start << b:stop << b].reshape(-1, 1 << b, tables):
+            _stages(part, low)
+
+    def strips(w: int, start: int, stop: int) -> None:
+        slot = scratch[w * rows * width:(w + 1) * rows * width]
+        with np.errstate():  # restores the buffer size
+            # numpy buffers (2^13 entries per operand) the strided operands
+            # of a stage whose rows are shorter than half its buffer
+            np.setbufsize(max(2 * width, 16))
+            for c in range(start * width, min(stop * width, block), width):
+                strip = columns[:, c:c + width]
+                _stages(strip, slot[:strip.size].reshape(strip.shape))
+
+    _in_parallel(low_stages, rows, min(k, scratch.size // block))
     if rows > 1:
-        grid = grid.reshape(rows, block)
-        for c in range(0, block, width):
-            strip = grid[:, c:c + width]
-            _stages(strip, scratch[:strip.size].reshape(strip.shape))
+        columns = grid.reshape(rows, block)
+        _in_parallel(strips, -(-block // width), min(k, scratch.size // (rows * width)))
     return a
 
 

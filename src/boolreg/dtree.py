@@ -180,7 +180,9 @@ def _spectra(level: list[Leaf], m: int) -> np.ndarray:
     The tables are transformed as the columns of batches of at most
     max(2^_BATCH_BITS entries, one table), so that beside the rows only one
     batch and its transform are held: one copy of a level would cost as
-    much as the rows."""
+    much as the rows.  A one-entry table is its own spectrum."""
+    if m == 0:
+        return np.fromiter((leaf.table.item() for leaf in level), np.float64, len(level)).reshape(-1, 1)
     rows = np.empty((len(level), 1 << m))
     group = max(1 << _BATCH_BITS >> m, 1)
     for g in range(0, len(level), group):

@@ -152,14 +152,17 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     flip_prob = (1.0 - rho) / 2.0
-    bit_weights = 1 << np.arange(f.n, dtype=np.int64)
+    # float64 powers of two: sums of distinct ones below 2^n are exact, so the
+    # float product (which BLAS runs; numpy loops over an int64 one) gives
+    # each flip mask exactly
+    bit_weights = np.ldexp(1.0, np.arange(f.n))
     total = 0.0
     total_sq = 0.0
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
         x = rng.integers(0, f.size, size=chunk, dtype=np.int64)
-        flips = (rng.random((chunk, f.n)) < flip_prob).astype(np.int64) @ bit_weights
+        flips = ((rng.random((chunk, f.n)) < flip_prob) @ bit_weights).astype(np.int64)
         prods = f.values[x] * f.values[x ^ flips]
         total += float(prods.sum())
         total_sq += float((prods * prods).sum())

@@ -17,7 +17,8 @@ zeroed half buffer, next to ``pairwise_sum``, numpy's summation order in
 Python, on which the batched ambient sums rely, and ``reference_mist_terms``
 the per-leaf loop of ``check_quasi_mist`` over fresh leaf transforms.
 ``compensated_sum`` is the builtin ``sum`` of Python 3.12 and later, which
-the energies must not depend on.
+the energies must not depend on.  ``int_mask_stability_mc`` is the
+Monte-Carlo estimator with its flip masks formed by an int64 product.
 """
 
 from __future__ import annotations
@@ -516,3 +517,24 @@ def ref_dot(root, labels: dict[int, str]) -> str:
 
     walk(root, 0)
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def int_mask_stability_mc(f, rho: float, samples: int, seed: int, chunk: int = 1 << 16) -> tuple[float, float]:
+    """``stability_mc_detail`` as it was, with each chunk's flip masks the
+    int64 product of the flip booleans and the powers 2^i (not run by BLAS):
+    the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    flip_prob = (1.0 - rho) / 2.0
+    bit_weights = 1 << np.arange(f.n, dtype=np.int64)
+    total = total_sq = 0.0
+    remaining = samples
+    while remaining > 0:
+        size = min(remaining, chunk)
+        x = rng.integers(0, f.size, size=size, dtype=np.int64)
+        flips = (rng.random((size, f.n)) < flip_prob).astype(np.int64) @ bit_weights
+        prods = f.values[x] * f.values[x ^ flips]
+        total += float(prods.sum())
+        total_sq += float((prods * prods).sum())
+        remaining -= size
+    est = total / samples
+    return est, float(np.sqrt(max(total_sq / samples - est * est, 0.0) / samples))

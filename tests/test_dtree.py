@@ -400,6 +400,16 @@ def test_leaves_without_free_variables():
     dot = to_dot(t, 0.3)
     assert dot.count("max_inf=0\"") == 32
     assert dot.count("mean=1\\nmax_inf") + dot.count("mean=-1\\nmax_inf") == 32
+    # a one-entry table is its own spectrum: each leaf's mean is its value,
+    # bit for bit (-0.0 and subnormals too), and its Stab the value squared
+    values = np.array([0.5, -0.0, 5e-324, -1.0, 0.25, 1e-310, -0.75, 0.0])
+    t = singleton(BooleanFunction(3, values))
+    for v in range(3):
+        t = split_leaves(t, dict.fromkeys((leaf.id for leaf in t.leaves), v))
+    stats = _analysis(t, np.inf, 0.3)
+    in_order = np.array([leaf.table.item() for leaf in t.leaves])
+    assert stats.means.tobytes() == in_order.tobytes()
+    assert stats.stabs.tobytes() == np.square(in_order).tobytes()
 
 
 @pytest.mark.parametrize("homogeneous", [False, True])

@@ -4,6 +4,7 @@ strip stages run on small tables), wht and inverse_wht, restrict and
 derivative, the families and ``to_zero_one``; and the memory each of them,
 and the influence kernels, holds at its peak."""
 
+import contextlib
 import io
 import math
 import tracemalloc
@@ -60,15 +61,27 @@ def real_table(rng, n):
     return rng.normal(size=1 << n) * 10.0 ** rng.integers(-5, 6, size=1 << n)
 
 
+@contextlib.contextmanager
+def blocking(block_bits: int, strip_bits: int, workers: int):
+    """The butterfly with the given block and strip sizes, shared among
+    ``workers`` from the smallest table on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boolfn, "_BLOCK_BITS", block_bits)
+        mp.setattr(boolfn, "_STRIP_BITS", strip_bits)
+        mp.setattr(boolfn, "_WORKERS", workers)
+        mp.setattr(boolfn, "_PARALLEL_ENTRIES", 1)
+        yield
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_tables(), st.integers(1, 4), st.data())
 def test_blocked_butterfly_is_the_radix2_loop_bit_for_bit(values, block_bits, data):
     strip_bits = data.draw(st.integers(0, block_bits))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boolfn, "_BLOCK_BITS", block_bits)
-        mp.setattr(boolfn, "_STRIP_BITS", strip_bits)
-        out = boolfn._butterfly(values)
-    assert same_bits(out, radix2_butterfly(values))
+    want = radix2_butterfly(values)
+    for workers in (1, 2, 3):  # with shares of every table, down to one entry
+        with blocking(block_bits, strip_bits, workers):
+            out = boolfn._butterfly(values)
+        assert same_bits(out, want), workers
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,13 +93,12 @@ def test_a_batch_of_tables_is_transformed_column_by_column(n, tables, block_bits
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     columns = np.array([real_table(rng, n) for _ in range(tables)])
     strip_bits = data.draw(st.integers(0, block_bits))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boolfn, "_BLOCK_BITS", block_bits)
-        mp.setattr(boolfn, "_STRIP_BITS", strip_bits)
-        out = boolfn._butterfly(columns.T, tables=tables)
-    assert out.flags.c_contiguous
-    for column, values in zip(out.T, columns):
-        assert same_bits(np.ascontiguousarray(column), radix2_butterfly(values))
+    for workers in (1, 2, 3):
+        with blocking(block_bits, strip_bits, workers):
+            out = boolfn._butterfly(columns.T, tables=tables)
+        assert out.flags.c_contiguous
+        for column, values in zip(out.T, columns):
+            assert same_bits(np.ascontiguousarray(column), radix2_butterfly(values)), workers
 
 
 @pytest.mark.parametrize("n", [18, 19, 20])

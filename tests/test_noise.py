@@ -32,7 +32,7 @@ from boolreg import (
     wht,
 )
 from boolreg.noise import INFLUENCE_SLACK, expansion_influences
-from oracles import brute_noisy_influence, brute_stability, mask_gather_influences
+from oracles import brute_noisy_influence, brute_stability, int_mask_stability_mc, mask_gather_influences
 
 
 def test_stability_dictator():
@@ -111,6 +111,17 @@ def test_stability_mc_within_three_sigma():
         exact = stability(wht(f), rho)
         est, stderr = stability_mc_detail(f, rho, 200_000, seed=int(rng.integers(1 << 30)))
         assert abs(est - exact) <= 3.0 * stderr + 1e-12
+
+
+@pytest.mark.parametrize("n, rho, seed", [(1, 0.0, 1), (5, 0.3, 2), (13, 0.9, 3), (20, 0.5, 4)])
+def test_stability_mc_keeps_the_bits_of_the_int64_masks(n, rho, seed):
+    # sums of distinct float64 powers of two below 2^n are exact: the masks,
+    # and so the estimate and its error, are the int64 product's; 70,000
+    # samples are one full chunk and a partial one
+    f = random_pm_one(n, seed)
+    got = stability_mc_detail(f, rho, 70_000, seed)
+    want = int_mask_stability_mc(f, rho, 70_000, seed)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_stability_mc_validation():
