@@ -62,15 +62,6 @@ def subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def _cube(out: np.ndarray, n: int, at: dict[int, int]) -> np.ndarray:
-    """The view of a 2^n array whose index bit v equals ``at[v]`` for every
-    variable in ``at``, shaped (2,) * (number of other variables); its
-    index bit k is the k-th other variable in ascending order."""
-    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
-    index = tuple(at[v] if v in at else slice(None) for v in reversed(range(n)))
-    return out.reshape((2,) * n)[index + (...,)]
-
-
 def _freeze(values: Iterable[float]) -> np.ndarray:
     """A read-only float64 copy of the values; a read-only float64 array
     that owns its data is adopted as it is."""

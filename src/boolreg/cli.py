@@ -143,15 +143,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mist(args) -> int:
+    pipeline_flags = (args.eps, args.delta, args.gamma, args.q_eps, args.q_delta)
+    if None in pipeline_flags and any(v is not None for v in pipeline_flags):  # before f is built
+        raise UsageError("pipeline mode needs all of --eps --delta --gamma --q-eps --q-delta")
     f = parse_function_spec(args.fn)
     if f.range_tag == PM_ONE:
         f = to_zero_one(f)
     elif f.range_tag == REAL:
         raise PreconditionError("mist needs a {-1,+1}- or [0,1]-valued function")
-    pipeline_flags = (args.eps, args.delta, args.gamma, args.q_eps, args.q_delta)
-    if any(v is not None for v in pipeline_flags):
-        if any(v is None for v in pipeline_flags):
-            raise UsageError("pipeline mode needs all of --eps --delta --gamma --q-eps --q-delta")
+    if None not in pipeline_flags:
         p = RegularityParams(eps=args.eps, delta=args.delta, gamma=args.gamma)
         report = check_quasi_mist(f, args.rho, p, args.q_eps, args.q_delta).to_dict()
     else:

@@ -1,15 +1,16 @@
 """Decision trees with subfunction leaves, leaf-mass accounting, and energy.
 
-A tree is its leaves in order, each internal node a run of them (see
-``DecisionTree``).  Trees are persistent: a split returns a new tree sharing
-every untouched leaf.  A leaf at depth d carries mass 2^-d, the probability
-of reaching it by uniformly random decisions from the root.  Leaf ids are
-stable under splits of other leaves.
+A tree is its leaves in left-to-right order, held as arrays (see
+``DecisionTree``), each internal node a run of them.  Trees are persistent:
+a split returns a new tree.  A leaf at depth d carries mass 2^-d, the
+probability of reaching it by uniformly random decisions from the root.
+Leaf ids are stable under splits of other leaves.
 
 A leaf's table is a read-only view of the root table at the leaf's fixed
 bits: its sub-cube of 2^(n-d) values (O'Donnell, Analysis of Boolean
-Functions, section 3.3).  A split indexes its parent's view once per child,
-so no split copies a value, and every tree over f holds f's table alone.
+Functions, section 3.3), built from the masks when it is read (``_views``),
+so no split copies a value.  One array split (``_split``) serves the
+drivers and ``split_leaves``; ``Leaf`` objects are built only by a walk.
 
 The tree statistics read one ``noise.LeafStats`` of every leaf in
 ``leaves`` order (``_analysis``), the layout a decomposition's result has.
@@ -17,7 +18,6 @@ The tree statistics read one ``noise.LeafStats`` of every leaf in
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections.abc import Iterator
@@ -25,16 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, _cube, _handover
+from .boolfn import BooleanFunction, _butterfly, _handover
 from .noise import LeafStats, _analyzer, _bad, _check_delta
 
 _BATCH_BITS = 12  # a depth's tables are transformed in batches of 2^12 entries (32 KiB)
 
 
-@dataclass(frozen=True, eq=False)
 class Leaf:
-    """A subfunction of the root: the root with the variables in ``fixed``
-    (root-to-leaf path, variable -> assigned value, treat as immutable) set.
+    """A leaf of a tree, read from the tree's arrays on access and built
+    afresh by every walk: the root function with the variables in ``fixed``
+    (root-to-leaf path, variable -> assigned value) set.
 
     ``table`` is the read-only view of the root table at the fixed bits,
     shaped (2,) * m for the m free variables: axis a holds the free variable
@@ -42,38 +42,56 @@ class Leaf:
     bits in ascending order.
     """
 
-    id: int
-    table: np.ndarray
-    fixed: dict[int, int]
-    n: int  # ambient arity
-    range_tag: str
+    __slots__ = ("_tree", "_at", "__weakref__")
+
+    def __init__(self, tree: DecisionTree, at: int):
+        self._tree, self._at = tree, at
+
+    id = property(lambda self: int(self._tree.ids[self._at]))
+    n = property(lambda self: self._tree.n)  # ambient arity
+    range_tag = property(lambda self: self._tree.root.range_tag)
+    free = property(lambda self: tuple(_free(self._tree, [self._at])[0].tolist()))
+    table = property(lambda self: _views(self._tree, [self._at], _free(self._tree, [self._at]))[0])
 
     @property
-    def free(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if v not in self.fixed)
+    def fixed(self) -> dict[int, int]:
+        t, at = self._tree, self._at
+        return {v: -1 if t.minus[at] >> v & 1 else 1 for v in t.path[at, :t.depths[at]].tolist()}
 
     @property
     def fn(self) -> BooleanFunction:
         """The subfunction on the ambient cube (constant along the fixed
         variables), built afresh from ``table`` on every access."""
-        shape = tuple(1 if v in self.fixed else 2 for v in reversed(range(self.n)))
+        shape = tuple(1 if self._tree.fixed[self._at] >> v & 1 else 2 for v in reversed(range(self.n)))
         values = np.empty(1 << self.n)
         values.reshape((2,) * self.n)[...] = self.table.reshape(shape)
         return BooleanFunction(self.n, _handover(values), self.range_tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    """A decision tree on n variables as its leaves in left-to-right order.
+    """A decision tree over ``root``: its leaves in left-to-right order, an
+    entry or row of each array (treat as immutable) per leaf.  Row i of
+    ``path`` (n int8 entries) starts with leaf i's depths[i] path variables,
+    then zeros; ``fixed`` and ``minus`` mask its path variables and those
+    set to x = -1 (input bit 1).
 
     The leaves under an internal node at depth d are consecutive and share
-    the first d entries of ``fixed``: entry d is that node's variable, and
-    its plus-branch leaves (x_var = +1, input bit var = 0) come first.
+    their first d path steps: step d is that node's variable, and its
+    plus-branch leaves (x_var = +1, input bit var = 0) come first.
     """
 
-    n: int
-    leaves: tuple[Leaf, ...]
+    root: BooleanFunction
+    ids: np.ndarray
+    depths: np.ndarray
+    path: np.ndarray
+    fixed: np.ndarray
+    minus: np.ndarray
     next_leaf_id: int
+
+    n = property(lambda self: self.root.n)
+    # fresh Leaf objects on every read, as leaves(t) builds them
+    leaves = property(lambda self: tuple(map(Leaf, itertools.repeat(self), range(len(self.ids)))))
 
 
 @dataclass
@@ -95,23 +113,52 @@ class EnergyLedger:
 
 def singleton(f: BooleanFunction) -> DecisionTree:
     """One leaf holding f itself; the starting point of every decomposition."""
-    return DecisionTree(f.n, (Leaf(0, f.values.reshape((2,) * f.n), {}, f.n, f.range_tag),), 1)
+    zero = np.zeros(1, np.int64)
+    return DecisionTree(f, zero, zero.copy(), np.zeros((1, f.n), np.int8), zero.copy(), zero.copy(), 1)
 
 
 def leaves(t: DecisionTree) -> list[tuple[Leaf, int]]:
-    """All (leaf, depth) pairs in left-to-right order (plus branch first)."""
-    return [(leaf, len(leaf.fixed)) for leaf in t.leaves]
+    """All (leaf, depth) pairs in left-to-right order (plus branch first),
+    the leaves built afresh."""
+    return list(zip(t.leaves, t.depths.tolist()))
 
 
 def tree_depth(t: DecisionTree) -> int:
-    return max(len(leaf.fixed) for leaf in t.leaves)
+    return int(t.depths.max())
+
+
+def _free(t: DecisionTree, at) -> np.ndarray:
+    """The free variables of the leaves at positions ``at``, all at one
+    depth: one row each, in ascending order."""
+    return np.nonzero((t.fixed[at, None] >> np.arange(t.n) & 1) == 0)[1].reshape(len(at), -1)
+
+
+def _levels(t: DecisionTree) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each depth's leaf positions and their free variables."""
+    for depth in np.flatnonzero(np.bincount(t.depths)).tolist():
+        at = np.flatnonzero(t.depths == depth)
+        yield at, _free(t, at)
+
+
+def _views(t: DecisionTree, at, frees: np.ndarray, table: np.ndarray | None = None) -> list[np.ndarray]:
+    """The view of ``table`` (a contiguous array of 2^n entries, the root
+    table by default) at the fixed bits of each leaf at positions ``at``,
+    with free variables ``frees``, laid out as ``Leaf.table``: the entries
+    where the free bits vary, from the index that the fixed bits give."""
+    table = t.root.values if table is None else table
+    shape, size = (2,) * frees.shape[1], table.itemsize
+    return [np.ndarray(shape, table.dtype, table, offset, tuple(strides))
+            for offset, strides in zip((t.minus[at] * size).tolist(), (size << frees[:, ::-1]).tolist())]
 
 
 def _branch(t: DecisionTree, lo: int, hi: int, depth: int) -> tuple[int, int]:
     """The variable of the depth-``depth`` internal node whose leaves are
-    t.leaves[lo:hi], and the index where its minus branch starts."""
-    var = next(itertools.islice(t.leaves[lo].fixed, depth, None))
-    return var, bisect.bisect_left(t.leaves, True, lo, hi, key=lambda leaf: leaf.fixed[var] == -1)
+    those at positions lo .. hi-1, and the position where its minus branch
+    starts."""
+    var = int(t.path[lo, depth])
+    if hi - lo == 2:  # one leaf a branch
+        return var, lo + 1
+    return var, lo + int((t.minus[lo:hi] >> var & 1).searchsorted(1))
 
 
 def evaluate(t: DecisionTree, b: int) -> float:
@@ -120,38 +167,49 @@ def evaluate(t: DecisionTree, b: int) -> float:
     b = operator.index(b)
     if not 0 <= b < (1 << t.n):
         raise IndexError(f"input index {b} out of range for n={t.n}")
-    lo, hi, depth = 0, len(t.leaves), 0
+    lo, hi, depth = 0, len(t.ids), 0
     while hi - lo > 1:
         var, mid = _branch(t, lo, hi, depth)
         lo, hi = (mid, hi) if (b >> var) & 1 else (lo, mid)
         depth += 1
-    leaf = t.leaves[lo]
-    return float(leaf.table[tuple((b >> v) & 1 for v in reversed(leaf.free))])
+    return float(t.root.values[b & ~int(t.fixed[lo]) | int(t.minus[lo])])
 
 
 def evaluate_table(t: DecisionTree) -> np.ndarray:
     """Vector of evaluate(t, b) over all 2^n inputs: each leaf's table
     written into the sub-cube of the inputs that reach it."""
     out = np.empty(1 << t.n)
-    for leaf, _ in leaves(t):
-        bits = {v: int(x == -1) for v, x in leaf.fixed.items()}  # x_v = -1 is input bit 1
-        _cube(out, t.n, bits)[...] = leaf.table
+    for at, frees in _levels(t):
+        for leaf, cube in zip(_views(t, at, frees), _views(t, at, frees, out)):
+            cube[...] = leaf
     return out
 
 
-def _split_node(leaf: Leaf, j: int, first_id: int) -> tuple[Leaf, Leaf]:
-    if j in leaf.fixed:
-        raise ValueError(f"variable {j} already fixed on the path to leaf {leaf.id}")
-    # the axes run down the free variables: the free ones above j come first
-    axis = leaf.n - 1 - j - sum(v > j for v in leaf.fixed)
-    plus, minus = (leaf.table[(slice(None),) * axis + (bit, ...)] for bit in (0, 1))
-    return (Leaf(first_id, plus, {**leaf.fixed, j: 1}, leaf.n, leaf.range_tag),
-            Leaf(first_id + 1, minus, {**leaf.fixed, j: -1}, leaf.n, leaf.range_tag))
+def _split(t: DecisionTree, ids: np.ndarray, js) -> DecisionTree:
+    """Split the leaves ``ids`` (in ``leaves`` order) on the variables
+    ``js``, in a few array operations: each split leaf's rows repeated, and
+    its children's ids, path step and fixed bits written.  The k-th split
+    leaf's children get ids next_leaf_id + 2k (plus branch) and + 2k + 1."""
+    position = np.empty(t.next_leaf_id, np.intp)
+    position[t.ids] = np.arange(len(t.ids))
+    repeats = np.ones(len(t.ids), np.intp)
+    repeats[position[ids]] = 2
+    at = np.flatnonzero(np.repeat(repeats, repeats) == 2)  # the children's rows, plus branch first
+    new_ids, depths, fixed, minus, path = (np.repeat(a, repeats, axis=0)
+                                           for a in (t.ids, t.depths, t.fixed, t.minus, t.path))
+    var, next_id = np.repeat(js, 2), t.next_leaf_id + len(at)
+    path[at, depths[at]] = var
+    new_ids[at] = np.arange(t.next_leaf_id, next_id)
+    depths[at] += 1
+    bit = np.left_shift(1, var, dtype=np.int64)
+    fixed[at] |= bit
+    minus[at[1::2]] |= bit[1::2]
+    return DecisionTree(t.root, new_ids, depths, path, fixed, minus, next_id)
 
 
 def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     """Replace each leaf ``splits`` names (id -> variable) by its two
-    children, in one pass over the leaves; other leaves are shared with t.
+    children; the other leaves keep their ids, paths and tables.
 
     New ids follow ``leaves`` order: the first split leaf's children get
     next_leaf_id (plus branch) and next_leaf_id + 1, the next split leaf's
@@ -161,32 +219,31 @@ def split_leaves(t: DecisionTree, splits: dict[int, int]) -> DecisionTree:
     for j in splits.values():
         if not 0 <= j < t.n:
             raise IndexError(f"variable index {j} out of range for n={t.n}")
-    ids = itertools.count(t.next_leaf_id, 2)
-    out: list[Leaf] = []
-    for leaf in t.leaves:
-        if leaf.id in splits:
-            out += _split_node(leaf, splits[leaf.id], next(ids))
-        else:
-            out.append(leaf)
-    next_id = next(ids)
-    if next_id - t.next_leaf_id < 2 * len(splits):
-        present = {leaf.id for leaf in t.leaves}
-        raise KeyError(f"no leaf with id {min(set(splits) - present)}")
-    return DecisionTree(t.n, tuple(out), next_id)
+    at = [i for i, leaf_id in enumerate(t.ids.tolist()) if leaf_id in splits]
+    ids = t.ids[at].tolist()
+    js = np.array([splits[leaf_id] for leaf_id in ids], np.int64)
+    taken = np.flatnonzero(t.fixed[at] >> js & 1).tolist()
+    if taken:
+        raise ValueError(f"variable {js[taken[0]]} already fixed on the path to leaf {ids[taken[0]]}")
+    if len(ids) < len(splits):
+        raise KeyError(f"no leaf with id {min(set(splits) - set(ids))}")
+    return _split(t, t.ids[at], js)
 
 
-def _spectra(level: list[Leaf], m: int) -> np.ndarray:
-    """The compact spectra of leaves over m free variables, one row each.
-    The tables are transformed as the columns of batches of at most
-    max(2^_BATCH_BITS entries, one table), so that beside the rows only one
-    batch and its transform are held: one copy of a level would cost as
-    much as the rows.  A one-entry table is its own spectrum."""
+def _spectra(t: DecisionTree, at: np.ndarray, frees: np.ndarray) -> np.ndarray:
+    """The compact spectra of the leaves at positions ``at``, all with m
+    free variables (``frees``), one row each.  The tables are transformed
+    as the columns of batches of at most max(2^_BATCH_BITS entries, one
+    table), so that beside the rows only one batch and its transform are
+    held: one copy of a level would cost as much as the rows.  A one-entry
+    table is its own spectrum."""
+    m = frees.shape[1]
     if m == 0:
-        return np.fromiter((leaf.table.item() for leaf in level), np.float64, len(level)).reshape(-1, 1)
-    rows = np.empty((len(level), 1 << m))
+        return t.root.values[t.minus[at]].reshape(-1, 1)
+    rows = np.empty((len(at), 1 << m))
     group = max(1 << _BATCH_BITS >> m, 1)
-    for g in range(0, len(level), group):
-        tables = [leaf.table for leaf in level[g:g + group]]
+    for g in range(0, len(at), group):
+        tables = _views(t, at[g:g + group], frees[g:g + group])
         k = len(tables)
         batch = np.stack(tables, axis=-1) if k > 1 else tables[0]
         # unbound, so that a batch's transform is freed before the next one
@@ -199,9 +256,9 @@ def _in_leaf_order(t: DecisionTree, parts: list[tuple[np.ndarray, LeafStats]]) -
     order, from parts that each give some leaves' ids and their analysis.
     The profiles are zero-padded to n + 1 columns: W^k = 0 beyond a leaf's
     m free variables."""
-    count = len(t.leaves)
+    count = len(t.ids)
     position = np.empty(t.next_leaf_id, np.int64)
-    position[np.fromiter((leaf.id for leaf in t.leaves), np.int64, count)] = np.arange(count)
+    position[t.ids] = np.arange(count)
     stats = LeafStats(*(np.empty(count, a.dtype) for a in parts[0][1][:-1]), np.zeros((count, t.n + 1)))
     for ids, part in parts:
         at = position[ids]
@@ -213,26 +270,15 @@ def _in_leaf_order(t: DecisionTree, parts: list[tuple[np.ndarray, LeafStats]]) -
 
 def _masses(t: DecisionTree) -> np.ndarray:
     """Each leaf's mass 2^-depth, in ``leaves`` order."""
-    return np.ldexp(1.0, [-len(leaf.fixed) for leaf in t.leaves])
+    return np.ldexp(1.0, -t.depths)
 
 
 def _analysis(t: DecisionTree, eps: float, delta: float) -> LeafStats:
     """The drivers' analysis (``noise._analyzer``) of every leaf, in
     ``leaves`` order: a depth's leaves in one batch of compact spectra
-    (``_spectra``), their free variables from one array of the fixed ones."""
-    ids = np.fromiter((leaf.id for leaf in t.leaves), np.int64, len(t.leaves))
-    depths = np.fromiter((len(leaf.fixed) for leaf in t.leaves), np.int64, len(t.leaves))
-    fixed = np.zeros((len(t.leaves), t.n), bool)
-    fixed[np.repeat(np.arange(len(t.leaves)), depths),
-          np.fromiter(itertools.chain.from_iterable(leaf.fixed for leaf in t.leaves), np.int64)] = True
+    (``_spectra``), their free variables read from the masks."""
     analyze = _analyzer(t.n, delta, eps)
-    parts = []
-    for depth in dict.fromkeys(depths.tolist()):
-        at = np.flatnonzero(depths == depth)
-        frees = np.nonzero(~fixed[at])[1].reshape(len(at), t.n - depth)  # ascending in each row
-        level = [t.leaves[i] for i in at.tolist()]
-        parts.append((ids[at], analyze(frees, _spectra(level, t.n - depth))))
-    return _in_leaf_order(t, parts)
+    return _in_leaf_order(t, [(t.ids[at], analyze(frees, _spectra(t, at, frees))) for at, frees in _levels(t)])
 
 
 def energy(t: DecisionTree, delta: float) -> float:
@@ -253,20 +299,20 @@ def bad_leaf_mass(t: DecisionTree, eps: float, delta: float) -> float:
     return float(_masses(t)[_bad(_analysis(t, eps, delta).max_influences, eps)].sum())
 
 
-def _dot(t: DecisionTree, lo: int, hi: int, depth: int, stats: LeafStats,
+def _dot(t: DecisionTree, lo: int, hi: int, depth: int, labels: list[str],
          lines: list[str], names: Iterator[int]) -> str:
-    """Append the DOT lines of the node at ``depth`` over t.leaves[lo:hi]
-    to ``lines`` and return its name, drawn from ``names`` in preorder;
-    ``stats`` holds the leaves' analysis in ``leaves`` order."""
+    """Append the DOT lines of the node at ``depth`` over the leaves at
+    positions lo .. hi-1 to ``lines`` and return its name, drawn from
+    ``names`` in preorder; ``labels`` holds the leaves' labels in ``leaves``
+    order."""
     name = f"n{next(names)}"
     if hi - lo == 1:
-        lines.append(f'  {name} [shape=box, label="L{t.leaves[lo].id}\\ndepth={depth}'
-                     f'\\nmean={stats.means[lo]:.6g}\\nmax_inf={stats.max_influences[lo]:.6g}"];')
+        lines.append(f'  {name} [shape=box, label="{labels[lo]}"];')
         return name
     var, mid = _branch(t, lo, hi, depth)
     lines.append(f'  {name} [label="x{var + 1}"];')
-    plus = _dot(t, lo, mid, depth + 1, stats, lines, names)
-    minus = _dot(t, mid, hi, depth + 1, stats, lines, names)
+    plus = _dot(t, lo, mid, depth + 1, labels, lines, names)
+    minus = _dot(t, mid, hi, depth + 1, labels, lines, names)
     lines.append(f'  {name} -> {plus} [label="+1"];')
     lines.append(f'  {name} -> {minus} [label="-1"];')
     return name
@@ -275,7 +321,10 @@ def _dot(t: DecisionTree, lo: int, hi: int, depth: int, stats: LeafStats,
 def to_dot(t: DecisionTree, delta: float) -> str:
     """DOT rendering: internal nodes x<i+1>, edges +1/-1, leaf summaries."""
     _check_delta(delta)
+    stats = _analysis(t, np.inf, delta)
+    labels = [f"L{leaf_id}\\ndepth={depth}\\nmean={mean:.6g}\\nmax_inf={top:.6g}" for leaf_id, depth, mean, top
+              in zip(t.ids.tolist(), t.depths.tolist(), stats.means.tolist(), stats.max_influences.tolist())]
     lines = ["digraph dtree {"]
-    _dot(t, 0, len(t.leaves), 0, _analysis(t, np.inf, delta), lines, itertools.count())
+    _dot(t, 0, len(t.ids), 0, labels, lines, itertools.count())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 from .boolfn import REAL, BooleanFunction, FourierExpansion, _spectrum
-from .dtree import DecisionTree, EnergyLedger, _in_leaf_order, leaves, singleton, split_leaves, tree_depth
+from .dtree import DecisionTree, EnergyLedger, _in_leaf_order, _split, singleton, tree_depth
 from .noise import LeafStats, _analyzer, _bad
 
 # Guard band for the internal energy checks (phi <= 1, and each pass's gain
@@ -180,7 +180,7 @@ def _decompose(f: BooleanFunction, p: RegularityParams, plan: Callable, keep_all
             js = np.broadcast_to(var, len(rows))
             frees, rows, influences = analyze.split(frees, rows, js)  # releases the parents' rows
             predicted += 2.0 ** -depth * float(influences.sum())
-            t = split_leaves(t, dict(zip(ids.tolist(), js.tolist())))
+            t = _split(t, ids, js)
             ids, depth = np.arange(t.next_leaf_id - len(rows), t.next_leaf_id), depth + 1
         iterations += 1
         if iterations > p.budget:
@@ -257,10 +257,10 @@ def tower(k: int) -> int | float:
 def decomposition_report(result: DecompositionResult, p: RegularityParams,
                          homogeneous: bool) -> dict:
     """JSON-ready summary: params, energy trace, and per-leaf statistics."""
-    stats = result.leaf_stats
-    leaf_rows = [{"id": leaf.id, "depth": depth, "mass": 2.0 ** -depth, "mean": mean, "max_influence": top}
-                 for (leaf, depth), mean, top
-                 in zip(leaves(result.tree), stats.means.tolist(), stats.max_influences.tolist())]
+    stats, t = result.leaf_stats, result.tree
+    leaf_rows = [{"id": leaf_id, "depth": depth, "mass": 2.0 ** -depth, "mean": mean, "max_influence": top}
+                 for leaf_id, depth, mean, top
+                 in zip(t.ids.tolist(), t.depths.tolist(), stats.means.tolist(), stats.max_influences.tolist())]
     return {
         "params": {"eps": p.eps, "delta": p.delta, "gamma": p.gamma, "budget": p.budget},
         "homogeneous": homogeneous,

@@ -161,6 +161,15 @@ def arcsine_quadrant(rho: float) -> float:
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
+def cube(out: np.ndarray, n: int, at: dict[int, int]) -> np.ndarray:
+    """The view of a 2^n array whose index bit v equals ``at[v]`` for every
+    variable in ``at``, shaped (2,) * (number of other variables); its
+    index bit k is the k-th other variable in ascending order."""
+    # reshape axis k holds bit n-1-k, i.e. variable n-1-k
+    index = tuple(at[v] if v in at else slice(None) for v in reversed(range(n)))
+    return out.reshape((2,) * n)[index + (...,)]
+
+
 def random_real_unit(rng: np.random.Generator, n: int, target_ms: float | None = None) -> np.ndarray:
     """Random real table scaled so E[f^2] is target_ms (default uniform < 1)."""
     values = rng.normal(size=1 << n)

@@ -133,6 +133,26 @@ def test_mist_pipeline_incomplete_flags(capsys):
     assert "pipeline" in err
 
 
+def test_mist_checks_its_flags_before_building_the_function():
+    # tribes:4,6 is a 2^24 table (128 MiB, 318 MiB at the peak of its build):
+    # the incomplete pipeline flags end the run before it is built.  A child
+    # forked from this process may start from its peak RSS, so the command
+    # runs as a grandchild and its peak is read as the child's RUSAGE_CHILDREN
+    code = ("import resource, subprocess, sys\n"
+            "run = subprocess.run([sys.executable, '-m', 'boolreg', 'mist', '--fn', 'tribes:4,6',\n"
+            "                      '--rho', '.5', '--eps', '.1'], capture_output=True, text=True)\n"
+            "sys.stderr.write(run.stderr)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, run.stdout == '')\n"
+            "sys.exit(run.returncode)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: pipeline mode needs all of --eps --delta --gamma --q-eps --q-delta\n"
+    peak_kib, no_report = result.stdout.split()
+    assert int(peak_kib) < 100 * 1024 and no_report == "True"
+
+
 def test_var_cap_without_hom_is_a_usage_error(capsys):
     code, out, err = run_cli(["decompose", "--fn", "maj:3", "--eps", ".1", "--delta", ".3",
                               "--gamma", ".05", "--var-cap", "1"], capsys)
@@ -160,6 +180,9 @@ def test_real_valued_function_rejected_by_mist(capsys, tmp_path):
     path.write_text("n=1\n2.5\n-3\n")
     code, _, _ = run_cli(["mist", "--fn", f"file:{path}", "--rho", "0.5"], capsys)
     assert code == 3
+    # incomplete pipeline flags are a usage error, found before the table is read
+    code, _, err = run_cli(["mist", "--fn", f"file:{path}", "--rho", "0.5", "--eps", "0.1"], capsys)
+    assert (code, err) == (1, "error: pipeline mode needs all of --eps --delta --gamma --q-eps --q-delta\n")
 
 
 def test_mist_pipeline_takes_a_fractional_zero_one_table(capsys, tmp_path):

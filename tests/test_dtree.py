@@ -217,11 +217,18 @@ def test_split_leaves_ids_follow_leaf_order():
     np.testing.assert_array_equal(evaluate_table(many), majority(5).values)
 
 
-def test_split_leaves_shares_untouched_branches():
+def test_split_leaves_keeps_untouched_leaves():
+    # a walk builds fresh leaves, so no two trees share a leaf object; an
+    # untouched leaf keeps its id, path and table bits, and every table is
+    # a view of the root table, so no split copies a value
     t = three_leaf_tree()
     split = split_leaves(t, {3: 2})
-    assert split.leaves[2] is t.leaves[1] and split.leaves[3] is t.leaves[2]
-    assert all(a is b for a, b in zip(split_leaves(t, {}).leaves, t.leaves, strict=True))
+    assert split.leaves[2] is not t.leaves[1]
+    for old, new in [(t.leaves[1], split.leaves[2]), (t.leaves[2], split.leaves[3])] + \
+            list(zip(t.leaves, split_leaves(t, {}).leaves, strict=True)):
+        assert (new.id, list(new.fixed.items())) == (old.id, list(old.fixed.items()))
+        assert new.table.shape == old.table.shape and new.table.tobytes() == old.table.tobytes()
+    assert all(np.shares_memory(leaf.table, t.root.values) for tree in (t, split) for leaf in tree.leaves)
 
 
 def test_integer_arguments_become_ints():

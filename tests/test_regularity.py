@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from boolreg import (
     tree_depth,
     tribes,
 )
-from boolreg import dtree, regularity
+from boolreg import dtree, noise, regularity
 from boolreg.noise import all_noisy_influences
 from oracles import compensated_sum
 
@@ -310,3 +311,39 @@ def test_energies_do_not_depend_on_the_builtin_sum(monkeypatch):
     assert [[i, phi.hex(), depth] for (i, phi), depth
             in zip(result.ledger.history, result.ledger.depths)] == want["ledger"]
     assert energy(result.tree, p.delta) == tree_energy
+
+
+def dtree_calls_per_pass(f, p, var_cap):
+    """Python-level calls into functions defined in boolreg/dtree.py during
+    each pass of decompose_homogeneous; a pass starts at its level's
+    analysis."""
+    counts = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code.co_name == "analyze" and code.co_filename == noise.__file__:
+            counts.append(0)
+        elif code.co_filename == dtree.__file__ and counts:
+            counts[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = decompose_homogeneous(f, p, var_cap)
+    finally:
+        sys.setprofile(None)
+    assert len(counts) == result.iterations + 1
+    return counts
+
+
+def test_a_pass_splits_its_level_without_per_leaf_python():
+    # majority(k) queries one new variable a pass, so the pass before the
+    # last splits 2^(k-2) leaves; a tree held as leaf objects made a Python
+    # call per split leaf (511 and 8,191 in all), the array split makes the
+    # same few calls whatever the level's size
+    p = RegularityParams(0.05, 0.3, 0.05)
+    small, large = (dtree_calls_per_pass(majority(k), p, k) for k in (9, 13))
+    assert len(small) == 10 and len(large) == 14
+    assert len(set(small[:-1])) == 1 and set(small[:-1]) == set(large[:-1])
+    assert small[-1] == large[-1]

@@ -43,7 +43,7 @@ from boolreg import (
     tribes,
     wht,
 )
-from boolreg import boolfn, noise, regularity, stablest
+from boolreg import boolfn, dtree, noise, regularity, stablest
 from boolreg.dtree import _analysis
 from boolreg.noise import (
     INFLUENCE_SLACK,
@@ -57,9 +57,10 @@ from boolreg.noise import (
     _weighted_squares,
     expansion_influences,
 )
-from boolreg.boolfn import _butterfly, _cube, _degree_weights
+from boolreg.boolfn import _butterfly, _degree_weights
 from oracles import (
     ambient_spectrum,
+    cube,
     exact_influences,
     exact_profile,
     exact_stability,
@@ -388,14 +389,15 @@ def test_one_leaf_analysis_per_pass(monkeypatch, run):
 ], ids=["plain_tribes_4_4", "homogeneous_majority_11", "pipeline_tribes_3_4"])
 def test_no_tree_walk_per_pass(monkeypatch, run):
     # a pass reads the energy, the bad mass and the depth from its level;
-    # summing them over a walk of the tree took one walk per pass
-    walks, results = [], []
-    walk, loop = regularity.leaves, regularity._decompose
+    # summing them over a walk of the tree took one walk per pass.  The
+    # tree is split as arrays, so the loop builds no Leaf object at all
+    built, results = [], []
+    init, loop = dtree.Leaf.__init__, regularity._decompose
 
     def recording_loop(*args, **kwargs):
-        monkeypatch.setattr(regularity, "leaves", lambda t: walks.append(t) or walk(t))
+        monkeypatch.setattr(dtree.Leaf, "__init__", lambda leaf, *at: built.append(at) or init(leaf, *at))
         results.append(loop(*args, **kwargs))
-        monkeypatch.setattr(regularity, "leaves", walk)
+        monkeypatch.setattr(dtree.Leaf, "__init__", init)
         return results[-1]
 
     monkeypatch.setattr(regularity, "_decompose", recording_loop)
@@ -403,8 +405,8 @@ def test_no_tree_walk_per_pass(monkeypatch, run):
     run()
     [result] = results
     assert result.iterations > 1
-    assert walks == []
-    assert not hasattr(regularity, "_tally")
+    assert built == []
+    assert not hasattr(regularity, "leaves") and not hasattr(regularity, "_tally")
 
 
 @settings(max_examples=100, deadline=None)
@@ -510,7 +512,7 @@ def test_a_reused_analyzer_gives_a_fresh_ones_bits(n, delta, data):
     for kind, rows in calls:
         frees = np.array([[v for v in range(n) if v not in bits] for _, bits in rows],
                          dtype=np.int64).reshape(len(rows), -1)
-        tables = [_cube(pool[k], n, bits) for k, bits in rows]
+        tables = [cube(pool[k], n, bits) for k, bits in rows]
         spectra = np.array([_butterfly(table).reshape(-1) / table.size for table in tables])
         if all(np.array_equal(table, np.rint(table)) for table in tables):  # as int32 counts
             spectra = np.rint(spectra * 2.0 ** n).astype(np.int32)
