@@ -146,6 +146,16 @@ class BooleanFunction:
         return ms
 
 
+def _unchecked(n: int, values: np.ndarray, range_tag: str) -> BooleanFunction:
+    """A BooleanFunction that adopts a fresh table of 2^n entries without
+    the constructor's scans: for values taken from a table that passed
+    them, which keep its range tag."""
+    f = object.__new__(BooleanFunction)
+    for name, value in (("n", n), ("values", _handover(values)), ("range_tag", range_tag)):
+        object.__setattr__(f, name, value)
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class FourierExpansion:
     """Coefficient table indexed by subset masks: bit i of S set means i in S."""
@@ -282,19 +292,24 @@ def _stages(x: np.ndarray, buf: np.ndarray) -> None:
         np.copyto(x, src)
 
 
-def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) -> np.ndarray:
+def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1,
+               divisor: int | None = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, O(n 2^n), into one fresh
     C-ordered array of ``dtype``: out[S] = sum_b values[b] * (-1)^popcount(b
-    & S).  With ``tables`` = t > 1, values is a (2^n, t) array, and each of
-    its columns is transformed, in one batch.
+    & S), each entry then divided by ``divisor`` if one is given.  With
+    ``tables`` = t > 1, values is a (2^n, t) array, and each of its columns
+    is transformed, in one batch.
 
     The stages are blocked for the cache.  With b = min(n, _BLOCK_BITS -
     ceil(log2 t)), or 0 if that is negative, the low b stages (index bits
     0 .. b-1) run on each contiguous block of 2^b rows (2^b * t entries) in
-    turn; the high n - b stages run on the (2^(n-b), 2^b * t) view of the
-    array, one strip of columns (at most 2^_STRIP_BITS) at a time.  The
-    only other memory is one scratch array of max(2^b * t, 2^(n-b) * strip
-    width) entries.
+    turn, in place, after the block of ``values`` is copied into it as
+    ``dtype`` (an unsafe cast, as ``np.array(values, dtype)`` makes), while
+    it is in the cache; the high n - b stages run on the (2^(n-b), 2^b * t)
+    view of the output, one strip of columns (at most 2^_STRIP_BITS) at a
+    time.  The division runs on each block or strip after its last stage.
+    The only other memory is one scratch array of max(2^b * t, 2^(n-b) *
+    strip width) entries.
 
     An array of _PARALLEL_ENTRIES entries or more is shared among k =
     ``_WORKERS`` workers (``_in_parallel``): the blocks, and then the
@@ -310,15 +325,16 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
     same sequence of float64 adds and subtracts as the textbook in-place
     butterfly (h = 1, 2, 4, ...), whatever the blocking, the batch and the
     number of workers: the output is bit-identical to it on every input,
-    real tables included.
+    real tables included, and so is its division, one per entry.
 
     int32 is exact on tables of -1, 0 and 1 (``_counts``): every partial
     sum is then an integer of magnitude at most 2^n <= 2^24, so no order of
     the adds can round or overflow, and the stages move half the bytes of
     float64 ones.
     """
-    a = np.array(values, dtype=dtype, order="C")
-    grid = a.reshape(-1, tables)
+    values = np.asarray(values)
+    a = np.empty(values.shape, dtype)
+    grid, source = a.reshape(-1, tables), values.reshape(-1, tables)
     n = grid.shape[0].bit_length() - 1
     b = min(n, max(_BLOCK_BITS - (tables - 1).bit_length(), 0))
     rows, block = 1 << (n - b), tables << b
@@ -328,10 +344,18 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
     # the strips narrow to a power of two until k of them fit in the scratch
     width = min(width, 1 << max((scratch.size // (k * rows)).bit_length() - 1, 0))
 
+    def done(x: np.ndarray) -> None:  # x has had its last stage
+        if divisor is not None:
+            np.divide(x, divisor, out=x)
+
     def low_stages(w: int, start: int, stop: int) -> None:
         low = scratch[w * block:(w + 1) * block].reshape(-1, tables)
-        for part in grid[start << b:stop << b].reshape(-1, 1 << b, tables):
+        for part, src in zip(grid[start << b:stop << b].reshape(-1, 1 << b, tables),
+                             source[start << b:stop << b].reshape(-1, 1 << b, tables)):
+            np.copyto(part, src, casting="unsafe")
             _stages(part, low)
+            if rows == 1:
+                done(part)
 
     def strips(w: int, start: int, stop: int) -> None:
         slot = scratch[w * rows * width:(w + 1) * rows * width]
@@ -342,6 +366,7 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
             for c in range(start * width, min(stop * width, block), width):
                 strip = columns[:, c:c + width]
                 _stages(strip, slot[:strip.size].reshape(strip.shape))
+                done(strip)
 
     _in_parallel(low_stages, rows, min(k, scratch.size // block))
     if rows > 1:
@@ -352,9 +377,7 @@ def _butterfly(values: np.ndarray, dtype: type = np.float64, tables: int = 1) ->
 
 def wht(f: BooleanFunction) -> FourierExpansion:
     """Walsh-Hadamard transform: coefficient at mask S is E[f * parity_S]."""
-    a = _butterfly(f.values)
-    np.divide(a, f.size, out=a)
-    return FourierExpansion(f.n, _handover(a))
+    return FourierExpansion(f.n, _handover(_butterfly(f.values, divisor=f.size)))
 
 
 def _counts(f: BooleanFunction) -> np.ndarray | None:
@@ -389,7 +412,8 @@ def restrict(f: BooleanFunction, i: int, v: int) -> BooleanFunction:
     """Fix coordinate i to v in {-1,+1}, keeping the ambient arity n.
 
     The result ignores bit i of the input index entirely, so restricting
-    again on i is a no-op apart from the recorded value.
+    again on i is a no-op apart from the recorded value.  Its values are
+    some of f's, so f's checks and range tag hold for it without a rescan.
     """
     i = _check_index(f, i)
     if v not in (-1, 1):
@@ -397,7 +421,7 @@ def restrict(f: BooleanFunction, i: int, v: int) -> BooleanFunction:
     pairs = f.values.reshape(-1, 2, 1 << i)
     out = np.empty(f.size)
     out.reshape(pairs.shape)[...] = pairs[:, :1] if v == 1 else pairs[:, 1:]
-    return BooleanFunction(f.n, _handover(out), f.range_tag)
+    return _unchecked(f.n, out, f.range_tag)
 
 
 def derivative(f: BooleanFunction, i: int) -> BooleanFunction:

@@ -122,8 +122,8 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     if args.var_cap is not None and not args.hom:
         raise UsageError("--var-cap needs --hom")
+    p = RegularityParams(eps=args.eps, delta=args.delta, gamma=args.gamma)  # before f is built
     f = parse_function_spec(args.fn)
-    p = RegularityParams(eps=args.eps, delta=args.delta, gamma=args.gamma)
     if args.hom:
         var_cap = f.n if args.var_cap is None else args.var_cap
         result = decompose_homogeneous(f, p, var_cap)

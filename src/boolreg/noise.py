@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import boolfn
 from .boolfn import (BooleanFunction, FourierExpansion, _check_index, _degree_weights, _spectrum,
                      subset_sizes)
 
@@ -46,6 +47,7 @@ INFLUENCE_SLACK = 1e-12
 _TIE_BAND = 1e-9
 
 _MC_CHUNK = 1 << 16
+_MC_ROWS = 1 << 12  # samples whose flips a Monte-Carlo worker draws and masks at a time
 
 # numpy sums a float64 run in blocks of 2^7 doubles (``_ambient_sums``)
 _LANE_BITS = 7
@@ -145,28 +147,69 @@ def stability_mc_detail(f: BooleanFunction, rho: float, samples: int, seed: int)
 
     x is uniform on the cube; each y_i equals x_i with probability
     (1 + rho)/2, independently, implemented as an independent per-bit flip
-    with probability (1 - rho)/2.  Fully deterministic given the seed.
+    with probability (1 - rho)/2.  Fully deterministic given the seed, with
+    the same bits on any number of CPUs.
+
+    The samples are drawn in chunks of _MC_CHUNK from the seed's PCG64
+    stream: a chunk's x, then its flips, sample by sample.  A full chunk
+    takes exactly 2^15 + 2^16 n outputs of the stream: x's 2^16 draws are
+    the 32-bit halves of 2^15 (Lemire's rule never rejects on the range
+    2^n), and each flip takes one.  So the chunks are shared among the CPUs in the affinity mask
+    (``boolfn._in_parallel``; ``taskset`` restricts them), each worker's
+    generator jumped ahead to its first chunk (``PCG64.advance``, O(log k)
+    steps), and the chunks' sums are added in chunk order.  A worker draws
+    and masks the flips _MC_ROWS samples at a time, in buffers of its own
+    that are allocated once.
     """
     _check_rho(rho)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    start = np.random.default_rng(seed).bit_generator.state
     flip_prob = (1.0 - rho) / 2.0
     # float64 powers of two: sums of distinct ones below 2^n are exact, so the
     # float product (which BLAS runs; numpy loops over an int64 one) gives
     # each flip mask exactly
     bit_weights = np.ldexp(1.0, np.arange(f.n))
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        x = rng.integers(0, f.size, size=chunk, dtype=np.int64)
-        flips = ((rng.random((chunk, f.n)) < flip_prob) @ bit_weights).astype(np.int64)
-        prods = f.values[x] * f.values[x ^ flips]
-        total += float(prods.sum())
-        total_sq += float((prods * prods).sum())
-        remaining -= chunk
+    chunks = -(-samples // _MC_CHUNK)
+    k = min(boolfn._WORKERS, chunks)
+    block = min(samples, _MC_ROWS)
+    # a slot of each buffer per worker, allocated once: a worker allocates
+    # only the row block of x that the generator returns
+    draws = np.empty((k, block, f.n))
+    masks = np.empty((k, block))
+    ys = np.empty((k, block), np.int64)
+    xs = np.empty((k, min(samples, _MC_CHUNK)), np.int64)
+    prods = np.empty(xs.shape)
+    sums = np.empty((chunks, 2))
+
+    def draw(w: int, first: int, stop: int) -> None:
+        generator = np.random.PCG64()
+        generator.state = start
+        rng = np.random.Generator(generator.advance(first * ((_MC_CHUNK >> 1) + _MC_CHUNK * f.n)))
+        for c in range(first, stop):
+            size = min(samples - c * _MC_CHUNK, _MC_CHUNK)
+            x, prod = xs[w, :size], prods[w, :size]
+            for r in range(0, size, block):  # draws what one call for all of x draws
+                x[r:r + block] = rng.integers(0, f.size, size=min(size - r, block), dtype=np.int64)
+            # mode "clip" writes out directly ("raise" buffers it); every index is in range
+            np.take(f.values, x, out=prod, mode="clip")
+            for r in range(0, size, block):
+                rows = min(size - r, block)
+                flips, mask, y = draws[w, :rows], masks[w, :rows], ys[w, :rows]
+                rng.random(out=flips)
+                np.less(flips, flip_prob, out=flips)
+                np.copyto(y, np.matmul(flips, bit_weights, out=mask), casting="unsafe")
+                np.bitwise_xor(x[r:r + rows], y, out=y)
+                np.take(f.values, y, out=mask, mode="clip")
+                np.multiply(prod[r:r + rows], mask, out=prod[r:r + rows])
+            sums[c, 0] = prod.sum()
+            sums[c, 1] = np.multiply(prod, prod, out=prod).sum()
+
+    boolfn._in_parallel(draw, chunks, k)
+    total = total_sq = 0.0
+    for s, sq in sums.tolist():
+        total += s
+        total_sq += sq
     est = total / samples
     var = max(total_sq / samples - est * est, 0.0)
     return est, float(np.sqrt(var / samples))

@@ -153,6 +153,31 @@ def test_mist_checks_its_flags_before_building_the_function():
     assert int(peak_kib) < 100 * 1024 and no_report == "True"
 
 
+def test_decompose_checks_its_parameters_before_building_the_function():
+    # as for mist's flags above: eps = 0 ends the run before the 2^24 table
+    # of tribes:4,6 is built
+    code = ("import resource, subprocess, sys\n"
+            "run = subprocess.run([sys.executable, '-m', 'boolreg', 'decompose', '--fn', 'tribes:4,6',\n"
+            "                      '--eps', '0', '--delta', '.3', '--gamma', '.05'],\n"
+            "                     capture_output=True, text=True)\n"
+            "sys.stderr.write(run.stderr)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, run.stdout == '')\n"
+            "sys.exit(run.returncode)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == "error: eps must be positive, got 0.0\n"
+    peak_kib, no_report = result.stdout.split()
+    assert int(peak_kib) < 100 * 1024 and no_report == "True"
+
+
+def test_a_bad_parameter_outranks_a_bad_spec(capsys):
+    # the parameters are checked first, so the precondition's exit code wins
+    code, out, err = run_cli(["decompose", "--fn", "nope:3", "--eps", ".1", "--delta", "2",
+                              "--gamma", ".05"], capsys)
+    assert (code, out, err) == (3, "", "error: delta must lie in (0, 1], got 2.0\n")
+
+
 def test_var_cap_without_hom_is_a_usage_error(capsys):
     code, out, err = run_cli(["decompose", "--fn", "maj:3", "--eps", ".1", "--delta", ".3",
                               "--gamma", ".05", "--var-cap", "1"], capsys)

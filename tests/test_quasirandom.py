@@ -135,8 +135,8 @@ def test_influence_bound_transforms_once(monkeypatch):
 
     calls = []
     butterfly = boolreg.boolfn._butterfly
-    monkeypatch.setattr(boolreg.boolfn, "_butterfly",
-                        lambda values, *dtype: calls.append(values.size) or butterfly(values, *dtype))
+    monkeypatch.setattr(boolreg.boolfn, "_butterfly", lambda values, *args, **kwargs:
+                        calls.append(values.size) or butterfly(values, *args, **kwargs))
     f = random_pm_one(10, 3)
     bound = influence_quasirandom_bound(f, [2, 7], 0.3)
     assert calls == [1 << 10]

@@ -380,9 +380,9 @@ def test_pipeline_transforms_f_once(monkeypatch):
     calls = []
     butterfly = boolreg.boolfn._butterfly
 
-    def counting(values, *dtype):
+    def counting(values, *args, **kwargs):
         calls.append(values.size)
-        return butterfly(values, *dtype)
+        return butterfly(values, *args, **kwargs)
 
     monkeypatch.setattr(boolreg.boolfn, "_butterfly", counting)
     monkeypatch.setattr(boolreg.dtree, "_butterfly", counting)

@@ -1,9 +1,10 @@
 """The full-table kernels on several CPUs: ``boolfn._in_parallel`` passes a
 worker's error to its caller after every worker is joined, and every output
-of the butterfly, and of the leaf analysis of its spectra, keeps its bits,
-and the butterfly its memory, whatever the number of workers.  The worker count, the size
-threshold and the block size are patched, so that the shares run on tables
-of n <= 12; no test starts more than two threads at once."""
+of the butterfly, of the leaf analysis of its spectra and of the Monte-Carlo
+estimator keeps its bits, and the butterfly and the estimator their memory,
+whatever the number of workers.  The worker count, the size threshold and
+the block size are patched, so that the butterfly's shares run on tables of
+n <= 12; no test starts more than two threads at once."""
 
 import contextlib
 import subprocess
@@ -18,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boolreg import REAL, BooleanFunction, all_noisy_influences, boolfn
-from boolreg.noise import _analyzer
+from boolreg import (REAL, BooleanFunction, all_noisy_influences, boolfn, random_pm_one,
+                     stability_mc_detail)
+from boolreg.noise import _MC_CHUNK, _MC_ROWS, _analyzer
+from oracles import int_mask_stability_mc
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -210,17 +213,21 @@ def test_the_analysis_of_a_spectrum_keeps_its_bits_for_any_worker_count(case, de
 
 
 def test_shares_keep_their_bits_under_frequent_thread_switches():
-    # the workers write disjoint parts of one output and one scratch array:
-    # an overlap would show as lost or mixed entries
+    # the workers write disjoint parts of one output and one scratch array,
+    # and the estimator's workers their own slots of its buffers and their
+    # own chunks' sums: an overlap would show as lost or mixed entries
     values = np.random.default_rng(6).normal(size=1 << 14)
+    f = BooleanFunction(14, values, REAL)
     with workers(1):
-        want = boolfn._butterfly(values).tobytes()
+        want = boolfn._butterfly(values).tobytes(), stability_mc_detail(f, 0.2, 5 * 2 ** 16, 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with workers(3):
             for _ in range(20):
-                assert boolfn._butterfly(values).tobytes() == want
+                assert boolfn._butterfly(values).tobytes() == want[0]
+            for _ in range(3):
+                assert stability_mc_detail(f, 0.2, 5 * 2 ** 16, 6) == want[1]
     finally:
         sys.setswitchinterval(interval)
 
@@ -243,3 +250,58 @@ def test_the_butterfly_scratch_does_not_grow_with_workers():
         with workers(k, threshold=1 << 17, block_bits=16):
             peaks.append(peak_bytes(lambda: boolfn._butterfly(values)))
     assert peaks[1] <= peaks[0] + (16 << 10), peaks
+
+
+# --- the Monte-Carlo estimator ------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 8, 22])
+def test_stability_mc_keeps_its_bits_for_any_worker_count(n):
+    # one sample, a row block and a chunk each side of full, and three full
+    # chunks and a partial one, which three workers share 1, 1, 2
+    f = random_pm_one(n, n)
+    for samples in (1, 2 ** 12 - 1, 2 ** 12, 2 ** 12 + 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                    3 * 2 ** 16 + 5):
+        want = [v.hex() for v in int_mask_stability_mc(f, 0.3, samples, samples)]
+        for k in WORKER_COUNTS:
+            with workers(k):
+                got = stability_mc_detail(f, 0.3, samples, samples)
+            assert [v.hex() for v in got] == want, (samples, k)
+
+
+def test_stability_mc_of_a_real_table_adds_its_chunks_in_order():
+    # real products of magnitudes 1e-10 to 1e10 round: each chunk's sums
+    # must be numpy's sums over the whole chunk, added in chunk order
+    rng = np.random.default_rng(3)
+    f = BooleanFunction(10, rng.normal(size=1 << 10) * 10.0 ** rng.integers(-5, 6, size=1 << 10), REAL)
+    want = [v.hex() for v in int_mask_stability_mc(f, 0.6, 5 * 2 ** 16 + 3, 8)]
+    for k in WORKER_COUNTS:
+        with workers(k):
+            assert [v.hex() for v in stability_mc_detail(f, 0.6, 5 * 2 ** 16 + 3, 8)] == want, k
+
+
+@pytest.mark.parametrize("n", [1, 8, 22, 24])
+def test_a_chunk_takes_the_outputs_that_the_workers_jump(n):
+    # a worker's generator is the seeded one advanced by 2^15 + 2^16 n per
+    # chunk before its share: x's 2^16 draws in [0, 2^n) take the two 32-bit
+    # halves of 2^15 outputs (Lemire's rule never rejects on a power of
+    # two), the flips one output each.  A numpy that draws otherwise fails
+    # here.  The buffered half (``uinteger``) is stale unless has_uint32 is set
+    rng = np.random.default_rng(11)
+    rng.integers(0, 1 << n, size=_MC_CHUNK, dtype=np.int64)
+    rng.random((_MC_CHUNK, n))
+    jumped = np.random.PCG64(11).advance((_MC_CHUNK >> 1) + _MC_CHUNK * n).state
+    drawn = rng.bit_generator.state
+    assert (drawn["state"], drawn["has_uint32"]) == (jumped["state"], jumped["has_uint32"])
+
+
+def test_the_estimator_holds_its_buffers_and_no_chunk_of_draws():
+    # per worker: a row block of draws (2^12 samples of n doubles), its masks
+    # and flips, a row block of x as the generator returns it, and a chunk's
+    # x and products; one chunk's 2^16 x n draws would be 8 MiB at n = 16
+    n = 16
+    f = random_pm_one(n, 5)
+    for k in (1, 3):
+        with workers(k):
+            peak = peak_bytes(lambda: stability_mc_detail(f, 0.5, 2 ** 18, 2))
+        buffers = k * 8 * (_MC_ROWS * (n + 3) + 2 * _MC_CHUNK)
+        assert peak <= buffers + (64 << 10), (k, peak, buffers)
